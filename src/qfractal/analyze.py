@@ -165,7 +165,7 @@ def probability_scaling_ratio(states: list[SparseState]) -> ScalingReport:
         raise AnalysisError("at least one state is required")
     probabilities: list[Fraction] = []
     for k, state in enumerate(states):
-        values = {amp.squared_magnitude() for amp in state.entries.values()}
+        values = {amp.squared_magnitude() for amp in set(state.entries.values())}
         if not values:
             raise AnalysisError(f"state {k} has empty support")
         if len(values) > 1:

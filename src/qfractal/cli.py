@@ -3,7 +3,7 @@
 Every subcommand is deterministic: the same argv and input files produce the
 same stdout and output files.  Exit codes: 0 success, 1 operational failure
 (invalid step, no equivalence, failed roundtrip), 2 usage or parse errors,
-3 guard violations.
+3 guard violations or exhausted memory.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"n {tag.n}")
     print(f"norm2 {state.norm_squared()}")
     print(f"support {len(state.entries)}")
-    probabilities = {amp.squared_magnitude() for amp in state.entries.values()}
+    probabilities = {amp.squared_magnitude() for amp in set(state.entries.values())}
     if len(probabilities) == 1:
         print(f"uniform_probability {probabilities.pop()}")
     else:
@@ -265,6 +265,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except QfsError as exc:
         print(f"error: {exc}", file=sys.stderr)

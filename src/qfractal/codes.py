@@ -47,7 +47,7 @@ def _encode_repetition(state: SparseState) -> SparseState:
         tuple(d for digit in key for d in (digit,) * 3): amp
         for key, amp in state.entries.items()
     }
-    return SparseState(2, 3 * state.num_qudits, state.phase_order, entries)
+    return SparseState._trusted(2, 3 * state.num_qudits, state.phase_order, entries)
 
 
 def _encode_bell(state: SparseState) -> SparseState:
@@ -66,7 +66,7 @@ def _encode_bell(state: SparseState) -> SparseState:
                 grown[prefix + (0, 1)] = halved
                 grown[prefix + (1, 0)] = halved if digit == 0 else halved.shifted(half_turn, order)
             expansion = grown
-        terms.append((0, SparseState(2, 2 * state.num_qudits, order, expansion)))
+        terms.append((0, SparseState._trusted(2, 2 * state.num_qudits, order, expansion)))
     return superpose(terms)
 
 
@@ -151,7 +151,7 @@ def decode_majority(state: SparseState, spec: CodeSpec) -> DecodeReport:
             if new_key in entries:
                 raise CodeError(f"components collide after the level {level} vote")
             entries[new_key] = amp
-        current = SparseState(2, blocks, current.phase_order, entries)
+        current = SparseState._trusted(2, blocks, current.phase_order, entries)
         corrections.extend((level, block) for block in sorted(pattern or ()))
     return DecodeReport(current, tuple(corrections), True)
 

@@ -10,7 +10,6 @@ single-qudit state produces the self-similar families this package studies.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,7 +218,7 @@ def apply_scale_rule(prev: SparseState, rule: ScaleRule, *, validate: bool = Tru
     provenance = None
     if prev.provenance is not None and prev.provenance.n is not None:
         provenance = Provenance(prev.provenance.family, rule.c, rule.s, prev.provenance.n + 1)
-    return dataclasses.replace(result, provenance=provenance)
+    return result._retagged(provenance)
 
 
 def build_initial(local_dim: int) -> SparseState:
@@ -259,23 +258,17 @@ def build_representative(c: int, s: int, n: int, local_dim: int) -> SparseState:
     if s**n > MAX_ENTRIES:
         raise GuardExceededError(f"{s}**{n} entries exceeds {MAX_ENTRIES}")
     state = build_initial(local_dim)
+    branch = Amplitude.inv_sqrt(s)
     for m in range(n):
         width = (c - 1) * c**m
-        block = SparseState(
-            local_dim,
-            width,
-            state.phase_order,
-            {(j,) * width: Amplitude.inv_sqrt(s) for j in range(s)},
-        )
+        block = SparseState._trusted(local_dim, width, state.phase_order, {(j,) * width: branch for j in range(s)})
         state = state.tensor(block)
-    provenance = Provenance("representative", c, s, n)
-    return dataclasses.replace(state, provenance=provenance)
+    return state._retagged(Provenance("representative", c, s, n))
 
 
 def build_cantor(n: int) -> SparseState:
     """The qutrit family with the Cantor set's parameters c = 2, s = 3."""
-    state = build_representative(2, 3, n, local_dim=3)
-    return dataclasses.replace(state, provenance=Provenance("cantor", 2, 3, n))
+    return build_representative(2, 3, n, local_dim=3)._retagged(Provenance("cantor", 2, 3, n))
 
 
 def build_bell_pair(sign: int) -> SparseState:
@@ -287,7 +280,7 @@ def build_bell_pair(sign: int) -> SparseState:
         (0, 1): Amplitude.inv_sqrt(2),
         (1, 0): Amplitude.inv_sqrt(2, phase_index=0 if sign == 1 else order // 2),
     }
-    return SparseState(2, 2, order, entries, Provenance("bellgem", 2, 2, 0))
+    return SparseState._trusted(2, 2, order, entries, Provenance("bellgem", 2, 2, 0))
 
 
 def build_gem_step(i: SparseState, j: SparseState, sign: int) -> SparseState:
@@ -328,8 +321,7 @@ def build_gem_sequence(levels: int) -> tuple[SparseState, SparseState]:
         if len(plus.entries) > MAX_ENTRIES:
             raise GuardExceededError(f"gem level {level} exceeds {MAX_ENTRIES} entries")
         tag = Provenance("bellgem", 2, 2, level - 1)
-        plus = dataclasses.replace(plus, provenance=tag)
-        minus = dataclasses.replace(minus, provenance=tag)
+        plus, minus = plus._retagged(tag), minus._retagged(tag)
     return plus, minus
 
 
@@ -359,7 +351,9 @@ def build_bitflip_state(n: int, logical: int) -> SparseState:
     if 3**n > MAX_QUDITS:
         raise GuardExceededError(f"3**{n} qudits exceeds {MAX_QUDITS}")
     key = (logical,) * 3**n
-    return SparseState(2, 3**n, DEFAULT_PHASE_ORDER, {key: Amplitude.one()}, Provenance("bitflip", 3, 1, n))
+    return SparseState._trusted(
+        2, 3**n, DEFAULT_PHASE_ORDER, {key: Amplitude.one()}, Provenance("bitflip", 3, 1, n)
+    )
 
 
 def build_cluster(n_qubits: int) -> SparseState:
@@ -373,9 +367,10 @@ def build_cluster(n_qubits: int) -> SparseState:
         raise GuardExceededError(f"cluster size {n_qubits} outside [1, 14]")
     order = DEFAULT_PHASE_ORDER
     half = order // 2
+    signs = (Amplitude(0, ((2, n_qubits),)), Amplitude(half, ((2, n_qubits),)))
     entries: dict[tuple[int, ...], Amplitude] = {}
     for value in range(2**n_qubits):
         bits = tuple((value >> (n_qubits - 1 - k)) & 1 for k in range(n_qubits))
         flips = sum(1 for a in range(n_qubits - 1) if bits[a] == 0 and bits[a + 1] == 1)
-        entries[bits] = Amplitude((flips * half) % order, ((2, n_qubits),))
-    return SparseState(2, n_qubits, order, entries, Provenance("cluster", 2, 2, None))
+        entries[bits] = signs[flips % 2]
+    return SparseState._trusted(2, n_qubits, order, entries, Provenance("cluster", 2, 2, None))

@@ -12,7 +12,7 @@ class DimensionMismatchError(QfsError):
 
 
 class AmplitudeOverflowError(QfsError):
-    """Colliding amplitudes are neither equal nor opposite.
+    """Colliding amplitudes do not net to a single ring element.
 
     The sparse amplitude ring only represents unit phases times radical
     magnitudes; sums outside the ring must be handled on the dense path.

@@ -25,7 +25,7 @@ from .construct import (
     SlotVector,
 )
 from .errors import FormatError, ScaleRuleError
-from .states import Amplitude, Provenance, SparseState
+from .states import Amplitude, Provenance, SparseState, check_shape
 
 STATE_TAG = "qfs/1"
 RULE_TAG = "qfs-rule/1"
@@ -35,6 +35,9 @@ SVG_WIDTH = 720
 SVG_ROW_HEIGHT = 40
 SVG_ROW_GAP = 8
 SVG_PAD = 8
+
+# Maps the ASCII digit characters onto the byte values 0..9.
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _fail(lineno: int, message: str) -> None:
@@ -56,16 +59,25 @@ def _digits_to_text(digits: tuple[int, ...], local_dim: int) -> str:
 
 
 def _digits_from_text(text: str, local_dim: int, lineno: int) -> tuple[int, ...]:
+    if not text.isascii():
+        _fail(lineno, f"malformed digit string {text!r}")
     if local_dim <= 10:
         if not text.isdigit():
             _fail(lineno, f"malformed digit string {text!r}")
-        digits = tuple(int(ch) for ch in text)
+        digits = tuple(text.encode().translate(_DIGIT_VALUES))
     else:
         digits = tuple(_int(part, lineno, "digit") for part in text.split(","))
-    for d in digits:
-        if d < 0 or d >= local_dim:
-            _fail(lineno, f"digit {d} outside [0, {local_dim})")
+    if min(digits) < 0 or max(digits) >= local_dim:
+        bad = next(d for d in digits if d < 0 or d >= local_dim)
+        _fail(lineno, f"digit {bad} outside [0, {local_dim})")
     return digits
+
+
+def _amplitude_from_text(phase_text: str, magnitude_text: str, phase_order: int, lineno: int) -> Amplitude:
+    phase = _int(phase_text, lineno, "phase index")
+    if phase < 0 or phase >= phase_order:
+        _fail(lineno, f"phase index {phase} outside [0, {phase_order})")
+    return Amplitude(phase, _magnitude_from_text(magnitude_text, lineno))
 
 
 def _magnitude_to_text(amp: Amplitude) -> str:
@@ -141,6 +153,10 @@ def parse_state(text: str) -> SparseState:
     local_dim = _int(header["local_dim"], 2, "local_dim")
     num_qudits = _int(header["num_qudits"], 3, "num_qudits")
     phase_order = _int(header["phase_order"], 4, "phase_order")
+    try:
+        check_shape(local_dim, num_qudits, phase_order)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     provenance = None
     if any(key in header for key in ("family", "c", "s", "n")):
         provenance = Provenance(
@@ -151,6 +167,7 @@ def parse_state(text: str) -> SparseState:
         )
     i += 1
     entries: dict[tuple[int, ...], Amplitude] = {}
+    amplitudes: dict[tuple[str, str], Amplitude] = {}  # parsed once per distinct text
     previous: tuple[int, ...] | None = None
     for lineno in range(i, len(lines)):
         line = lines[lineno]
@@ -163,14 +180,12 @@ def parse_state(text: str) -> SparseState:
         if previous is not None and digits <= previous:
             _fail(lineno + 1, "records must be in strictly ascending order")
         previous = digits
-        phase = _int(parts[1], lineno + 1, "phase index")
-        if phase < 0 or phase >= phase_order:
-            _fail(lineno + 1, f"phase index {phase} outside [0, {phase_order})")
-        entries[digits] = Amplitude(phase, _magnitude_from_text(parts[2], lineno + 1))
-    try:
-        return SparseState(local_dim, num_qudits, phase_order, entries, provenance)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        amp = amplitudes.get((parts[1], parts[2]))
+        if amp is None:
+            amp = amplitudes[parts[1], parts[2]] = _amplitude_from_text(parts[1], parts[2], phase_order, lineno + 1)
+        entries[digits] = amp
+    # Every check the constructor makes has been made above, line by line.
+    return SparseState._trusted(local_dim, num_qudits, phase_order, entries, provenance)
 
 
 def _slot_to_text(entry: SlotVector) -> str:
@@ -206,6 +221,8 @@ def _slot_from_text(text: str, base_dir: Path, lineno: int) -> SlotVector:
         return Predecessor()
     if text.startswith("basis:"):
         body = text[len("basis:") :]
+        if not body.isascii():
+            _fail(lineno, f"malformed basis string {body!r}")
         if "," in body:
             digits = tuple(_int(part, lineno, "basis digit") for part in body.split(","))
         elif body.isdigit():

@@ -10,16 +10,24 @@ degrading to floats; callers fall back to the dense numpy path where needed.
 
 Basis strings are digit tuples, most-significant digit (leftmost ket symbol)
 first.  States are immutable after construction and all operations are pure.
+
+Validation happens once, where a state enters the library: the public
+:class:`SparseState` constructor and the file parsers check every key and
+phase.  States the library derives from valid states (tensor products, sums,
+rescalings, flips, encodings, generated families) are built through a trusted
+internal constructor that skips those checks; the property tests rebuild such
+results through the public constructor to pin that they would pass it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +41,16 @@ SCHMIDT_SIDE_LIMIT = 4096
 RANK_CUTOFF = 1e-9
 
 BasisIndex = tuple[int, ...]
+
+
+def check_shape(local_dim: int, num_qudits: int, phase_order: int) -> None:
+    """Raise ValueError unless N >= 2, Q >= 1 and R is even and positive."""
+    if local_dim < 2:
+        raise ValueError(f"local_dim must be >= 2, got {local_dim}")
+    if num_qudits < 1:
+        raise ValueError(f"num_qudits must be >= 1, got {num_qudits}")
+    if phase_order < 2 or phase_order % 2:
+        raise ValueError(f"phase_order must be even and positive, got {phase_order}")
 
 
 @lru_cache(maxsize=None)
@@ -172,6 +190,10 @@ class SparseState:
     Only nonzero entries are stored.  ``local_dim`` (N), ``num_qudits`` (Q) and
     ``phase_order`` (R) are fixed at creation; all amplitudes share R.  The
     object is immutable: operations return new states.
+
+    Calling the constructor validates: every key must be Q digits in [0, N),
+    and phase indices are reduced modulo R.  The states that operations return
+    are built from already valid states and skip that check.
     """
 
     local_dim: int
@@ -181,21 +203,42 @@ class SparseState:
     provenance: Provenance | None = None
 
     def __post_init__(self) -> None:
-        if self.local_dim < 2:
-            raise ValueError(f"local_dim must be >= 2, got {self.local_dim}")
-        if self.num_qudits < 1:
-            raise ValueError(f"num_qudits must be >= 1, got {self.num_qudits}")
-        if self.phase_order < 2 or self.phase_order % 2:
-            raise ValueError(f"phase_order must be even and positive, got {self.phase_order}")
+        check_shape(self.local_dim, self.num_qudits, self.phase_order)
+        order = self.phase_order
         normalized: dict[BasisIndex, Amplitude] = {}
         for digits, amp in self.entries.items():
             key = tuple(digits)
             if len(key) != self.num_qudits:
                 raise ValueError(f"basis index {key} has length {len(key)}, expected {self.num_qudits}")
-            if any(d < 0 or d >= self.local_dim for d in key):
+            if min(key) < 0 or max(key) >= self.local_dim:
                 raise ValueError(f"basis index {key} has digits outside [0, {self.local_dim})")
-            normalized[key] = Amplitude(amp.phase_index % self.phase_order, amp.mag_exponents)
+            reduced = 0 <= amp.phase_index < order
+            normalized[key] = amp if reduced else Amplitude(amp.phase_index % order, amp.mag_exponents)
         object.__setattr__(self, "entries", normalized)
+
+    @classmethod
+    def _trusted(
+        cls,
+        local_dim: int,
+        num_qudits: int,
+        phase_order: int,
+        entries: dict[BasisIndex, Amplitude],
+        provenance: Provenance | None = None,
+    ) -> SparseState:
+        """Build a state without validation, from parts the caller guarantees:
+        a valid shape, keys that are tuples of Q ints in [0, N), and phase
+        indices in [0, R).  ``entries`` is taken over, not copied."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "local_dim", local_dim)
+        object.__setattr__(state, "num_qudits", num_qudits)
+        object.__setattr__(state, "phase_order", phase_order)
+        object.__setattr__(state, "entries", entries)
+        object.__setattr__(state, "provenance", provenance)
+        return state
+
+    def _retagged(self, provenance: Provenance | None) -> SparseState:
+        """The same vector carrying ``provenance``."""
+        return SparseState._trusted(self.local_dim, self.num_qudits, self.phase_order, self.entries, provenance)
 
     @classmethod
     def basis_state(
@@ -218,7 +261,8 @@ class SparseState:
 
     def norm_squared(self) -> Fraction:
         """Exact squared norm: the sum of squared magnitudes."""
-        return sum((amp.squared_magnitude() for amp in self.entries.values()), Fraction(0))
+        counts = Counter(self.entries.values())
+        return sum((amp.squared_magnitude() * count for amp, count in counts.items()), Fraction(0))
 
     def outcome_probability(self, digits: Sequence[int]) -> Fraction:
         """Born-rule probability of the computational outcome ``digits``."""
@@ -235,13 +279,13 @@ class SparseState:
                 f"tensor of local_dim {self.local_dim} with {other.local_dim}"
             )
         order = math.lcm(self.phase_order, other.phase_order)
-        a, b = self.promoted(order), other.promoted(order)
-        entries = {
-            x + y: ax.times(by, order)
-            for x, ax in a.entries.items()
-            for y, by in b.entries.items()
-        }
-        return SparseState(self.local_dim, self.num_qudits + other.num_qudits, order, entries)
+        a_values, a_keys = _distinct_amplitudes(self.promoted(order).entries)
+        b_values, b_keys = _distinct_amplitudes(other.promoted(order).entries)
+        # One product per pair of distinct amplitudes; entries only index it.
+        table = [[u.times(v, order) for v in b_values] for u in a_values]
+        a_rows = [(x, table[i]) for x, i in a_keys]
+        entries = {x + y: row[j] for x, row in a_rows for y, j in b_keys}
+        return SparseState._trusted(self.local_dim, self.num_qudits + other.num_qudits, order, entries)
 
     def inner_product(self, other: SparseState) -> complex:
         """<self|other> in double precision over the support intersection."""
@@ -267,7 +311,7 @@ class SparseState:
             key[:position] + (1 - key[position],) + key[position + 1 :]: amp
             for key, amp in self.entries.items()
         }
-        return SparseState(self.local_dim, self.num_qudits, self.phase_order, entries)
+        return SparseState._trusted(self.local_dim, self.num_qudits, self.phase_order, entries)
 
     def apply_sigma_z(self, position: int) -> SparseState:
         """Phase-flip components with digit 1 at ``position``; exact."""
@@ -280,24 +324,22 @@ class SparseState:
             key: amp.shifted(half, self.phase_order) if key[position] == 1 else amp
             for key, amp in self.entries.items()
         }
-        return SparseState(self.local_dim, self.num_qudits, self.phase_order, entries)
+        return SparseState._trusted(self.local_dim, self.num_qudits, self.phase_order, entries)
 
     def scaled(self, phase_shift: int = 0, inv_sqrt: int = 1) -> SparseState:
         """Multiply every amplitude by ``e^(2*pi*i*shift/R) * inv_sqrt**(-1/2)``."""
-        entries = {
-            key: amp.shifted(phase_shift, self.phase_order).times_inv_sqrt(inv_sqrt)
-            for key, amp in self.entries.items()
-        }
-        return SparseState(self.local_dim, self.num_qudits, self.phase_order, entries)
+        order = self.phase_order
+        entries = _mapped(self.entries, lambda amp: amp.shifted(phase_shift, order).times_inv_sqrt(inv_sqrt))
+        return SparseState._trusted(self.local_dim, self.num_qudits, order, entries)
 
     def promoted(self, phase_order: int) -> SparseState:
         """The same vector expressed under a finer (multiple) phase order."""
         if phase_order == self.phase_order:
             return self
-        entries = {
-            key: amp.rescaled(self.phase_order, phase_order) for key, amp in self.entries.items()
-        }
-        return SparseState(self.local_dim, self.num_qudits, phase_order, entries, self.provenance)
+        if phase_order < 2 or phase_order % self.phase_order:
+            raise ValueError(f"phase order {phase_order} does not refine {self.phase_order}")
+        entries = _mapped(self.entries, lambda amp: amp.rescaled(self.phase_order, phase_order))
+        return SparseState._trusted(self.local_dim, self.num_qudits, phase_order, entries, self.provenance)
 
     def basis_value(self, digits: Sequence[int]) -> int:
         """Digits read as a base-N integer, most-significant digit first."""
@@ -355,11 +397,62 @@ class SparseState:
         )
 
 
+def _distinct_amplitudes(
+    entries: Mapping[BasisIndex, Amplitude],
+) -> tuple[list[Amplitude], list[tuple[BasisIndex, int]]]:
+    """The distinct amplitudes of ``entries``, and each key with the index of
+    its amplitude among them, in entry order."""
+    index: dict[Amplitude, int] = {}
+    keys = [(key, index.setdefault(amp, len(index))) for key, amp in entries.items()]
+    return list(index), keys
+
+
+def _mapped(
+    entries: Mapping[BasisIndex, Amplitude], fn: Callable[[Amplitude], Amplitude]
+) -> dict[BasisIndex, Amplitude]:
+    """``entries`` with ``fn`` applied once per distinct amplitude."""
+    memo: dict[Amplitude, Amplitude] = {}
+    out: dict[BasisIndex, Amplitude] = {}
+    for key, amp in entries.items():
+        image = memo.get(amp)
+        if image is None:
+            image = memo[amp] = fn(amp)
+        out[key] = image
+    return out
+
+
+def _net(key: BasisIndex, amps: list[Amplitude], order: int) -> Amplitude | None:
+    """Exact sum of the amplitudes colliding on ``key``; None when they cancel.
+
+    Terms are counted per (magnitude, root of unity up to sign), opposite
+    roots subtracting, so the result does not depend on their order.  The sum
+    stays in the ring only when at most one count is left nonzero.
+    """
+    half = order // 2
+    counts: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
+    for amp in amps:
+        root, negated = amp.phase_index % half, amp.phase_index >= half
+        counts[amp.mag_exponents, root] = counts.get((amp.mag_exponents, root), 0) + (-1 if negated else 1)
+    left = [(cell, count) for cell, count in counts.items() if count]
+    if not left:
+        return None
+    if len(left) > 1:
+        raise AmplitudeOverflowError(
+            f"amplitudes at {key} do not sum into the exact ring; use the dense path for general sums"
+        )
+    (mag_exponents, root), count = left[0]
+    phase = root if count > 0 else root + half
+    if abs(count) == 1:
+        return Amplitude(phase, mag_exponents)
+    return Amplitude(phase, mag_exponents + ((abs(count), -2),))
+
+
 def superpose(terms: Sequence[tuple[int, SparseState]]) -> SparseState:
     """Exact sum of phase-shifted states; no renormalization.
 
-    Amplitudes colliding on a basis string must be exactly equal (they double)
-    or exactly opposite (the entry cancels); anything else raises
+    Amplitudes colliding on a basis string are netted once all terms are in:
+    equal ones add up as an integer multiple and opposite ones cancel, in any
+    order.  A sum left with more than one magnitude or phase class raises
     :class:`AmplitudeOverflowError`.  Scaling responsibility lives with the
     caller: constructors pass correctly pre-scaled inputs.
     """
@@ -373,19 +466,22 @@ def superpose(terms: Sequence[tuple[int, SparseState]]) -> SparseState:
         if state.phase_order != order:
             raise DimensionMismatchError("superpose terms must share phase_order")
     acc: dict[BasisIndex, Amplitude] = {}
+    collided: dict[BasisIndex, list[Amplitude]] = {}
     for phase_shift, state in terms:
-        for key, amp in state.entries.items():
-            incoming = amp.shifted(phase_shift, order)
-            present = acc.get(key)
-            if present is None:
-                acc[key] = incoming
-            elif present == incoming:
-                acc[key] = present.doubled()
-            elif present.is_negation_of(incoming, order):
-                del acc[key]
+        entries = state.entries
+        if phase_shift % order:
+            entries = _mapped(entries, lambda amp: amp.shifted(phase_shift, order))
+        for key, amp in entries.items():
+            if key not in acc:
+                acc[key] = amp
+            elif key in collided:
+                collided[key].append(amp)
             else:
-                raise AmplitudeOverflowError(
-                    f"amplitudes at {key} are neither equal nor opposite; "
-                    "use the dense path for general sums"
-                )
-    return SparseState(first.local_dim, first.num_qudits, order, acc)
+                collided[key] = [acc[key], amp]
+    for key, amps in collided.items():
+        total = _net(key, amps, order)
+        if total is None:
+            del acc[key]
+        else:
+            acc[key] = total
+    return SparseState._trusted(first.local_dim, first.num_qudits, order, acc)

@@ -251,3 +251,24 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert result.stdout == "0.630929753571\n"
+
+
+class TestErrorExits:
+    def test_non_ascii_digit_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.qfs"
+        bad.write_text("qfs/1\nlocal_dim 3\nnum_qudits 1\nphase_order 8\n\n² 0 1\n")
+        code, out, err = run(capsys, "analyze", "--state", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 6:")
+
+    def test_memory_error_is_a_resource_exit(self, capsys, tmp_path, monkeypatch):
+        def exhausted(n):
+            raise MemoryError
+
+        monkeypatch.setattr("qfractal.cli.build_cantor", exhausted)
+        code, out, err = run(capsys, "gen", "--family", "cantor", "--n", "11", "-o", str(tmp_path / "c.qfs"))
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory\n"
+        assert not (tmp_path / "c.qfs").exists()

@@ -1,5 +1,6 @@
 """Concatenated encodings, error injection, and majority decoding."""
 
+import numpy as np
 import pytest
 
 from qfractal import (
@@ -189,3 +190,25 @@ class TestRoundtrip:
             [(0, qubit(0, 0).scaled(inv_sqrt=2)), (0, qubit(1, 1).scaled(inv_sqrt=2))]
         )
         assert roundtrip_check(ghz, BITFLIP_2, [])
+
+
+def dense_bell_encode(vector, qubits, levels):
+    """Reference Bell-pair encoder: each level maps every qubit through the
+    4x2 isometry |0> -> (|01> + |10>)/sqrt2, |1> -> (|01> - |10>)/sqrt2."""
+    isometry = np.array([[0, 0], [1, 1], [1, -1], [0, 0]]) / np.sqrt(2)
+    for _ in range(levels):
+        layer = np.ones((1, 1))
+        for _ in range(qubits):
+            layer = np.kron(layer, isometry)
+        vector = layer @ vector
+        qubits *= 2
+    return vector
+
+
+class TestBellEncodeCollisions:
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_matches_the_dense_encoder(self, levels):
+        state = qubit(0, 1, 1)
+        out = encode(state, CodeSpec(CodeKind.BELL_PAIR, levels))
+        np.testing.assert_allclose(out.to_dense(), dense_bell_encode(state.to_dense(), 3, levels), atol=1e-12)
+        assert out.norm_squared() == 1

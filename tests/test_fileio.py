@@ -207,3 +207,22 @@ class TestRenderSupport:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             render_support(build_cantor(0), "png")
+
+
+class TestNonAsciiDigits:
+    @pytest.mark.parametrize("digit", ["²", "٢", "１"])
+    def test_record_digit_is_a_line_numbered_format_error(self, digit):
+        text = f"qfs/1\nlocal_dim 3\nnum_qudits 1\nphase_order 8\n\n{digit} 0 1\n"
+        with pytest.raises(FormatError, match="line 6"):
+            parse_state(text)
+
+    def test_wide_local_dim_record_digit_is_a_format_error(self):
+        text = "qfs/1\nlocal_dim 12\nnum_qudits 2\nphase_order 8\n\n1,١ 0 1\n"
+        with pytest.raises(FormatError, match="line 6"):
+            parse_state(text)
+
+    @pytest.mark.parametrize("body", ["²", "0,١"])
+    def test_basis_slot_digit_is_a_line_numbered_format_error(self, body, tmp_path):
+        text = f"qfs-rule/1\nc 2\ns 1\nphase_order 8\n\nslot 1 0 predecessor\nslot 2 0 basis:{body}\ncoeff 0,0 0\n"
+        with pytest.raises(FormatError, match="line 7"):
+            parse_rule(text, tmp_path)

@@ -260,3 +260,29 @@ class TestSchmidtRank:
         wide = SparseState(2, 26, 8, {})
         with pytest.raises(GuardExceededError):
             wide.schmidt_rank(13)
+
+
+class TestSumOrder:
+    @pytest.mark.parametrize("shifts", [(0, 4, 0, 4), (0, 0, 4, 4), (4, 4, 0, 0), (0, 4, 4, 0)])
+    def test_four_opposite_terms_cancel_in_any_order(self, shifts):
+        a = SparseState(2, 1, 8, {(0,): Amplitude.inv_sqrt(2)})
+        out = superpose([(shift, a) for shift in shifts])
+        assert out.support() == ()
+
+    @pytest.mark.parametrize("shifts", [(0, 0, 0, 4), (4, 0, 0, 0), (0, 4, 0, 0)])
+    def test_counts_net_to_an_integer_multiple(self, shifts):
+        a = SparseState(2, 1, 8, {(0,): Amplitude.inv_sqrt(2, phase_index=1)})
+        out = superpose([(shift, a) for shift in shifts])
+        assert out.entries[(0,)] == Amplitude(1, ((2, -1),))
+
+    def test_net_negative_count_takes_the_half_turn(self):
+        a = SparseState(2, 1, 8, {(0,): Amplitude.one()})
+        out = superpose([(4, a), (0, a), (4, a), (4, a)])
+        assert out.entries[(0,)] == Amplitude(4, ((2, -2),))
+
+    def test_two_classes_left_raise_in_any_order(self):
+        a = SparseState(2, 1, 8, {(0,): Amplitude.one()})
+        b = SparseState(2, 1, 8, {(0,): Amplitude.inv_sqrt(2)})
+        for terms in ([(0, a), (0, b), (0, a)], [(0, b), (0, a), (0, a)]):
+            with pytest.raises(AmplitudeOverflowError):
+                superpose(terms)
