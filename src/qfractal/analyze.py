@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .construct import ORTHO_TOL, ScaleRule, apply_scale_rule
+from .construct import ORTHO_TOL, FractalParams, ScaleRule, apply_scale_rule
 from .errors import AnalysisError, GuardExceededError, QfsError
 from .states import SparseState
 
@@ -30,13 +30,7 @@ LU_MAX_QUBITS = 5
 
 def fractal_dimension(c: int, s: int) -> float:
     """Self-similarity dimension ln(c)/ln(s); log2(c) in the flat s = 1 case."""
-    if c <= 1:
-        raise ValueError(f"c must exceed 1, got {c}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if s == 1:
-        return math.log2(c)
-    return math.log(c) / math.log(s)
+    return FractalParams(c, s).dimension
 
 
 @dataclass(frozen=True)
@@ -229,7 +223,15 @@ class LocalCliffordMatch:
 
 def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalCliffordMatch | None:
     """Search all per-qubit single-Clifford assignments U1 x ... x UQ for one
-    with |<b|U a>| above 1 - FIDELITY_TOL; None when no assignment matches.
+    with |<b|U a>| above 1 - FIDELITY_TOL; None when no assignment matches,
+    after all 24**Q assignments have been scanned.
+
+    The overlap is a mode product: in the outer product of conj(b) and a,
+    merge each qubit's (out, in) index pair into one mode of size 4; then
+    <b|U a> is that tensor with the flattened 24 x 4 gate table contracted on
+    every mode.  All but the last three modes are contracted once up front;
+    the scan walks their gate indices in lexicographic order and contracts
+    the remaining modes per step, so each step holds at most 24**3 overlaps.
 
     The result is deterministic: the lexicographically first matching index
     tuple over the fixed gate listing.
@@ -246,35 +248,23 @@ def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalClif
             raise ValueError("states must be normalized")
 
     words, gates = single_qubit_cliffords()
+    flat = gates.reshape(24, 4)  # column 2*out + in
     threshold = 1.0 - FIDELITY_TOL
-    a_vec = a.to_dense()
-    b_vec = b.to_dense()
-
-    if q == 1:
-        overlaps = np.einsum("xij,j->xi", gates, a_vec) @ b_vec.conj()
-        magnitudes = np.abs(overlaps)
-        hits = np.nonzero(magnitudes > threshold)[0]
-        if hits.size == 0:
-            return None
-        x = int(hits[0])
-        return LocalCliffordMatch((x,), (words[x],), float(magnitudes[x]))
-
-    a_tensor = a_vec.reshape((2,) * q)
-    b_blocks = b_vec.conj().reshape(-1, 2, 2)
-    # Contract the target with the candidate gate on the second-to-last qubit
-    # once up front; only the last two qubits vary inside the scan.
-    m1 = np.einsum("dij,xik->xdkj", b_blocks, gates)
-    for prefix in itertools.product(range(24), repeat=q - 2):
-        current = a_tensor
-        for axis, gate_index in enumerate(prefix):
-            current = np.moveaxis(np.tensordot(gates[gate_index], current, axes=([1], [axis])), 0, axis)
-        a_blocks = current.reshape(-1, 2, 2)
-        m2 = np.einsum("yjl,dkl->ydkj", gates, a_blocks)
-        overlaps = np.einsum("xdkj,ydkj->xy", m1, m2)
-        magnitudes = np.abs(overlaps)
-        hits = np.argwhere(magnitudes > threshold)
+    modes = np.multiply.outer(b.to_dense().conj(), a.to_dense()).reshape((2,) * (2 * q))
+    modes = modes.transpose([axis for k in range(q) for axis in (k, q + k)]).reshape((4,) * q)
+    head = max(q - 3, 0)
+    # Each contraction eats the leading mode and appends its gate axis, so
+    # gate axes stay in qubit order.
+    for _ in range(head):
+        modes = np.tensordot(modes, flat, ([0], [1]))
+    rows = modes.reshape(4 ** (q - head), 24**head).T
+    for prefix, row in zip(itertools.product(range(24), repeat=head), rows):
+        overlaps = row.reshape((4,) * (q - head))
+        for _ in range(q - head):
+            overlaps = np.tensordot(overlaps, flat, ([0], [1]))
+        magnitudes = np.abs(overlaps).ravel()
+        hits = np.flatnonzero(magnitudes > threshold)
         if hits.size:
-            x, y = (int(v) for v in hits[0])
-            full = prefix + (x, y)
-            return LocalCliffordMatch(full, tuple(words[i] for i in full), float(magnitudes[x, y]))
+            full = prefix + tuple(int(v) for v in np.unravel_index(hits[0], overlaps.shape))
+            return LocalCliffordMatch(full, tuple(words[i] for i in full), float(magnitudes[hits[0]]))
     return None

@@ -10,6 +10,7 @@ string, which doubles as the duplicate check.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +39,7 @@ SVG_PAD = 8
 
 # Maps the ASCII digit characters onto the byte values 0..9.
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_INT_PATTERN = re.compile(r"-?[0-9]+")
 
 
 def _fail(lineno: int, message: str) -> None:
@@ -45,11 +47,10 @@ def _fail(lineno: int, message: str) -> None:
 
 
 def _int(text: str, lineno: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
+    """``text`` as an integer; only ASCII ``-?[0-9]+`` is accepted."""
+    if _INT_PATTERN.fullmatch(text) is None:
         _fail(lineno, f"{what} is not an integer: {text!r}")
-    raise AssertionError("unreachable")
+    return int(text)
 
 
 def _digits_to_text(digits: tuple[int, ...], local_dim: int) -> str:

@@ -353,9 +353,17 @@ class SparseState:
         dim = self.local_dim**self.num_qudits
         if dim > DENSE_VECTOR_LIMIT:
             raise GuardExceededError(f"dense dimension {dim} exceeds {DENSE_VECTOR_LIMIT}")
-        vec = np.zeros(dim, dtype=complex)
+        return self._dense()
+
+    def _dense(self) -> np.ndarray:
+        """Dense vector with no size guard; one complex per distinct amplitude."""
+        values: dict[Amplitude, complex] = {}
+        vec = np.zeros(self.local_dim**self.num_qudits, dtype=complex)
         for key, amp in self.entries.items():
-            vec[self.basis_value(key)] = amp.to_complex(self.phase_order)
+            value = values.get(amp)
+            if value is None:
+                value = values[amp] = amp.to_complex(self.phase_order)
+            vec[self.basis_value(key)] = value
         return vec
 
     def schmidt_rank(self, cut: int) -> int:
@@ -371,12 +379,8 @@ class SparseState:
             raise GuardExceededError(
                 f"coefficient matrix {rows}x{cols} exceeds {SCHMIDT_SIDE_LIMIT} per side"
             )
-        matrix = np.zeros((rows, cols), dtype=complex)
-        for key, amp in self.entries.items():
-            row = self.basis_value(key[:cut])
-            col = self.basis_value(key[cut:])
-            matrix[row, col] = amp.to_complex(self.phase_order)
-        singular = np.linalg.svd(matrix, compute_uv=False)
+        # Row-major: the basis value of a key is row * cols + col.
+        singular = np.linalg.svd(self._dense().reshape(rows, cols), compute_uv=False)
         if singular.size == 0 or singular[0] == 0.0:
             return 0
         return int(np.sum(singular > RANK_CUTOFF * singular[0]))

@@ -1,6 +1,7 @@
 """Dimension formula, step verification, scaling reports, and the Clifford
 equivalence search."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from qfractal import (
     single_qubit_cliffords,
     verify_scale_step,
 )
+from qfractal.analyze import FIDELITY_TOL
 
 
 def negate_first(state):
@@ -240,3 +242,77 @@ class TestLocalCliffordSearch:
             lu_equivalent_by_local_clifford(
                 SparseState.basis_state(2, (0,)), SparseState.basis_state(2, (0, 0))
             )
+
+
+@functools.lru_cache(maxsize=None)
+def kronecker_products(num_qubits):
+    """Every Kronecker product of the 24 gates on ``num_qubits`` qubits, built
+    one by one in lexicographic index order."""
+    _, gates = single_qubit_cliffords()
+    products = [np.ones((1, 1), dtype=complex)]
+    for _ in range(num_qubits):
+        products = [np.kron(product, gate) for product in products for gate in gates]
+    return np.array(products)
+
+
+def first_match_by_kronecker(a, b):
+    """Reference scan: the first index tuple whose product maps a onto b."""
+    products = kronecker_products(a.num_qudits)
+    fidelities = np.abs(np.einsum("i,kij,j->k", b.to_dense().conj(), products, a.to_dense()))
+    hits = np.flatnonzero(fidelities > 1 - FIDELITY_TOL)
+    if hits.size == 0:
+        return None
+    indices = tuple(int(i) for i in np.unravel_index(hits[0], (24,) * a.num_qudits))
+    return indices, fidelities[hits[0]]
+
+
+def plus_i():
+    """(|0> + i|1>)/sqrt(2): its local Cliffords differ from their transposes."""
+    half = Amplitude.inv_sqrt(2)
+    return SparseState(2, 1, 8, {(0,): half, (1,): Amplitude(2, half.mag_exponents)})
+
+
+def pauli_flipped(state, x_positions, z_positions):
+    for position in x_positions:
+        state = state.apply_bit_flip(position)
+    for position in z_positions:
+        state = state.apply_sigma_z(position)
+    return state
+
+
+class TestLocalCliffordAgainstKronecker:
+    CASES = {
+        "flipped-cluster-1": lambda: (build_cluster(1), pauli_flipped(build_cluster(1), [0], [0])),
+        "flipped-cluster-2": lambda: (build_cluster(2), pauli_flipped(build_cluster(2), [1], [0])),
+        "flipped-cluster-3": lambda: (build_cluster(3), pauli_flipped(build_cluster(3), [0, 2], [1])),
+        "miss-product-vs-bell": lambda: (SparseState.basis_state(2, (0, 0)), build_bell_pair(1)),
+        "miss-product-vs-cluster": lambda: (SparseState.basis_state(2, (0, 0, 0)), build_cluster(3)),
+        "last-qubit-flip": lambda: (
+            SparseState.basis_state(2, (0, 0, 0)),
+            SparseState.basis_state(2, (0, 0, 1)),
+        ),
+        "plus-from-zero": lambda: (SparseState.basis_state(2, (0,)), build_cluster(1)),
+        "complex-target": lambda: (
+            SparseState.basis_state(2, (0, 0)),
+            plus_i().tensor(plus_i().apply_bit_flip(0)),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_first_match_equals_the_kronecker_scan(self, name):
+        a, b = self.CASES[name]()
+        expected = first_match_by_kronecker(a, b)
+        match = lu_equivalent_by_local_clifford(a, b)
+        if expected is None:
+            assert match is None
+            return
+        indices, fidelity = expected
+        words, _ = single_qubit_cliffords()
+        assert match.indices == indices
+        assert match.words == tuple(words[i] for i in indices)
+        assert abs(match.fidelity - fidelity) < 1e-12
+
+    def test_cases_cover_a_miss_and_a_late_last_qubit_hit(self):
+        assert first_match_by_kronecker(*self.CASES["miss-product-vs-cluster"]()) is None
+        indices, _ = first_match_by_kronecker(*self.CASES["last-qubit-flip"]())
+        assert indices[:-1] == (0, 0) and indices[-1] != 0

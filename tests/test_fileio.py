@@ -226,3 +226,63 @@ class TestNonAsciiDigits:
         text = f"qfs-rule/1\nc 2\ns 1\nphase_order 8\n\nslot 1 0 predecessor\nslot 2 0 basis:{body}\ncoeff 0,0 0\n"
         with pytest.raises(FormatError, match="line 7"):
             parse_rule(text, tmp_path)
+
+
+class TestStrictIntegers:
+    """Integer fields accept ASCII ``-?[0-9]+`` only, never the wider forms
+    that ``int()`` takes (non-ASCII digits, ``_``, ``+``, whitespace)."""
+
+    HEADER = "qfs/1\nlocal_dim 2\nnum_qudits 1\nphase_order 8\n\n"
+
+    @pytest.mark.parametrize(
+        "record", ["0 ٤ 1", "0 4 ٢:1", "0 0 2:1_0", "0 +4 1", "0 0 2: 1", "0 ４ 1"]
+    )
+    def test_state_record_field_is_a_line_numbered_format_error(self, record):
+        with pytest.raises(FormatError, match="line 6"):
+            parse_state(self.HEADER + record + "\n")
+
+    def test_mixed_script_record_is_rejected(self):
+        with pytest.raises(FormatError, match="line 6: phase index is not an integer"):
+            parse_state(self.HEADER + "0 ٤ ٢:1_0\n")
+
+    def test_wide_local_dim_digit_with_separator_is_rejected(self):
+        text = "qfs/1\nlocal_dim 12\nnum_qudits 2\nphase_order 8\n\n1,1_0 0 1\n"
+        with pytest.raises(FormatError, match="line 6"):
+            parse_state(text)
+
+    @pytest.mark.parametrize("value", ["+1", " 1", "1 ", "0_1", "١"])
+    def test_header_integer_is_a_line_numbered_format_error(self, value):
+        text = f"qfs/1\nlocal_dim 2\nnum_qudits {value}\nphase_order 8\n\n0 0 1\n"
+        with pytest.raises(FormatError, match="line 3: num_qudits is not an integer"):
+            parse_state(text)
+
+    def test_provenance_integer_is_rejected(self):
+        text = "qfs/1\nlocal_dim 2\nnum_qudits 1\nphase_order 8\nn +2\n\n0 0 1\n"
+        with pytest.raises(FormatError, match="n is not an integer"):
+            parse_state(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["slot +1 0 predecessor", "slot 1 ٠ predecessor", "coeff 0,0 +0", "coeff 0,0_0 0", "coeff ０,0 0"],
+    )
+    def test_rule_field_is_a_line_numbered_format_error(self, line, tmp_path):
+        text = f"qfs-rule/1\nc 2\ns 1\nphase_order 8\n\n{line}\n"
+        with pytest.raises(FormatError, match="line 6"):
+            parse_rule(text, tmp_path)
+
+    def test_rule_header_integer_is_rejected(self, tmp_path):
+        text = "qfs-rule/1\nc 2\ns 1_0\nphase_order 8\n\nslot 1 0 predecessor\n"
+        with pytest.raises(FormatError, match="line 3: s is not an integer"):
+            parse_rule(text, tmp_path)
+
+    def test_negative_exponent_still_parses(self):
+        state = parse_state(self.HEADER + "0 0 2:-1\n")
+        assert state.entries[(0,)] == Amplitude(0, ((2, -1),))
+
+    def test_cli_exit_code_is_two(self, tmp_path, capsys):
+        from qfractal.cli import main
+
+        bad = tmp_path / "bad.qfs"
+        bad.write_text(self.HEADER + "0 ٤ ٢:1_0\n", encoding="utf-8")
+        assert main(["analyze", "--state", str(bad)]) == 2
+        assert "line 6" in capsys.readouterr().err
