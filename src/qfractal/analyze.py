@@ -175,7 +175,7 @@ def product_cut_report(
     """Schmidt rank across each requested prefix cut (default: every cut)."""
     if cuts is None:
         cuts = list(range(1, state.num_qudits))
-    return tuple((cut, state.schmidt_rank(cut)) for cut in cuts)
+    return state._cut_ranks(cuts)
 
 
 def _canonical_gate_key(matrix: np.ndarray) -> bytes:

@@ -28,7 +28,7 @@ from .construct import (
     build_representative,
 )
 from .errors import FormatError, GuardExceededError, QfsError
-from .fileio import load_rule, load_state, render_support, save_state, write_text_atomic
+from .fileio import header_lines, load_rule, load_state, render_support, save_state, write_text_atomic
 
 
 def _parse_sign(text: str) -> int:
@@ -107,19 +107,7 @@ def _cmd_verify_step(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     state = load_state(args.state)
-    print(f"local_dim {state.local_dim}")
-    print(f"num_qudits {state.num_qudits}")
-    print(f"phase_order {state.phase_order}")
-    tag = state.provenance
-    if tag is not None:
-        if tag.family is not None:
-            print(f"family {tag.family}")
-        if tag.c is not None:
-            print(f"c {tag.c}")
-        if tag.s is not None:
-            print(f"s {tag.s}")
-        if tag.n is not None:
-            print(f"n {tag.n}")
+    print("\n".join(header_lines(state)))
     print(f"norm2 {state.norm_squared()}")
     print(f"support {len(state.entries)}")
     probabilities = {amp.squared_magnitude() for amp in set(state.entries.values())}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable
 
 from .construct import MAX_ENTRIES, MAX_QUDITS
@@ -42,12 +43,16 @@ class CodeSpec:
         return self.kind.block_arity
 
 
-def _encode_repetition(state: SparseState) -> SparseState:
+def _encode_repetition(state: SparseState, levels: int) -> SparseState:
+    # Concatenating the three-fold repetition L times repeats each digit 3**L
+    # times, so all levels are one pass of whole runs.
+    copies = 3**levels
+    runs = ((0,) * copies, (1,) * copies)
     entries = {
-        tuple(d for digit in key for d in (digit,) * 3): amp
+        tuple(chain.from_iterable(map(runs.__getitem__, key))): amp
         for key, amp in state.entries.items()
     }
-    return SparseState._trusted(2, 3 * state.num_qudits, state.phase_order, entries)
+    return SparseState._trusted(2, copies * state.num_qudits, state.phase_order, entries)
 
 
 def _encode_bell(state: SparseState) -> SparseState:
@@ -76,14 +81,16 @@ def encode(state: SparseState, spec: CodeSpec) -> SparseState:
         raise CodeError("encoding is defined for qubit registers")
     if state.num_qudits * spec.block_arity**spec.levels > MAX_QUDITS:
         raise GuardExceededError(f"encoded register would exceed {MAX_QUDITS} qubits")
+    if spec.kind is CodeKind.BIT_FLIP:
+        # Repetition keeps the number of entries, so one check covers all levels.
+        if len(state.entries) > MAX_ENTRIES:
+            raise GuardExceededError(f"encoded state exceeds {MAX_ENTRIES} entries")
+        return _encode_repetition(state, spec.levels)
     current = state
     for _ in range(spec.levels):
-        if spec.kind is CodeKind.BIT_FLIP:
-            current = _encode_repetition(current)
-        else:
-            if len(current.entries) << current.num_qudits > MAX_ENTRIES:
-                raise GuardExceededError(f"encoded state would exceed {MAX_ENTRIES} entries")
-            current = _encode_bell(current)
+        if len(current.entries) << current.num_qudits > MAX_ENTRIES:
+            raise GuardExceededError(f"encoded state would exceed {MAX_ENTRIES} entries")
+        current = _encode_bell(current)
         if len(current.entries) > MAX_ENTRIES:
             raise GuardExceededError(f"encoded state exceeds {MAX_ENTRIES} entries")
     return current
@@ -94,10 +101,7 @@ def inject_errors(state: SparseState, positions: Iterable[int]) -> SparseState:
     ordered = list(positions)
     if len(set(ordered)) != len(ordered):
         raise ValueError(f"error positions must be distinct, got {ordered}")
-    current = state
-    for position in ordered:
-        current = current.apply_bit_flip(position)
-    return current
+    return state._bit_flipped(ordered)
 
 
 @dataclass(frozen=True)
@@ -133,26 +137,24 @@ def decode_majority(state: SparseState, spec: CodeSpec) -> DecodeReport:
     for level in range(1, spec.levels + 1):
         blocks = current.num_qudits // 3
         entries: dict[tuple[int, ...], Amplitude] = {}
-        pattern: set[int] | None = None
+        pattern: int | None = None
         for key, amp in current.entries.items():
-            digits: list[int] = []
-            flipped: set[int] = set()
-            for block in range(blocks):
-                triple = key[3 * block : 3 * block + 3]
-                digit = 1 if sum(triple) >= 2 else 0
-                digits.append(digit)
-                if triple != (digit,) * 3:
-                    flipped.add(block)
+            # One byte per digit: a, b, c hold each block's first, second and
+            # third digit, so the bitwise operators vote every block at once.
+            raw = bytes(key)
+            a, b, c = (int.from_bytes(raw[i::3], "big") for i in range(3))
+            flipped = (a | b | c) ^ (a & b & c)
             if pattern is None:
                 pattern = flipped
             elif pattern != flipped:
                 raise CodeError(f"level {level} error pattern differs between components")
-            new_key = tuple(digits)
+            new_key = tuple((a & b | a & c | b & c).to_bytes(blocks, "big"))
             if new_key in entries:
                 raise CodeError(f"components collide after the level {level} vote")
             entries[new_key] = amp
         current = SparseState._trusted(2, blocks, current.phase_order, entries)
-        corrections.extend((level, block) for block in sorted(pattern or ()))
+        flags = (pattern or 0).to_bytes(blocks, "big")
+        corrections.extend((level, block) for block, flag in enumerate(flags) if flag)
     return DecodeReport(current, tuple(corrections), True)
 
 

@@ -39,6 +39,8 @@ SVG_PAD = 8
 
 # Maps the ASCII digit characters onto the byte values 0..9.
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+# Its inverse: the byte values 0..9 onto the ASCII digit characters.
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 _INT_PATTERN = re.compile(r"-?[0-9]+")
 
 
@@ -55,8 +57,8 @@ def _int(text: str, lineno: int, what: str) -> int:
 
 def _digits_to_text(digits: tuple[int, ...], local_dim: int) -> str:
     if local_dim <= 10:
-        return "".join(str(d) for d in digits)
-    return ",".join(str(d) for d in digits)
+        return bytes(digits).translate(_DIGIT_TEXT).decode("ascii")
+    return ",".join(map(str, digits))
 
 
 def _digits_from_text(text: str, local_dim: int, lineno: int) -> tuple[int, ...]:
@@ -105,29 +107,25 @@ def _magnitude_from_text(text: str, lineno: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def serialize_state(state: SparseState) -> str:
+def header_lines(state: SparseState) -> list[str]:
+    """The shape and provenance lines shared by state files and ``qfs analyze``."""
     lines = [
-        STATE_TAG,
         f"local_dim {state.local_dim}",
         f"num_qudits {state.num_qudits}",
         f"phase_order {state.phase_order}",
     ]
-    tag = state.provenance
-    if tag is not None:
-        if tag.family is not None:
-            lines.append(f"family {tag.family}")
-        if tag.c is not None:
-            lines.append(f"c {tag.c}")
-        if tag.s is not None:
-            lines.append(f"s {tag.s}")
-        if tag.n is not None:
-            lines.append(f"n {tag.n}")
-    lines.append("")
-    for key in state.support():
-        amp = state.entries[key]
-        lines.append(
-            f"{_digits_to_text(key, state.local_dim)} {amp.phase_index} {_magnitude_to_text(amp)}"
-        )
+    if state.provenance is not None:
+        lines.extend(f"{key} {value}" for key, value in vars(state.provenance).items() if value is not None)
+    return lines
+
+
+def serialize_state(state: SparseState) -> str:
+    # One amplitude text per distinct amplitude; the records only look it up.
+    amp_texts = {amp: f"{amp.phase_index} {_magnitude_to_text(amp)}" for amp in set(state.entries.values())}
+    lines = [STATE_TAG, *header_lines(state), ""]
+    lines.extend(
+        f"{_digits_to_text(key, state.local_dim)} {amp_texts[state.entries[key]]}" for key in state.support()
+    )
     return "\n".join(lines) + "\n"
 
 

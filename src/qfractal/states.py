@@ -303,14 +303,24 @@ class SparseState:
 
     def apply_bit_flip(self, position: int) -> SparseState:
         """Toggle the qubit digit at ``position`` in every component; exact."""
+        return self._bit_flipped([position])
+
+    def _bit_flipped(self, positions: Sequence[int]) -> SparseState:
+        """Toggle the qubit digit at each of the distinct ``positions``, all in
+        one rebuild of every key; no positions gives back ``self``."""
+        if not positions:
+            return self
         if self.local_dim != 2:
             raise ValueError(f"bit flip needs local_dim 2, got {self.local_dim}")
-        if not 0 <= position < self.num_qudits:
-            raise ValueError(f"position {position} out of range for {self.num_qudits} qudits")
-        entries = {
-            key[:position] + (1 - key[position],) + key[position + 1 :]: amp
-            for key, amp in self.entries.items()
-        }
+        for position in positions:
+            if not 0 <= position < self.num_qudits:
+                raise ValueError(f"position {position} out of range for {self.num_qudits} qudits")
+        entries = {}
+        for key, amp in self.entries.items():
+            digits = list(key)
+            for position in positions:
+                digits[position] ^= 1
+            entries[tuple(digits)] = amp
         return SparseState._trusted(self.local_dim, self.num_qudits, self.phase_order, entries)
 
     def apply_sigma_z(self, position: int) -> SparseState:
@@ -371,19 +381,31 @@ class SparseState:
 
         Singular values below ``RANK_CUTOFF`` times the largest do not count.
         """
-        if not 0 < cut < self.num_qudits:
-            raise ValueError(f"cut must satisfy 0 < cut < {self.num_qudits}, got {cut}")
-        rows = self.local_dim**cut
-        cols = self.local_dim ** (self.num_qudits - cut)
-        if rows > SCHMIDT_SIDE_LIMIT or cols > SCHMIDT_SIDE_LIMIT:
-            raise GuardExceededError(
-                f"coefficient matrix {rows}x{cols} exceeds {SCHMIDT_SIDE_LIMIT} per side"
-            )
-        # Row-major: the basis value of a key is row * cols + col.
-        singular = np.linalg.svd(self._dense().reshape(rows, cols), compute_uv=False)
-        if singular.size == 0 or singular[0] == 0.0:
-            return 0
-        return int(np.sum(singular > RANK_CUTOFF * singular[0]))
+        return self._cut_ranks((cut,))[0][1]
+
+    def _cut_ranks(self, cuts: Iterable[int]) -> tuple[tuple[int, int], ...]:
+        """(cut, Schmidt rank) for each cut, in order, from one dense vector
+        built at the first cut that passes its checks."""
+        ranks: list[tuple[int, int]] = []
+        vec: np.ndarray | None = None
+        for cut in cuts:
+            if not 0 < cut < self.num_qudits:
+                raise ValueError(f"cut must satisfy 0 < cut < {self.num_qudits}, got {cut}")
+            rows = self.local_dim**cut
+            cols = self.local_dim ** (self.num_qudits - cut)
+            if rows > SCHMIDT_SIDE_LIMIT or cols > SCHMIDT_SIDE_LIMIT:
+                raise GuardExceededError(
+                    f"coefficient matrix {rows}x{cols} exceeds {SCHMIDT_SIDE_LIMIT} per side"
+                )
+            if vec is None:
+                vec = self._dense()
+            # Row-major: the basis value of a key is row * cols + col.
+            singular = np.linalg.svd(vec.reshape(rows, cols), compute_uv=False)
+            if singular.size == 0 or singular[0] == 0.0:
+                ranks.append((cut, 0))
+            else:
+                ranks.append((cut, int(np.sum(singular > RANK_CUTOFF * singular[0]))))
+        return tuple(ranks)
 
     def __eq__(self, other: object) -> bool:
         """Exact equality as vectors (provenance is ignored)."""

@@ -316,3 +316,66 @@ class TestLocalCliffordAgainstKronecker:
         assert first_match_by_kronecker(*self.CASES["miss-product-vs-cluster"]()) is None
         indices, _ = first_match_by_kronecker(*self.CASES["last-qubit-flip"]())
         assert indices[:-1] == (0, 0) and indices[-1] != 0
+
+
+def dense_rank(state, cut):
+    """Schmidt rank from numpy alone: SVD of the dense vector at ``cut``."""
+    matrix = state.to_dense().reshape(state.local_dim**cut, -1)
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(singular > 1e-9 * singular[0])) if singular[0] > 0 else 0
+
+
+class TestCutReportAgainstSingleCuts:
+    STATES = {
+        "cluster-6": lambda: build_cluster(6),
+        "cantor-2": lambda: build_cantor(2),
+        "gem-3": lambda: build_gem_sequence(3)[1],
+        "bitflip-1": lambda: build_bitflip_state(1, 1),
+        "empty": lambda: SparseState(2, 4, 8, {}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_every_cut_equals_schmidt_rank_and_numpy(self, name):
+        state = self.STATES[name]()
+        cuts = list(range(1, state.num_qudits))
+        report = product_cut_report(state)
+        assert report == tuple((cut, state.schmidt_rank(cut)) for cut in cuts)
+        assert report == tuple((cut, dense_rank(state, cut)) for cut in cuts)
+        assert product_cut_report(state, cuts[::-1] + cuts[:1]) == tuple(
+            (cut, state.schmidt_rank(cut)) for cut in cuts[::-1] + cuts[:1]
+        )
+
+    def test_no_cuts_gives_an_empty_report(self):
+        assert product_cut_report(build_cluster(4), []) == ()
+
+    @pytest.mark.parametrize(
+        "cuts",
+        [[2, 0], [0, 2], [3, 14, 2], [2, 1, 0], [1, 2], [5, 13, 0]],
+    )
+    def test_mixed_lists_raise_what_the_first_bad_cut_raises(self, cuts):
+        state = build_cluster(14)
+        expected = None
+        for cut in cuts:
+            try:
+                state.schmidt_rank(cut)
+            except (ValueError, GuardExceededError) as exc:
+                expected = exc
+                break
+        assert expected is not None
+        with pytest.raises(type(expected)) as info:
+            product_cut_report(state, cuts)
+        assert str(info.value) == str(expected)
+
+    def test_one_dense_vector_serves_every_cut(self, monkeypatch):
+        calls = []
+        original = SparseState._dense
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+
+        monkeypatch.setattr(SparseState, "_dense", counted)
+        state = build_cluster(12)
+        report = product_cut_report(state)
+        assert len(report) == 11
+        assert len(calls) == 1

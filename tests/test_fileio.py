@@ -10,6 +10,7 @@ from qfractal import (
     FractalParams,
     NamedSlot,
     Predecessor,
+    Provenance,
     ScaleRule,
     SparseState,
     build_bell_pair,
@@ -286,3 +287,51 @@ class TestStrictIntegers:
         bad.write_text(self.HEADER + "0 ٤ ٢:1_0\n", encoding="utf-8")
         assert main(["analyze", "--state", str(bad)]) == 2
         assert "line 6" in capsys.readouterr().err
+
+
+class TestSerializeGolden:
+    def test_qubits_with_provenance_and_mixed_amplitudes(self):
+        state = SparseState(
+            2,
+            3,
+            8,
+            {
+                (1, 0, 1): Amplitude(4, ((2, 1),)),
+                (0, 0, 0): Amplitude(0, ((2, 1), (3, -1))),
+                (1, 1, 1): Amplitude(6, ((2, 1),)),
+            },
+            Provenance("bitflip", None, None, 1),
+        )
+        assert serialize_state(state) == (
+            "qfs/1\nlocal_dim 2\nnum_qudits 3\nphase_order 8\nfamily bitflip\nn 1\n\n"
+            "000 0 2:1,3:-1\n101 4 2:1\n111 6 2:1\n"
+        )
+
+    def test_qutrits_with_full_provenance(self):
+        assert serialize_state(build_cantor(1)) == (
+            "qfs/1\nlocal_dim 3\nnum_qudits 2\nphase_order 8\nfamily cantor\nc 2\ns 3\nn 1\n\n"
+            "00 0 3:1\n01 0 3:1\n02 0 3:1\n"
+        )
+
+    def test_eleven_levels_use_comma_separated_digits(self):
+        state = SparseState(
+            11,
+            3,
+            4,
+            {
+                (10, 0, 9): Amplitude(2, ()),
+                (0, 10, 3): Amplitude(0, ((5, 1),)),
+                (0, 9, 10): Amplitude(1, ((5, 1),)),
+            },
+            Provenance(None, None, None, 2),
+        )
+        assert serialize_state(state) == (
+            "qfs/1\nlocal_dim 11\nnum_qudits 3\nphase_order 4\nn 2\n\n"
+            "0,9,10 1 5:1\n0,10,3 0 5:1\n10,0,9 2 1\n"
+        )
+
+    def test_ten_levels_use_every_digit_character(self):
+        state = SparseState(10, 10, 2, {tuple(range(10)): Amplitude(0, ((2, 1),)), (9,) * 10: Amplitude(1, ((2, 1),))})
+        assert serialize_state(state) == (
+            "qfs/1\nlocal_dim 10\nnum_qudits 10\nphase_order 2\n\n0123456789 0 2:1\n9999999999 1 2:1\n"
+        )
