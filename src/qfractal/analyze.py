@@ -52,37 +52,25 @@ class StepReport:
 def verify_scale_step(prev: SparseState, next_state: SparseState, rule: ScaleRule) -> StepReport:
     """Check that ``rule`` maps ``prev`` onto ``next_state``.
 
-    Runs six independent checks: coefficient count, coefficient magnitudes,
+    Reports six checks: coefficient count, coefficient magnitudes,
     predecessor presence, slot orthonormality, exact reconstruction, and unit
-    norm of the target.  The scaling factor is extracted only when all pass.
+    norm of the target.  The first two hold by construction, because a
+    :class:`ScaleRule` has exactly ``s`` records and each weighs
+    ``1/sqrt(s)``.  A failing orthonormality check names the last defect in
+    scan order.  The scaling factor is extracted only when all pass.
     """
-    checks: list[CheckResult] = []
     s = rule.s
-
-    count_ok = len(rule.coefficients) == s
-    checks.append(
-        CheckResult("coefficient_count", count_ok, f"{len(rule.coefficients)} records, s = {s}")
-    )
-    checks.append(
-        CheckResult(
-            "coefficient_magnitudes",
-            count_ok,
-            f"each record carries squared magnitude 1/{s}, total {len(rule.coefficients)}/{s}",
-        )
-    )
+    checks = [
+        CheckResult("coefficient_count", True, f"{s} records, s = {s}"),
+        CheckResult("coefficient_magnitudes", True, f"each record carries squared magnitude 1/{s}, total {s}/{s}"),
+    ]
 
     try:
-        resolved = {cell: rule.resolve(cell[0], cell[1], prev) for cell in rule.referenced_cells()}
-        resolution_error = None
+        found, defects = rule.slot_defects(prev)
     except QfsError as exc:
-        resolved = {}
-        resolution_error = str(exc)
-
-    if resolution_error is not None:
-        checks.append(CheckResult("predecessor_present", False, resolution_error))
-        checks.append(CheckResult("slot_orthonormality", False, resolution_error))
+        checks.append(CheckResult("predecessor_present", False, str(exc)))
+        checks.append(CheckResult("slot_orthonormality", False, str(exc)))
     else:
-        found = any(state == prev for state in resolved.values())
         checks.append(
             CheckResult(
                 "predecessor_present",
@@ -90,16 +78,11 @@ def verify_scale_step(prev: SparseState, next_state: SparseState, rule: ScaleRul
                 "a referenced slot resolves to the predecessor" if found else "no slot matches the predecessor",
             )
         )
-        ortho_ok, ortho_detail = True, f"pairwise within {ORTHO_TOL:g}"
-        for slot in range(rule.c):
-            states = rule.distinct_slot_states(slot, prev)
-            for i, u in enumerate(states):
-                if abs(u.inner_product(u) - 1.0) > ORTHO_TOL:
-                    ortho_ok, ortho_detail = False, f"slot {slot + 1} vector not normalized"
-                for v in states[i + 1 :]:
-                    if abs(u.inner_product(v)) > ORTHO_TOL:
-                        ortho_ok, ortho_detail = False, f"slot {slot + 1} vectors not orthogonal"
-        checks.append(CheckResult("slot_orthonormality", ortho_ok, ortho_detail))
+        ortho_detail = f"pairwise within {ORTHO_TOL:g}"
+        if defects:
+            slot, i, j = defects[-1]
+            ortho_detail = f"slot {slot + 1} " + ("vector not normalized" if i == j else "vectors not orthogonal")
+        checks.append(CheckResult("slot_orthonormality", not defects, ortho_detail))
 
     try:
         rebuilt = apply_scale_rule(prev, rule, validate=False)
@@ -131,12 +114,8 @@ def rule_basis_probabilities(
     """
     s = rule.s
     probabilities: list[Fraction] = []
-    for coeff in rule.coefficients:
-        product = rule.resolve(0, coeff.indices[0], prev)
-        for slot in range(1, rule.c):
-            product = product.tensor(rule.resolve(slot, coeff.indices[slot], prev))
-        amplitude = product.inner_product(state)
-        p = abs(amplitude) ** 2
+    for product in rule.products(prev):
+        p = abs(product.inner_product(state)) ** 2
         k = round(p * s)
         if k < 0 or k > s or abs(p - k / s) > SNAP_TOL:
             raise AnalysisError(f"probability {p} is not a multiple of 1/{s}")

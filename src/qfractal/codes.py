@@ -164,5 +164,4 @@ def roundtrip_check(
     """Encode, corrupt, decode; True iff the decoded register equals ``state``."""
     encoded = encode(state, spec)
     corrupted = inject_errors(encoded, error_positions)
-    report = decode_majority(corrupted, spec)
-    return report.success and report.decoded == state
+    return decode_majority(corrupted, spec).decoded == state

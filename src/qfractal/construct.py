@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from functools import reduce
+from typing import Iterator, Mapping, Union
 
 from .errors import GuardExceededError, ScaleRuleError
 from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, superpose
@@ -155,36 +156,56 @@ class ScaleRule:
             )
         return resolved
 
-    def distinct_slot_states(self, slot: int, prev: SparseState) -> list[SparseState]:
-        """Distinct resolved vectors referenced in one slot (exact dedup)."""
-        states: list[SparseState] = []
-        for index in sorted({coeff.indices[slot] for coeff in self.coefficients}):
-            candidate = self.resolve(slot, index, prev)
-            if not any(candidate == known for known in states):
-                states.append(candidate)
-        return states
+    def slot_defects(self, prev: SparseState) -> tuple[bool, list[tuple[int, int, int]]]:
+        """Resolve each referenced cell once, slot-major; the first bad cell raises.
+
+        Returns whether a cell equals ``prev``, and the orthonormality defects
+        of each slot's exactly deduplicated vectors in scan order: ``(slot, i,
+        i)`` if vector ``i`` is not normalized, ``(slot, i, j)`` if vectors
+        ``i < j`` are not orthogonal, at tolerance ``ORTHO_TOL``.
+        """
+        slots: list[list[SparseState]] = [[] for _ in range(self.c)]
+        for slot, index in self.referenced_cells():
+            vector = self.resolve(slot, index, prev)
+            if vector not in slots[slot]:
+                slots[slot].append(vector)
+        defects = [
+            (slot, i, j)
+            for slot, vectors in enumerate(slots)
+            for i, u in enumerate(vectors)
+            for j in range(i, len(vectors))
+            if abs(u.inner_product(vectors[j]) - (1.0 if i == j else 0.0)) > ORTHO_TOL
+        ]
+        return any(prev in vectors for vectors in slots), defects
+
+    def products(self, prev: SparseState) -> Iterator[SparseState]:
+        """The ``s`` slot products in coefficient order.  Each cell resolves
+        once, when a record first needs it, so the first bad cell in
+        coefficient order raises."""
+        cells: dict[tuple[int, int], SparseState] = {}
+        for coeff in self.coefficients:
+            record = tuple(enumerate(coeff.indices))
+            for cell in record:
+                if cell not in cells:
+                    cells[cell] = self.resolve(*cell, prev)
+            yield reduce(SparseState.tensor, map(cells.__getitem__, record))
 
 
 def check_rule_against(prev: SparseState, rule: ScaleRule) -> None:
     """Raise :class:`ScaleRuleError` unless the rule is applicable to ``prev``.
 
     Checks slot resolution, predecessor presence (by exact state equality),
-    and pairwise slot orthonormality at tolerance ``ORTHO_TOL``.
+    and pairwise slot orthonormality at tolerance ``ORTHO_TOL``; the first
+    defect raises.
     """
-    predecessor_found = False
-    for slot, index in rule.referenced_cells():
-        if rule.resolve(slot, index, prev) == prev:
-            predecessor_found = True
-    if not predecessor_found:
+    found, defects = rule.slot_defects(prev)
+    if not found:
         raise ScaleRuleError("no referenced slot resolves to the predecessor state")
-    for slot in range(rule.c):
-        states = rule.distinct_slot_states(slot, prev)
-        for i, u in enumerate(states):
-            if abs(u.inner_product(u) - 1.0) > ORTHO_TOL:
-                raise ScaleRuleError(f"slot {slot + 1} vector {i} is not normalized")
-            for v in states[i + 1 :]:
-                if abs(u.inner_product(v)) > ORTHO_TOL:
-                    raise ScaleRuleError(f"slot {slot + 1} vectors are not orthogonal")
+    if defects:
+        slot, i, j = defects[0]
+        if i == j:
+            raise ScaleRuleError(f"slot {slot + 1} vector {i} is not normalized")
+        raise ScaleRuleError(f"slot {slot + 1} vectors are not orthogonal")
 
 
 def apply_scale_rule(prev: SparseState, rule: ScaleRule, *, validate: bool = True) -> SparseState:
@@ -198,12 +219,7 @@ def apply_scale_rule(prev: SparseState, rule: ScaleRule, *, validate: bool = Tru
         check_rule_against(prev, rule)
     if prev.num_qudits * rule.c > MAX_QUDITS:
         raise GuardExceededError(f"output would exceed {MAX_QUDITS} qudits")
-    products: list[SparseState] = []
-    for coeff in rule.coefficients:
-        product = rule.resolve(0, coeff.indices[0], prev)
-        for slot in range(1, rule.c):
-            product = product.tensor(rule.resolve(slot, coeff.indices[slot], prev))
-        products.append(product)
+    products = list(rule.products(prev))
     order = math.lcm(rule.phase_order, *(p.phase_order for p in products))
     step = order // rule.phase_order
     terms: list[tuple[int, SparseState]] = []
@@ -314,12 +330,13 @@ def build_gem_sequence(levels: int) -> tuple[SparseState, SparseState]:
         raise GuardExceededError(f"2**{levels} qudits exceeds {MAX_QUDITS}")
     plus, minus = build_bell_pair(+1), build_bell_pair(-1)
     for level in range(2, levels + 1):
+        # A step sums two tensors of the siblings, so this bounds its output.
+        if 2 * len(plus.entries) * len(minus.entries) > MAX_ENTRIES:
+            raise GuardExceededError(f"gem level {level} exceeds {MAX_ENTRIES} entries")
         plus, minus = (
             build_gem_step(plus, minus, +1),
             build_gem_step(plus, minus, -1),
         )
-        if len(plus.entries) > MAX_ENTRIES:
-            raise GuardExceededError(f"gem level {level} exceeds {MAX_ENTRIES} entries")
         tag = Provenance("bellgem", 2, 2, level - 1)
         plus, minus = plus._retagged(tag), minus._retagged(tag)
     return plus, minus

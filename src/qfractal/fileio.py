@@ -14,7 +14,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence, Union
+from typing import NoReturn, Sequence, Union
 
 from .construct import (
     BasisSlot,
@@ -44,7 +44,7 @@ _DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 _INT_PATTERN = re.compile(r"-?[0-9]+")
 
 
-def _fail(lineno: int, message: str) -> None:
+def _fail(lineno: int, message: str) -> NoReturn:
     raise FormatError(f"line {lineno}: {message}")
 
 
@@ -238,7 +238,6 @@ def _slot_from_text(text: str, base_dir: Path, lineno: int) -> SlotVector:
             raise FormatError(f"line {lineno}: cannot read slot state {raw!r}: {exc}") from exc
         return NamedSlot(parse_state(content), path=raw)
     _fail(lineno, f"unrecognized slot entry {text!r}")
-    raise AssertionError("unreachable")
 
 
 def parse_rule(text: str, base_dir: str | Path = ".") -> ScaleRule:

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, golden stdout, and file flows."""
 
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -272,3 +274,26 @@ class TestErrorExits:
         assert out == ""
         assert err == "error: out of memory\n"
         assert not (tmp_path / "c.qfs").exists()
+
+
+class TestGemGuard:
+    def test_refused_before_the_step_allocates(self, tmp_path):
+        # Under a 1 GiB address-space cap, building the level-6 tensors first
+        # ends in "error: out of memory"; the guard must answer before that.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = ["gen", "--family", "bellgem", "--n", "6", "--sign", "+", "-o", str(tmp_path / "g6.qfs")]
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "qfractal", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert time.perf_counter() - start < 10
+        assert result.returncode == 3
+        assert result.stderr == "error: gem level 6 exceeds 1000000 entries\n"
+        assert result.stdout == ""
+        assert not (tmp_path / "g6.qfs").exists()

@@ -7,6 +7,7 @@ done on the dense numpy vector.
 """
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -16,17 +17,25 @@ from hypothesis import strategies as st
 from qfractal import (
     Amplitude,
     AmplitudeOverflowError,
+    BasisSlot,
     CodeKind,
     CodeSpec,
+    Coefficient,
+    FractalParams,
+    Predecessor,
     Provenance,
+    ScaleRule,
     SparseState,
+    apply_scale_rule,
     decode_majority,
     encode,
     inject_errors,
     parse_state,
+    rule_basis_probabilities,
     serialize_state,
     superpose,
 )
+from qfractal.states import RANK_CUTOFF
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 MAGNITUDES = ((), ((2, 1),), ((3, 1),), ((2, 2),), ((2, 1), (3, 1)), ((2, -2),))
@@ -188,6 +197,89 @@ def test_parse_serialize_round_trip(state, provenance):
     assert parsed.provenance == state.provenance
     assert serialize_state(parsed) == text
     assert_dense(parsed, state.to_dense())
+
+
+@st.composite
+def rule_steps(draw):
+    """A normalized predecessor and a rule whose slot vectors are the
+    predecessor or basis strings outside its support, distinct per slot, so
+    every record product is orthonormal; every slot table covers [0, s)."""
+    n, q, r = draw(st.sampled_from((2, 3))), draw(st.integers(1, 2)), draw(st.sampled_from((2, 4, 8)))
+    keys = list(itertools.product(range(n), repeat=q))
+    support = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=min(2, n**q - 1), unique=True))
+    amp = st.builds(Amplitude.inv_sqrt, st.just(len(support)), st.integers(0, r - 1))
+    prev = SparseState(n, q, r, {key: draw(amp) for key in support})
+    others = [key for key in keys if key not in support]
+    c = draw(st.integers(2, 3))
+    s = draw(st.integers(1, min(3, len(others) + 1)))
+    records = draw(st.lists(st.tuples(*[st.integers(0, s - 1)] * c), min_size=s, max_size=s, unique=True))
+    tables = []
+    for slot in range(c):
+        # The first record reaches the predecessor in slot 1, so the rule
+        # passes validation; other slots may hold none.
+        at = records[0][0] if slot == 0 else draw(st.integers(0, s - 1) | st.none())
+        if at is None and len(others) < s:
+            at = 0
+        strings = iter(draw(st.permutations(others)))
+        tables.append({i: Predecessor() if i == at else BasisSlot(next(strings)) for i in range(s)})
+    coefficients = [Coefficient(indices, draw(st.integers(0, r - 1))) for indices in records]
+    return prev, ScaleRule(FractalParams(c, s), tuple(tables), tuple(coefficients), r)
+
+
+def dense_products(prev, rule):
+    """Each record's kron of dense slot vectors, in coefficient order."""
+    def vector(slot, index):
+        entry = rule.slot_tables[slot][index]
+        if isinstance(entry, Predecessor):
+            return prev.to_dense()
+        return np.eye(prev.local_dim**prev.num_qudits)[prev.basis_value(entry.digits)]
+
+    products = []
+    for coeff in rule.coefficients:
+        product = np.ones(1, dtype=complex)
+        for slot, index in enumerate(coeff.indices):
+            product = np.kron(product, vector(slot, index))
+        products.append(product)
+    return products
+
+
+@SETTINGS
+@given(rule_steps())
+def test_apply_scale_rule(step):
+    prev, rule = step
+    out = apply_scale_rule(prev, rule)
+    assert_valid(out)
+    expected = sum(
+        phase(coeff.phase_index, rule.phase_order) * product / np.sqrt(rule.s)
+        for coeff, product in zip(rule.coefficients, dense_products(prev, rule))
+    )
+    assert_dense(out, expected)
+
+
+@SETTINGS
+@given(st.data())
+def test_rule_basis_probabilities(data):
+    prev, rule = data.draw(rule_steps())
+    # Another record set over the same tables gives probabilities 0 and 1/s.
+    c, s = rule.c, rule.s
+    records = data.draw(st.lists(st.tuples(*[st.integers(0, s - 1)] * c), min_size=s, max_size=s, unique=True))
+    phases = data.draw(st.lists(st.integers(0, rule.phase_order - 1), min_size=s, max_size=s))
+    other = ScaleRule(rule.params, rule.slot_tables, tuple(map(Coefficient, records, phases)), rule.phase_order)
+    state = apply_scale_rule(prev, other, validate=False)
+    probabilities = rule_basis_probabilities(state, rule, prev)
+    expected = [abs(np.vdot(product, state.to_dense())) ** 2 for product in dense_products(prev, rule)]
+    np.testing.assert_allclose([float(p) for p in probabilities], expected, atol=1e-12)
+    assert all(p * s in (0, 1) for p in probabilities)
+
+
+@SETTINGS
+@given(states())
+def test_schmidt_rank(state):
+    dense = state.to_dense()
+    for cut in range(1, state.num_qudits):
+        singular = np.linalg.svd(dense.reshape(state.local_dim**cut, -1), compute_uv=False)
+        expected = int(np.count_nonzero(singular > RANK_CUTOFF * singular[0])) if singular[0] > 0 else 0
+        assert state.schmidt_rank(cut) == expected
 
 
 def test_public_constructor_still_validates_keys():
