@@ -31,14 +31,6 @@ from .errors import FormatError, GuardExceededError, QfsError
 from .fileio import header_lines, load_rule, load_state, render_support, save_state, write_text_atomic
 
 
-def _parse_sign(text: str) -> int:
-    if text == "+":
-        return 1
-    if text == "-":
-        return -1
-    raise ValueError(f"sign must be + or -, got {text!r}")
-
-
 def _parse_code_spec(text: str) -> CodeSpec:
     name, sep, levels_text = text.partition(":")
     if not sep:
@@ -76,7 +68,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif args.family == "bellgem":
         _require(args, ["n", "sign"])
         plus, minus = build_gem_sequence(args.n)
-        state = plus if _parse_sign(args.sign) == 1 else minus
+        state = plus if args.sign == "+" else minus
     elif args.family == "bitflip":
         _require(args, ["n"])
         state = build_bitflip_state(args.n, args.logical)

@@ -147,6 +147,8 @@ class ScaleRule:
                     f"slot {slot + 1} basis string has {len(entry.digits)} digits, "
                     f"expected {prev.num_qudits}"
                 )
+            if min(entry.digits) < 0 or max(entry.digits) >= prev.local_dim:
+                raise ScaleRuleError(f"slot {slot + 1} basis string has digits outside [0, {prev.local_dim})")
             return SparseState.basis_state(prev.local_dim, entry.digits, prev.phase_order)
         resolved = entry.state
         if resolved.local_dim != prev.local_dim or resolved.num_qudits != prev.num_qudits:
@@ -299,31 +301,10 @@ def build_bell_pair(sign: int) -> SparseState:
     return SparseState._trusted(2, 2, order, entries, Provenance("bellgem", 2, 2, 0))
 
 
-def build_gem_step(i: SparseState, j: SparseState, sign: int) -> SparseState:
-    """The symmetrized pair (i x j + sign j x i)/sqrt(2) over orthogonal
-    equal-size qubit states; cross terms cancel or double exactly."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if i.local_dim != 2 or j.local_dim != 2:
-        raise ValueError("gem steps are defined over qubit states")
-    if i.num_qudits != j.num_qudits:
-        raise ValueError("gem step inputs must have equal qudit counts")
-    if i == j:
-        raise ValueError("gem step inputs must be distinct states")
-    if abs(i.inner_product(j)) > ORTHO_TOL:
-        raise ValueError("gem step inputs must be orthogonal")
-    order = math.lcm(i.phase_order, j.phase_order)
-    forward = i.tensor(j).promoted(order).scaled(inv_sqrt=2)
-    backward = j.tensor(i).promoted(order).scaled(inv_sqrt=2)
-    result = superpose([(0, forward), (0 if sign == 1 else order // 2, backward)])
-    if result.norm_squared() != Fraction(1):
-        raise ValueError("gem step output is not normalized")
-    return result
-
-
 def build_gem_sequence(levels: int) -> tuple[SparseState, SparseState]:
-    """The canonical gem tower: level 1 is the Bell pair doublet, level k
-    symmetrizes the two level-(k-1) siblings.  Returns (plus, minus)."""
+    """The canonical gem tower: level 1 is the Bell pair doublet, level k is
+    one :func:`gem_rule` step from the minus sibling, symmetrizing the two
+    level-(k-1) siblings.  Returns (plus, minus)."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if 2**levels > MAX_QUDITS:
@@ -334,11 +315,9 @@ def build_gem_sequence(levels: int) -> tuple[SparseState, SparseState]:
         if 2 * len(plus.entries) * len(minus.entries) > MAX_ENTRIES:
             raise GuardExceededError(f"gem level {level} exceeds {MAX_ENTRIES} entries")
         plus, minus = (
-            build_gem_step(plus, minus, +1),
-            build_gem_step(plus, minus, -1),
+            apply_scale_rule(minus, gem_rule(plus, +1)),
+            apply_scale_rule(minus, gem_rule(plus, -1)),
         )
-        tag = Provenance("bellgem", 2, 2, level - 1)
-        plus, minus = plus._retagged(tag), minus._retagged(tag)
     return plus, minus
 
 

@@ -107,6 +107,34 @@ def _magnitude_from_text(text: str, lineno: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _read_header(
+    lines: list[str], tag: str, required: tuple[str, ...], optional: tuple[str, ...]
+) -> tuple[dict[str, tuple[str, int]], int]:
+    """The ``key value`` lines between ``tag`` and the first blank line, each
+    key mapped to its value and line number; also the blank line's index."""
+    if not lines or lines[0] != tag:
+        _fail(1, f"expected header tag {tag!r}")
+    header: dict[str, tuple[str, int]] = {}
+    i = 1
+    while i < len(lines) and lines[i] != "":
+        key, sep, value = lines[i].partition(" ")
+        if not sep or (key not in required and key not in optional):
+            _fail(i + 1, f"unrecognized header line {lines[i]!r}")
+        if key in header:
+            _fail(i + 1, f"duplicate header key {key!r}")
+        header[key] = (value, i + 1)
+        i += 1
+    for key in required:
+        if key not in header:
+            _fail(i + 1, f"missing header key {key!r}")
+    return header, i
+
+
+def _header_int(header: dict[str, tuple[str, int]], key: str) -> int:
+    value, lineno = header[key]
+    return _int(value, lineno, key)
+
+
 def header_lines(state: SparseState) -> list[str]:
     """The shape and provenance lines shared by state files and ``qfs analyze``."""
     lines = [
@@ -133,36 +161,18 @@ def parse_state(text: str) -> SparseState:
     """Parse a ``qfs/1`` document; any defect raises :class:`FormatError`
     naming the offending line."""
     lines = text.splitlines()
-    if not lines or lines[0] != STATE_TAG:
-        _fail(1, f"expected header tag {STATE_TAG!r}")
-    header: dict[str, str] = {}
-    known = ("local_dim", "num_qudits", "phase_order", "family", "c", "s", "n")
-    i = 1
-    while i < len(lines) and lines[i] != "":
-        key, sep, value = lines[i].partition(" ")
-        if not sep or key not in known:
-            _fail(i + 1, f"unrecognized header line {lines[i]!r}")
-        if key in header:
-            _fail(i + 1, f"duplicate header key {key!r}")
-        header[key] = value
-        i += 1
-    for required in ("local_dim", "num_qudits", "phase_order"):
-        if required not in header:
-            _fail(i + 1, f"missing header key {required!r}")
-    local_dim = _int(header["local_dim"], 2, "local_dim")
-    num_qudits = _int(header["num_qudits"], 3, "num_qudits")
-    phase_order = _int(header["phase_order"], 4, "phase_order")
+    shape, tags = ("local_dim", "num_qudits", "phase_order"), ("family", "c", "s", "n")
+    header, i = _read_header(lines, STATE_TAG, shape, tags)
+    local_dim, num_qudits, phase_order = (_header_int(header, key) for key in shape)
     try:
         check_shape(local_dim, num_qudits, phase_order)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     provenance = None
-    if any(key in header for key in ("family", "c", "s", "n")):
+    if any(key in header for key in tags):
         provenance = Provenance(
-            header.get("family"),
-            _int(header["c"], i, "c") if "c" in header else None,
-            _int(header["s"], i, "s") if "s" in header else None,
-            _int(header["n"], i, "n") if "n" in header else None,
+            header["family"][0] if "family" in header else None,
+            *(_header_int(header, key) if key in header else None for key in ("c", "s", "n")),
         )
     i += 1
     entries: dict[tuple[int, ...], Amplitude] = {}
@@ -245,26 +255,10 @@ def parse_rule(text: str, base_dir: str | Path = ".") -> ScaleRule:
     ``base_dir``."""
     base = Path(base_dir)
     lines = text.splitlines()
-    if not lines or lines[0] != RULE_TAG:
-        _fail(1, f"expected header tag {RULE_TAG!r}")
-    header: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i] != "":
-        key, sep, value = lines[i].partition(" ")
-        if not sep or key not in ("c", "s", "phase_order"):
-            _fail(i + 1, f"unrecognized header line {lines[i]!r}")
-        if key in header:
-            _fail(i + 1, f"duplicate header key {key!r}")
-        header[key] = value
-        i += 1
-    for required in ("c", "s", "phase_order"):
-        if required not in header:
-            _fail(i + 1, f"missing header key {required!r}")
-    c = _int(header["c"], 2, "c")
-    s = _int(header["s"], 3, "s")
-    phase_order = _int(header["phase_order"], 4, "phase_order")
+    header, i = _read_header(lines, RULE_TAG, ("c", "s", "phase_order"), ())
+    c, s, phase_order = (_header_int(header, key) for key in ("c", "s", "phase_order"))
     if c <= 1:
-        _fail(2, f"c must exceed 1, got {c}")
+        _fail(header["c"][1], f"c must exceed 1, got {c}")
     tables: list[dict[int, SlotVector]] = [{} for _ in range(c)]
     coefficients: list[Coefficient] = []
     for lineno in range(i + 1, len(lines)):

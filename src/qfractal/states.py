@@ -154,17 +154,6 @@ class Amplitude:
             return self
         return Amplitude(self.phase_index, self.mag_exponents + ((k, 1),))
 
-    def doubled(self) -> Amplitude:
-        """The amplitude times 2 (the collision of two equal amplitudes)."""
-        return Amplitude(self.phase_index, self.mag_exponents + ((2, -2),))
-
-    def is_negation_of(self, other: Amplitude, phase_order: int) -> bool:
-        if self.mag_exponents != other.mag_exponents:
-            return False
-        if phase_order % 2:
-            return False
-        return (self.phase_index - other.phase_index) % phase_order == phase_order // 2
-
     def rescaled(self, old_order: int, new_order: int) -> Amplitude:
         """Reinterpret the phase index under a finer phase order."""
         if new_order % old_order:

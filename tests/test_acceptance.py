@@ -26,7 +26,6 @@ from qfractal import (
     build_cantor,
     build_cluster,
     build_gem_sequence,
-    build_gem_step,
     build_initial,
     build_representative,
     decode_majority,
@@ -108,8 +107,8 @@ def test_02_dimension_values():
 
 
 def test_03_gem_exactness():
-    up = build_gem_step(PAIR_PLUS, PAIR_MINUS, +1)
-    down = build_gem_step(PAIR_PLUS, PAIR_MINUS, -1)
+    up = apply_scale_rule(PAIR_MINUS, gem_rule(PAIR_PLUS, +1))
+    down = apply_scale_rule(PAIR_MINUS, gem_rule(PAIR_PLUS, -1))
     assert up == FOUR_QUBIT_PLUS
     assert down == FOUR_QUBIT_MINUS
     assert up.inner_product(down) == 0

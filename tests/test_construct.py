@@ -1,5 +1,6 @@
 """Family constructors and the scale-rule engine."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qfractal import (
     GuardExceededError,
     NamedSlot,
     Predecessor,
+    Provenance,
     ScaleRule,
     ScaleRuleError,
     SparseState,
@@ -21,11 +23,11 @@ from qfractal import (
     build_cantor,
     build_cluster,
     build_gem_sequence,
-    build_gem_step,
     build_initial,
     build_representative,
     gem_rule,
     representative_rule,
+    serialize_state,
 )
 
 
@@ -155,6 +157,20 @@ class TestRepresentative:
         for key in state.support():
             assert state.outcome_probability(key) == Fraction(1, s**n)
 
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_closed_form_equals_iterated_rule(self, c, s, n):
+        local_dim = max(2, s)
+        state = build_representative(c, s, n, local_dim)
+        stepped = SparseState.basis_state(local_dim, (0,), provenance=Provenance("representative", c, s, 0))
+        assert stepped == build_initial(local_dim)
+        for step in range(n):
+            stepped = apply_scale_rule(stepped, representative_rule(c, s, step, local_dim))
+        assert stepped == state
+        assert stepped.provenance == state.provenance
+        assert serialize_state(stepped) == serialize_state(state)
+
     def test_prefix_cut_is_a_product(self):
         state = build_cantor(2)
         assert state.schmidt_rank(2) == 1
@@ -204,27 +220,27 @@ class TestGems:
     def test_step_recovers_the_bell_pair_base_case(self):
         zero = SparseState.basis_state(2, (0,))
         one = SparseState.basis_state(2, (1,))
-        assert build_gem_step(zero, one, -1) == build_bell_pair(-1)
+        assert apply_scale_rule(one, gem_rule(zero, -1)) == build_bell_pair(-1)
 
     def test_step_reproduces_the_four_qubit_pair(self):
         plus, minus = build_bell_pair(+1), build_bell_pair(-1)
-        up = build_gem_step(plus, minus, +1)
+        up = apply_scale_rule(minus, gem_rule(plus, +1))
         assert up.support() == ((0, 1, 0, 1), (1, 0, 1, 0))
         assert up.entries[(1, 0, 1, 0)] == Amplitude(4, ((2, 1),))
-        down = build_gem_step(plus, minus, -1)
+        down = apply_scale_rule(minus, gem_rule(plus, -1))
         assert down.support() == ((0, 1, 1, 0), (1, 0, 0, 1))
         assert down.entries[(1, 0, 0, 1)] == Amplitude.inv_sqrt(2)
         assert down.entries[(0, 1, 1, 0)] == Amplitude(4, ((2, 1),))
 
     def test_step_rejects_bad_inputs(self):
         plus, minus = build_bell_pair(+1), build_bell_pair(-1)
-        with pytest.raises(ValueError):
-            build_gem_step(plus, plus, +1)
-        with pytest.raises(ValueError):
-            build_gem_step(plus, minus.tensor(minus), +1)
+        with pytest.raises(ScaleRuleError, match="output is not normalized"):
+            apply_scale_rule(plus, gem_rule(plus, +1))
+        with pytest.raises(ScaleRuleError, match="expected 4 of 2"):
+            apply_scale_rule(minus.tensor(minus), gem_rule(plus, +1))
         skew = SparseState.basis_state(2, (0, 1))
-        with pytest.raises(ValueError):
-            build_gem_step(plus, skew, +1)
+        with pytest.raises(ScaleRuleError, match="not orthogonal"):
+            apply_scale_rule(skew, gem_rule(plus, +1))
 
     @pytest.mark.parametrize("levels,support", [(1, 2), (2, 2), (3, 8), (4, 32)])
     def test_sequence_sizes(self, levels, support):
@@ -233,6 +249,28 @@ class TestGems:
         assert plus.num_qudits == 2**levels
         assert plus.norm_squared() == minus.norm_squared() == 1
         assert abs(plus.inner_product(minus)) < 1e-9
+
+    # SHA-256 of serialize_state for (plus, minus) at levels 1..5, as written
+    # when each level was built by its own symmetrizing step.
+    GOLDEN_SHA256 = {
+        1: ("2fccc78291ee7897f06c483818760a392195503b67678104c2b48c5c800c467d",
+            "18167d5d2eb5d6f20c3df4d0ea2a3467b2f9d3c50be68dd6117eb023ba65958d"),
+        2: ("45ee82013cc98760d23cd801faf35976dcfbc1540ef0942ae8ed137a1e5904fa",
+            "d3f9c3b496c41519a8c1442f62f6d1ee29b06b92010f901ec914bf9da25c85db"),
+        3: ("ed0e8b9fd1fdc05f3a53ad690db67ef58254a91293e2a2d4612b8dd996f11125",
+            "3348bc48ff289dfa4531ec04a72e977bc38d6e071d8b7692527db00406c8a66c"),
+        4: ("af00cba077cbd4dee1ca2fb20b74b4f3f7152d93d7bddd0ae21a723029ead8e8",
+            "7c5872bb7bef5658df843762826f7a9779219a827f6f0ffb56593910e6cb0974"),
+        5: ("47fb81295fb1f3537b4dad952b9241034c93c730d2fc2fd6ba326c7841803f29",
+            "29a00af9246267f76c324f23dc4624c5434fdd13fa5356d7cbe32cb376cf01a7"),
+    }
+
+    @pytest.mark.parametrize("levels", sorted(GOLDEN_SHA256))
+    def test_sequence_files_match_the_golden_digests(self, levels):
+        digests = tuple(
+            hashlib.sha256(serialize_state(state).encode()).hexdigest() for state in build_gem_sequence(levels)
+        )
+        assert digests == self.GOLDEN_SHA256[levels]
 
     def test_sequence_amplitudes_share_one_magnitude(self):
         plus, _ = build_gem_sequence(3)

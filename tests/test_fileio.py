@@ -289,6 +289,63 @@ class TestStrictIntegers:
         assert "line 6" in capsys.readouterr().err
 
 
+class TestHeaderLineNumbers:
+    """Header keys may come in any order; an error names the line its key is on."""
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("num_qudits x\nlocal_dim 2\nphase_order 8\n", "line 2: num_qudits is not an integer: 'x'"),
+            ("phase_order 8\nnum_qudits 1\nlocal_dim y\n", "line 4: local_dim is not an integer: 'y'"),
+            ("local_dim 2\nphase_order z\nnum_qudits 1\n", "line 3: phase_order is not an integer: 'z'"),
+        ],
+    )
+    def test_reordered_state_header(self, header, message):
+        with pytest.raises(FormatError) as info:
+            parse_state("qfs/1\n" + header + "\n0 0 1\n")
+        assert str(info.value) == message
+
+    def test_reordered_state_header_parses_to_the_canonical_file(self):
+        text = "qfs/1\nn 1\nphase_order 8\nfamily bitflip\nnum_qudits 3\ns 1\nlocal_dim 2\nc 3\n\n000 0 1\n"
+        state = parse_state(text)
+        assert state.provenance == Provenance("bitflip", 3, 1, 1)
+        assert serialize_state(state) == serialize_state(build_bitflip_state(1, 0))
+
+    @pytest.mark.parametrize("key,lineno", [("c", 6), ("s", 7), ("n", 8)])
+    def test_provenance_integer_names_its_line(self, key, lineno):
+        values = {"c": "2", "s": "3", "n": "1"}
+        values[key] = "two"
+        provenance = "family cantor\n" + "".join(f"{k} {v}\n" for k, v in values.items())
+        text = "qfs/1\nlocal_dim 3\nnum_qudits 2\nphase_order 8\n" + provenance + "\n00 0 1\n"
+        with pytest.raises(FormatError) as info:
+            parse_state(text)
+        assert str(info.value) == f"line {lineno}: {key} is not an integer: 'two'"
+
+    def test_provenance_integer_before_the_last_header_line(self):
+        text = "qfs/1\nlocal_dim 2\nnum_qudits 1\nphase_order 8\nc two\ns 3\nfamily cantor\n\n0 0 1\n"
+        with pytest.raises(FormatError) as info:
+            parse_state(text)
+        assert str(info.value) == "line 5: c is not an integer: 'two'"
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("phase_order 8\ns x\nc 2\n", "line 3: s is not an integer: 'x'"),
+            ("s 1\nphase_order 8\nc 1\n", "line 4: c must exceed 1, got 1"),
+            ("s 1\nc 2\nphase_order q\n", "line 4: phase_order is not an integer: 'q'"),
+        ],
+    )
+    def test_reordered_rule_header(self, header, message, tmp_path):
+        with pytest.raises(FormatError) as info:
+            parse_rule("qfs-rule/1\n" + header + "\nslot 1 0 predecessor\n", tmp_path)
+        assert str(info.value) == message
+
+    def test_reordered_rule_header_parses(self, tmp_path):
+        text = "qfs-rule/1\nphase_order 8\ns 1\nc 3\n\n"
+        text += "slot 1 0 predecessor\nslot 2 0 basis:0\nslot 3 0 basis:0\ncoeff 0,0,0 0\n"
+        assert serialize_rule(parse_rule(text, tmp_path)) == serialize_rule(representative_rule(3, 1, 0, 2))
+
+
 class TestSerializeGolden:
     def test_qubits_with_provenance_and_mixed_amplitudes(self):
         state = SparseState(

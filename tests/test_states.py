@@ -60,17 +60,6 @@ class TestAmplitude:
         assert Amplitude.inv_sqrt(2).times(Amplitude.inv_sqrt(2), 8) == Amplitude(0, ((2, 2),))
         assert Amplitude(3).times(Amplitude(7, ((3, 1),)), 8) == Amplitude(2, ((3, 1),))
 
-    def test_doubling_halves_the_base_two_exponent(self):
-        doubled = Amplitude.inv_sqrt(2).doubled()
-        assert doubled == Amplitude(0, ((2, -1),))
-        assert doubled.squared_magnitude() == 2
-
-    def test_negation_is_a_half_turn(self):
-        amp = Amplitude.inv_sqrt(2)
-        assert amp.is_negation_of(Amplitude(4, ((2, 1),)), 8)
-        assert not amp.is_negation_of(amp, 8)
-        assert not amp.is_negation_of(Amplitude(4), 8)
-
     def test_rescaled_to_a_finer_phase_order(self):
         assert Amplitude(1).rescaled(4, 8) == Amplitude(2)
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@
 verify-step` prints every check, naming the last orthonormality defect.  The
 expected texts are those the checks printed while each ran its own loop over
 the slot cells; they pin which defect and which unresolved cell each report
-names.
+names.  A ``basis:`` slot whose digits fall outside the predecessor's
+``[0, N)`` is reported like one of the wrong length.
 """
 
 import pytest
@@ -72,6 +73,28 @@ CASES = {
         PRESENT + "slot_orthonormality: FAIL (slot 2 vector not normalized)\n"
         "reconstruction: FAIL (scale rule output is not normalized; slot products must be orthonormal)\n",
     ),
+    "basis_digit_too_large": (
+        ZERO,
+        ({0: Predecessor(), 1: BasisSlot((1,))}, {0: BasisSlot((5,)), 1: BasisSlot((1,))}),
+        ((0, 0), (1, 1)),
+        "slot 1 0 predecessor\nslot 1 1 basis:1\nslot 2 0 basis:5\nslot 2 1 basis:1\n",
+        SparseState.basis_state(2, (0, 0)),
+        "slot 2 basis string has digits outside [0, 2)",
+        "predecessor_present: FAIL (slot 2 basis string has digits outside [0, 2))\n"
+        "slot_orthonormality: FAIL (slot 2 basis string has digits outside [0, 2))\n"
+        "reconstruction: FAIL (slot 2 basis string has digits outside [0, 2))\n",
+    ),
+    "basis_digit_negative": (
+        SparseState.basis_state(2, (0, 0)),
+        ({0: Predecessor(), 1: BasisSlot((1, 1))}, {0: BasisSlot((-1, 0)), 1: BasisSlot((1, 1))}),
+        ((0, 0), (1, 1)),
+        "slot 1 0 predecessor\nslot 1 1 basis:11\nslot 2 0 basis:-1,0\nslot 2 1 basis:11\n",
+        SparseState.basis_state(2, (0, 0, 0, 0)),
+        "slot 2 basis string has digits outside [0, 2)",
+        "predecessor_present: FAIL (slot 2 basis string has digits outside [0, 2))\n"
+        "slot_orthonormality: FAIL (slot 2 basis string has digits outside [0, 2))\n"
+        "reconstruction: FAIL (slot 2 basis string has digits outside [0, 2))\n",
+    ),
     "no_predecessor": (
         QUTRIT_ZERO,
         ({0: BasisSlot((1,))}, {0: BasisSlot((1,)), 1: BasisSlot((2,))}),
@@ -124,3 +147,25 @@ def test_verify_step_stdout(name, tmp_path, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, HEAD + middle + INVALID, "")
+
+
+@pytest.mark.parametrize("digit", [-1, 2])
+def test_single_digit_basis_slot_out_of_range(digit):
+    rule = rule_of(({0: Predecessor()}, {0: BasisSlot((digit,))}), ((0, 0), (1, 1)))
+    with pytest.raises(ScaleRuleError) as info:
+        rule.resolve(1, 0, ZERO)
+    assert str(info.value) == "slot 2 basis string has digits outside [0, 2)"
+
+
+def test_single_negative_basis_digit_in_a_rule_file_is_a_parse_error(tmp_path, capsys):
+    # Without a comma, a basis string is read digit by digit, so "-1" is malformed.
+    save_state(ZERO, tmp_path / "prev.qfs")
+    save_state(SparseState.basis_state(2, (0, 0)), tmp_path / "next.qfs")
+    slot_lines = "slot 1 0 predecessor\nslot 2 0 basis:-1\n"
+    rule = "qfs-rule/1\nc 2\ns 2\nphase_order 8\n\n" + slot_lines + "coeff 0,0 0\ncoeff 1,1 0\n"
+    (tmp_path / "step.rule").write_text(rule)
+    argv = ["verify-step", "--rule", str(tmp_path / "step.rule")]
+    argv += ["--prev", str(tmp_path / "prev.qfs"), "--next", str(tmp_path / "next.qfs")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: line 7: malformed basis string '-1'\n")
