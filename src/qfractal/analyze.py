@@ -10,12 +10,14 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .construct import ORTHO_TOL, FractalParams, ScaleRule, apply_scale_rule
 from .errors import AnalysisError, GuardExceededError, QfsError
 from .states import SparseState
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Probabilities measured against rule-basis products snap to multiples of 1/s
 # within this tolerance; anything farther is reported as an error.
@@ -158,6 +160,8 @@ def product_cut_report(
 
 
 def _canonical_gate_key(matrix: np.ndarray) -> bytes:
+    import numpy as np
+
     flat = matrix.ravel()
     pivot = next(z for z in flat if abs(z) > 0.4)
     normalized = matrix / (pivot / abs(pivot))
@@ -171,6 +175,8 @@ def single_qubit_cliffords() -> tuple[tuple[str, ...], np.ndarray]:
     Generated breadth-first from the identity over {H, S} products, so the
     listing is deterministic: identity first, then by word length.
     """
+    import numpy as np
+
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     s = np.array([[1, 0], [0, 1j]], dtype=complex)
     eye = np.eye(2, dtype=complex)
@@ -215,6 +221,8 @@ def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalClif
     The result is deterministic: the lexicographically first matching index
     tuple over the fixed gate listing.
     """
+    import numpy as np
+
     if a.local_dim != 2 or b.local_dim != 2:
         raise ValueError("local Clifford search is defined for qubit states")
     if a.num_qudits != b.num_qudits:

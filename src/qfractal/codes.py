@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Iterable
 
 from .construct import MAX_ENTRIES, MAX_QUDITS
@@ -45,13 +44,11 @@ class CodeSpec:
 
 def _encode_repetition(state: SparseState, levels: int) -> SparseState:
     # Concatenating the three-fold repetition L times repeats each digit 3**L
-    # times, so all levels are one pass of whole runs.
+    # times, so all levels are one pass of whole runs over each key's bits.
     copies = 3**levels
-    runs = ((0,) * copies, (1,) * copies)
-    entries = {
-        tuple(chain.from_iterable(map(runs.__getitem__, key))): amp
-        for key, amp in state.entries.items()
-    }
+    runs = {ord("0"): "0" * copies, ord("1"): "1" * copies}
+    width = f"0{state.num_qudits}b"
+    entries = {int(format(key, width).translate(runs), 2): amp for key, amp in state._packed.items()}
     return SparseState._trusted(2, copies * state.num_qudits, state.phase_order, entries)
 
 
@@ -62,14 +59,15 @@ def _encode_bell(state: SparseState) -> SparseState:
     order = state.phase_order
     half_turn = order // 2
     terms: list[tuple[int, SparseState]] = []
-    for key, amp in state.entries.items():
-        expansion: dict[tuple[int, ...], Amplitude] = {(): amp}
-        for digit in key:
-            grown: dict[tuple[int, ...], Amplitude] = {}
+    for key, amp in state._packed.items():
+        expansion: dict[int, Amplitude] = {0: amp}
+        for shift in reversed(range(state.num_qudits)):
+            digit = key >> shift & 1
+            grown: dict[int, Amplitude] = {}
             for prefix, acc in expansion.items():
                 halved = acc.times_inv_sqrt(2)
-                grown[prefix + (0, 1)] = halved
-                grown[prefix + (1, 0)] = halved if digit == 0 else halved.shifted(half_turn, order)
+                grown[prefix << 2 | 0b01] = halved
+                grown[prefix << 2 | 0b10] = halved if digit == 0 else halved.shifted(half_turn, order)
             expansion = grown
         terms.append((0, SparseState._trusted(2, 2 * state.num_qudits, order, expansion)))
     return superpose(terms)
@@ -136,25 +134,26 @@ def decode_majority(state: SparseState, spec: CodeSpec) -> DecodeReport:
     corrections: list[tuple[int, int]] = []
     for level in range(1, spec.levels + 1):
         blocks = current.num_qudits // 3
-        entries: dict[tuple[int, ...], Amplitude] = {}
+        width = f"0{current.num_qudits}b"
+        entries: dict[int, Amplitude] = {}
         pattern: int | None = None
-        for key, amp in current.entries.items():
-            # One byte per digit: a, b, c hold each block's first, second and
-            # third digit, so the bitwise operators vote every block at once.
-            raw = bytes(key)
-            a, b, c = (int.from_bytes(raw[i::3], "big") for i in range(3))
+        for key, amp in current._packed.items():
+            # a, b, c hold each block's first, second and third bit, so the
+            # bitwise operators vote every block at once.
+            bits = format(key, width)
+            a, b, c = (int(bits[i::3], 2) for i in range(3))
             flipped = (a | b | c) ^ (a & b & c)
             if pattern is None:
                 pattern = flipped
             elif pattern != flipped:
                 raise CodeError(f"level {level} error pattern differs between components")
-            new_key = tuple((a & b | a & c | b & c).to_bytes(blocks, "big"))
+            new_key = a & b | a & c | b & c
             if new_key in entries:
                 raise CodeError(f"components collide after the level {level} vote")
             entries[new_key] = amp
         current = SparseState._trusted(2, blocks, current.phase_order, entries)
-        flags = (pattern or 0).to_bytes(blocks, "big")
-        corrections.extend((level, block) for block, flag in enumerate(flags) if flag)
+        flags = format(pattern or 0, f"0{blocks}b")
+        corrections.extend((level, block) for block, flag in enumerate(flags) if flag == "1")
     return DecodeReport(current, tuple(corrections), True)
 
 

@@ -17,7 +17,7 @@ from functools import reduce
 from typing import Iterator, Mapping, Union
 
 from .errors import GuardExceededError, ScaleRuleError
-from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, superpose
+from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, digit_bits, superpose
 
 # Constructors refuse outputs beyond these desk-scale ceilings.
 MAX_ENTRIES = 10**6
@@ -277,9 +277,12 @@ def build_representative(c: int, s: int, n: int, local_dim: int) -> SparseState:
         raise GuardExceededError(f"{s}**{n} entries exceeds {MAX_ENTRIES}")
     state = build_initial(local_dim)
     branch = Amplitude.inv_sqrt(s)
+    bits = digit_bits(local_dim)
     for m in range(n):
         width = (c - 1) * c**m
-        block = SparseState._trusted(local_dim, width, state.phase_order, {(j,) * width: branch for j in range(s)})
+        # The packed key of |j...j> is j times the key of |1...1>.
+        ones = ((1 << bits * width) - 1) // ((1 << bits) - 1)
+        block = SparseState._trusted(local_dim, width, state.phase_order, {j * ones: branch for j in range(s)})
         state = state.tensor(block)
     return state._retagged(Provenance("representative", c, s, n))
 
@@ -295,8 +298,8 @@ def build_bell_pair(sign: int) -> SparseState:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     order = DEFAULT_PHASE_ORDER
     entries = {
-        (0, 1): Amplitude.inv_sqrt(2),
-        (1, 0): Amplitude.inv_sqrt(2, phase_index=0 if sign == 1 else order // 2),
+        0b01: Amplitude.inv_sqrt(2),
+        0b10: Amplitude.inv_sqrt(2, phase_index=0 if sign == 1 else order // 2),
     }
     return SparseState._trusted(2, 2, order, entries, Provenance("bellgem", 2, 2, 0))
 
@@ -346,7 +349,7 @@ def build_bitflip_state(n: int, logical: int) -> SparseState:
         raise ValueError(f"n must be >= 0, got {n}")
     if 3**n > MAX_QUDITS:
         raise GuardExceededError(f"3**{n} qudits exceeds {MAX_QUDITS}")
-    key = (logical,) * 3**n
+    key = logical * ((1 << 3**n) - 1)
     return SparseState._trusted(
         2, 3**n, DEFAULT_PHASE_ORDER, {key: Amplitude.one()}, Provenance("bitflip", 3, 1, n)
     )
@@ -364,9 +367,9 @@ def build_cluster(n_qubits: int) -> SparseState:
     order = DEFAULT_PHASE_ORDER
     half = order // 2
     signs = (Amplitude(0, ((2, n_qubits),)), Amplitude(half, ((2, n_qubits),)))
-    entries: dict[tuple[int, ...], Amplitude] = {}
-    for value in range(2**n_qubits):
-        bits = tuple((value >> (n_qubits - 1 - k)) & 1 for k in range(n_qubits))
-        flips = sum(1 for a in range(n_qubits - 1) if bits[a] == 0 and bits[a + 1] == 1)
-        entries[bits] = signs[flips % 2]
+    # A qubit key is the string's own value x.  The sign counts the places
+    # where x has a 0 at bit k above a 1 at bit k - 1: the set bits of
+    # ~x >> 1 & x below bit n - 1.
+    inner = (1 << (n_qubits - 1)) - 1
+    entries = {x: signs[(~x >> 1 & x & inner).bit_count() % 2] for x in range(2**n_qubits)}
     return SparseState._trusted(2, n_qubits, order, entries, Provenance("cluster", 2, 2, None))

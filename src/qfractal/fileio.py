@@ -26,7 +26,17 @@ from .construct import (
     SlotVector,
 )
 from .errors import FormatError, ScaleRuleError
-from .states import Amplitude, Provenance, SparseState, check_shape
+from .states import (
+    TEXT_DIGITS_MAX,
+    Amplitude,
+    Provenance,
+    SparseState,
+    digit_bits,
+    digit_text,
+    pack_digits,
+    shape_defect,
+    unpack_digits,
+)
 
 STATE_TAG = "qfs/1"
 RULE_TAG = "qfs-rule/1"
@@ -37,10 +47,7 @@ SVG_ROW_HEIGHT = 40
 SVG_ROW_GAP = 8
 SVG_PAD = 8
 
-# Maps the ASCII digit characters onto the byte values 0..9.
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-# Its inverse: the byte values 0..9 onto the ASCII digit characters.
-_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
+_DIGITS = b"0123456789"
 _INT_PATTERN = re.compile(r"-?[0-9]+")
 
 
@@ -55,25 +62,36 @@ def _int(text: str, lineno: int, what: str) -> int:
     return int(text)
 
 
-def _digits_to_text(digits: tuple[int, ...], local_dim: int) -> str:
-    if local_dim <= 10:
-        return bytes(digits).translate(_DIGIT_TEXT).decode("ascii")
-    return ",".join(map(str, digits))
+def _key_to_text(key: int, local_dim: int, num_qudits: int) -> str:
+    if local_dim > TEXT_DIGITS_MAX:
+        return ",".join(map(str, unpack_digits(key, local_dim, num_qudits)))
+    return digit_text(key, local_dim, num_qudits)
 
 
-def _digits_from_text(text: str, local_dim: int, lineno: int) -> tuple[int, ...]:
+def _key_from_text(text: str, local_dim: int, num_qudits: int, lineno: int) -> int:
+    """The packed key of a record's digit string, checked in this order: its
+    characters, its digits' range, its length."""
     if not text.isascii():
         _fail(lineno, f"malformed digit string {text!r}")
-    if local_dim <= 10:
+    if local_dim > TEXT_DIGITS_MAX:
+        digits = tuple(_int(part, lineno, "digit") for part in text.split(","))
+        bad = next((d for d in digits if d < 0 or d >= local_dim), None)
+        if bad is not None:
+            _fail(lineno, f"digit {bad} outside [0, {local_dim})")
+        if len(digits) != num_qudits:
+            _fail(lineno, f"record has {len(digits)} digits, expected {num_qudits}")
+        return pack_digits(digits, local_dim)
+    # Deleting the digits below N leaves nothing of a valid string.  Else an
+    # ASCII isdigit() tells a bad digit from a sign, space or underscore, so
+    # none of those, which int() would take, reaches the conversion.
+    if not text or text.encode().translate(None, _DIGITS[:local_dim]):
         if not text.isdigit():
             _fail(lineno, f"malformed digit string {text!r}")
-        digits = tuple(text.encode().translate(_DIGIT_VALUES))
-    else:
-        digits = tuple(_int(part, lineno, "digit") for part in text.split(","))
-    if min(digits) < 0 or max(digits) >= local_dim:
-        bad = next(d for d in digits if d < 0 or d >= local_dim)
+        bad = next(d for d in map(int, text) if d >= local_dim)
         _fail(lineno, f"digit {bad} outside [0, {local_dim})")
-    return digits
+    if len(text) != num_qudits:
+        _fail(lineno, f"record has {len(text)} digits, expected {num_qudits}")
+    return int(text, 1 << digit_bits(local_dim))
 
 
 def _amplitude_from_text(phase_text: str, magnitude_text: str, phase_order: int, lineno: int) -> Amplitude:
@@ -149,12 +167,14 @@ def header_lines(state: SparseState) -> list[str]:
 
 def serialize_state(state: SparseState) -> str:
     # One amplitude text per distinct amplitude; the records only look it up.
-    amp_texts = {amp: f"{amp.phase_index} {_magnitude_to_text(amp)}" for amp in set(state.entries.values())}
+    packed = state._packed
+    amp_texts = {amp: f"{amp.phase_index} {_magnitude_to_text(amp)}" for amp in set(packed.values())}
     lines = [STATE_TAG, *header_lines(state), ""]
     lines.extend(
-        f"{_digits_to_text(key, state.local_dim)} {amp_texts[state.entries[key]]}" for key in state.support()
+        f"{_key_to_text(key, state.local_dim, state.num_qudits)} {amp_texts[packed[key]]}" for key in sorted(packed)
     )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the join then ends the last record with its newline
+    return "\n".join(lines)
 
 
 def parse_state(text: str) -> SparseState:
@@ -164,10 +184,9 @@ def parse_state(text: str) -> SparseState:
     shape, tags = ("local_dim", "num_qudits", "phase_order"), ("family", "c", "s", "n")
     header, i = _read_header(lines, STATE_TAG, shape, tags)
     local_dim, num_qudits, phase_order = (_header_int(header, key) for key in shape)
-    try:
-        check_shape(local_dim, num_qudits, phase_order)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    defect = shape_defect(local_dim, num_qudits, phase_order)
+    if defect is not None:
+        _fail(header[defect[0]][1], defect[1])
     provenance = None
     if any(key in header for key in tags):
         provenance = Provenance(
@@ -175,24 +194,22 @@ def parse_state(text: str) -> SparseState:
             *(_header_int(header, key) if key in header else None for key in ("c", "s", "n")),
         )
     i += 1
-    entries: dict[tuple[int, ...], Amplitude] = {}
+    entries: dict[int, Amplitude] = {}
     amplitudes: dict[tuple[str, str], Amplitude] = {}  # parsed once per distinct text
-    previous: tuple[int, ...] | None = None
+    previous = -1  # packed keys of equal length sort as their digit strings
     for lineno in range(i, len(lines)):
         line = lines[lineno]
         parts = line.split(" ")
         if len(parts) != 3:
             _fail(lineno + 1, f"malformed record line {line!r}")
-        digits = _digits_from_text(parts[0], local_dim, lineno + 1)
-        if len(digits) != num_qudits:
-            _fail(lineno + 1, f"record has {len(digits)} digits, expected {num_qudits}")
-        if previous is not None and digits <= previous:
+        key = _key_from_text(parts[0], local_dim, num_qudits, lineno + 1)
+        if key <= previous:
             _fail(lineno + 1, "records must be in strictly ascending order")
-        previous = digits
+        previous = key
         amp = amplitudes.get((parts[1], parts[2]))
         if amp is None:
             amp = amplitudes[parts[1], parts[2]] = _amplitude_from_text(parts[1], parts[2], phase_order, lineno + 1)
-        entries[digits] = amp
+        entries[key] = amp
     # Every check the constructor makes has been made above, line by line.
     return SparseState._trusted(local_dim, num_qudits, phase_order, entries, provenance)
 
@@ -259,6 +276,8 @@ def parse_rule(text: str, base_dir: str | Path = ".") -> ScaleRule:
     c, s, phase_order = (_header_int(header, key) for key in ("c", "s", "phase_order"))
     if c <= 1:
         _fail(header["c"][1], f"c must exceed 1, got {c}")
+    if phase_order < 1:
+        _fail(header["phase_order"][1], f"phase_order must be >= 1, got {phase_order}")
     tables: list[dict[int, SlotVector]] = [{} for _ in range(c)]
     coefficients: list[Coefficient] = []
     for lineno in range(i + 1, len(lines)):
@@ -338,8 +357,8 @@ def render_support(
             dimension = state.local_dim**state.num_qudits
             width = dimension if dimension <= ASCII_MAX_WIDTH else ASCII_MAX_WIDTH
             cells = ["."] * width
-            for key in state.support():
-                value = state.basis_value(key)
+            for key in sorted(state._packed):
+                value = state._basis_value_of(key)
                 first = value * width // dimension
                 last = ((value + 1) * width - 1) // dimension
                 for cell in range(first, last + 1):
@@ -359,8 +378,8 @@ def render_support(
             )
             dimension = state.local_dim**state.num_qudits
             cell_width = Fraction(SVG_WIDTH, dimension)
-            for key in state.support():
-                x = float(state.basis_value(key) * cell_width)
+            for key in sorted(state._packed):
+                x = float(state._basis_value_of(key) * cell_width)
                 parts.append(
                     f'<rect x="{x:.4f}" y="{y}" width="{float(cell_width):.4f}" '
                     f'height="{SVG_ROW_HEIGHT}" fill="#1a1a2e"/>'

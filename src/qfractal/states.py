@@ -8,8 +8,13 @@ states) is of this form, so states compare bit-exactly.  Sums that leave the
 ring raise :class:`~qfractal.errors.AmplitudeOverflowError` instead of silently
 degrading to floats; callers fall back to the dense numpy path where needed.
 
-Basis strings are digit tuples, most-significant digit (leftmost ket symbol)
-first.  States are immutable after construction and all operations are pure.
+Each basis string is stored as one packed integer: every digit takes a field
+of ``(N - 1).bit_length()`` bits, the leftmost ket symbol in the most
+significant field.  So a tensor product is a shift and an or, a qubit flip is
+an xor, and integer order is the order of the digit strings.  The public view
+:attr:`SparseState.entries` still maps digit tuples, most-significant digit
+first, to amplitudes.  States are immutable after construction and all
+operations are pure.
 
 Validation happens once, where a state enters the library: the public
 :class:`SparseState` constructor and the file parsers check every key and
@@ -24,14 +29,16 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import AmplitudeOverflowError, DimensionMismatchError, GuardExceededError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_PHASE_ORDER = 8
 
@@ -40,17 +47,71 @@ DENSE_VECTOR_LIMIT = 2**14
 SCHMIDT_SIDE_LIMIT = 4096
 RANK_CUTOFF = 1e-9
 
+# Local dimensions up to here write each digit as one ASCII character, and
+# their keys convert through that text; larger ones go digit by digit.
+TEXT_DIGITS_MAX = 10
+
 BasisIndex = tuple[int, ...]
+
+
+def shape_defect(local_dim: int, num_qudits: int, phase_order: int) -> tuple[str, str] | None:
+    """The first of N, Q and R out of range, as (field name, message); None
+    when N >= 2, Q >= 1 and R is even and positive."""
+    if local_dim < 2:
+        return "local_dim", f"local_dim must be >= 2, got {local_dim}"
+    if num_qudits < 1:
+        return "num_qudits", f"num_qudits must be >= 1, got {num_qudits}"
+    if phase_order < 2 or phase_order % 2:
+        return "phase_order", f"phase_order must be even and positive, got {phase_order}"
+    return None
 
 
 def check_shape(local_dim: int, num_qudits: int, phase_order: int) -> None:
     """Raise ValueError unless N >= 2, Q >= 1 and R is even and positive."""
-    if local_dim < 2:
-        raise ValueError(f"local_dim must be >= 2, got {local_dim}")
-    if num_qudits < 1:
-        raise ValueError(f"num_qudits must be >= 1, got {num_qudits}")
-    if phase_order < 2 or phase_order % 2:
-        raise ValueError(f"phase_order must be even and positive, got {phase_order}")
+    defect = shape_defect(local_dim, num_qudits, phase_order)
+    if defect is not None:
+        raise ValueError(defect[1])
+
+
+def digit_bits(local_dim: int) -> int:
+    """Width of one digit's field in a packed key."""
+    return (local_dim - 1).bit_length()
+
+
+# A packed key is its digit string read in base 2**bits.  format() writes
+# bases 2, 8 and 16, so for those field widths it writes the digit text.
+_FORMAT_CODES = {1: "b", 3: "o", 4: "x"}
+# Two-bit fields: twice the high bit's ASCII "0"/"1" plus the low one's is
+# 3 * 48 + digit, which this table maps onto the digit's ASCII character.
+_PAIR_TEXT = bytes.maketrans(bytes(range(144, 148)), b"0123")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def digit_text(key: int, local_dim: int, num_qudits: int) -> str:
+    """The digit string of a packed key, for N <= TEXT_DIGITS_MAX; its
+    inverse is ``int(text, 2**digit_bits(N))``."""
+    bits = digit_bits(local_dim)
+    code = _FORMAT_CODES.get(bits)
+    if code is not None:
+        return format(key, f"0{num_qudits}{code}")
+    planes = format(key, f"0{2 * num_qudits}b").encode()
+    value = 2 * int.from_bytes(planes[0::2], "big") + int.from_bytes(planes[1::2], "big")
+    return value.to_bytes(num_qudits, "big").translate(_PAIR_TEXT).decode("ascii")
+
+
+def pack_digits(digits: Sequence[int], local_dim: int) -> int:
+    """The packed key of a digit string whose digits lie in [0, N)."""
+    bits = digit_bits(local_dim)
+    return int("".join(format(d, f"0{bits}b") for d in digits), 2)
+
+
+def unpack_digits(key: int, local_dim: int, num_qudits: int) -> BasisIndex:
+    """The digit tuple of a packed key of ``num_qudits`` digits."""
+    if local_dim <= TEXT_DIGITS_MAX:
+        return tuple(digit_text(key, local_dim, num_qudits).encode().translate(_DIGIT_VALUES))
+    bits = digit_bits(local_dim)
+    text = format(key, f"0{bits * num_qudits}b")
+    return tuple(int(text[i : i + bits], 2) for i in range(0, len(text), bits))
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +156,8 @@ class Amplitude:
     ``phase_index`` is interpreted modulo the owning state's phase order R.
     ``mag_exponents`` is kept canonical: prime bases, strictly increasing, no
     zero exponents.  Negative exponents (magnitudes above 1) occur transiently,
-    e.g. when colliding amplitudes double.
+    e.g. when colliding amplitudes double.  The hash is computed once, at
+    construction, since amplitudes are looked up on every dictionary pass.
     """
 
     phase_index: int = 0
@@ -103,6 +165,19 @@ class Amplitude:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mag_exponents", _canonical_exponents(self.mag_exponents))
+        object.__setattr__(self, "_hash", hash((self.phase_index, self.mag_exponents)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @classmethod
+    def _canonical(cls, phase_index: int, mag_exponents: tuple[tuple[int, int], ...]) -> Amplitude:
+        """An amplitude from exponents that are canonical already."""
+        amp = object.__new__(cls)
+        object.__setattr__(amp, "phase_index", phase_index)
+        object.__setattr__(amp, "mag_exponents", mag_exponents)
+        object.__setattr__(amp, "_hash", hash((phase_index, mag_exponents)))
+        return amp
 
     @classmethod
     def one(cls) -> Amplitude:
@@ -145,7 +220,7 @@ class Amplitude:
         )
 
     def shifted(self, phase_shift: int, phase_order: int) -> Amplitude:
-        return Amplitude((self.phase_index + phase_shift) % phase_order, self.mag_exponents)
+        return Amplitude._canonical((self.phase_index + phase_shift) % phase_order, self.mag_exponents)
 
     def times_inv_sqrt(self, k: int) -> Amplitude:
         if k < 1:
@@ -159,7 +234,7 @@ class Amplitude:
         if new_order % old_order:
             raise ValueError(f"phase order {new_order} does not refine {old_order}")
         step = new_order // old_order
-        return Amplitude((self.phase_index * step) % new_order, self.mag_exponents)
+        return Amplitude._canonical((self.phase_index * step) % new_order, self.mag_exponents)
 
 
 @dataclass(frozen=True)
@@ -172,6 +247,79 @@ class Provenance:
     n: int | None = None
 
 
+class EntriesView(Mapping):
+    """Read-only mapping from digit tuples to amplitudes over a state's packed
+    entries.  Length and values read the packed dict; lookups pack the tuple
+    they are given, and iteration unpacks each key."""
+
+    __slots__ = ("_packed", "_local_dim", "_num_qudits")
+
+    def __init__(self, packed: dict[int, Amplitude], local_dim: int, num_qudits: int) -> None:
+        self._packed = packed
+        self._local_dim = local_dim
+        self._num_qudits = num_qudits
+
+    def _key(self, digits: object) -> int | None:
+        """The packed key of ``digits``; None unless it is a tuple of Q digits
+        in [0, N), which no stored key can equal."""
+        if not isinstance(digits, tuple) or len(digits) != self._num_qudits:
+            return None
+        try:
+            if min(digits) < 0 or max(digits) >= self._local_dim:
+                return None
+            return pack_digits(digits, self._local_dim)
+        except (TypeError, ValueError):
+            return None
+
+    def _digits(self, key: int) -> BasisIndex:
+        return unpack_digits(key, self._local_dim, self._num_qudits)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self) -> Iterator[BasisIndex]:
+        return map(self._digits, self._packed)
+
+    def __getitem__(self, digits: object) -> Amplitude:
+        amp = self._packed.get(self._key(digits))
+        if amp is None:
+            raise KeyError(digits)
+        return amp
+
+    def __contains__(self, digits: object) -> bool:
+        return self._key(digits) in self._packed
+
+    def get(self, digits: object, default: object = None) -> object:
+        return self._packed.get(self._key(digits), default)
+
+    def values(self):
+        return self._packed.values()
+
+    def items(self) -> _EntryItems:
+        return _EntryItems(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if isinstance(other, EntriesView) and other._num_qudits == self._num_qudits:
+            # Equal field widths pack equal digit strings into equal keys.
+            if digit_bits(other._local_dim) == digit_bits(self._local_dim):
+                return self._packed == other._packed
+        missing = object()
+        return len(self) == len(other) and all(self.get(key, missing) == amp for key, amp in other.items())
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _EntryItems(ItemsView):
+    """(digit tuple, amplitude) pairs, unpacking each key once."""
+
+    def __iter__(self):
+        view = self._mapping
+        return zip(map(view._digits, view._packed), view._packed.values())
+
+
 @dataclass(frozen=True, eq=False)
 class SparseState:
     """A pure multi-qudit state as a map from basis digit strings to amplitudes.
@@ -182,7 +330,9 @@ class SparseState:
 
     Calling the constructor validates: every key must be Q digits in [0, N),
     and phase indices are reduced modulo R.  The states that operations return
-    are built from already valid states and skip that check.
+    are built from already valid states and skip that check.  ``entries``
+    accepts any mapping and becomes an :class:`EntriesView` over the packed
+    keys.
     """
 
     local_dim: int
@@ -194,7 +344,7 @@ class SparseState:
     def __post_init__(self) -> None:
         check_shape(self.local_dim, self.num_qudits, self.phase_order)
         order = self.phase_order
-        normalized: dict[BasisIndex, Amplitude] = {}
+        packed: dict[int, Amplitude] = {}
         for digits, amp in self.entries.items():
             key = tuple(digits)
             if len(key) != self.num_qudits:
@@ -202,8 +352,11 @@ class SparseState:
             if min(key) < 0 or max(key) >= self.local_dim:
                 raise ValueError(f"basis index {key} has digits outside [0, {self.local_dim})")
             reduced = 0 <= amp.phase_index < order
-            normalized[key] = amp if reduced else Amplitude(amp.phase_index % order, amp.mag_exponents)
-        object.__setattr__(self, "entries", normalized)
+            packed[pack_digits(key, self.local_dim)] = (
+                amp if reduced else Amplitude._canonical(amp.phase_index % order, amp.mag_exponents)
+            )
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "entries", EntriesView(packed, self.local_dim, self.num_qudits))
 
     @classmethod
     def _trusted(
@@ -211,23 +364,24 @@ class SparseState:
         local_dim: int,
         num_qudits: int,
         phase_order: int,
-        entries: dict[BasisIndex, Amplitude],
+        entries: dict[int, Amplitude],
         provenance: Provenance | None = None,
     ) -> SparseState:
         """Build a state without validation, from parts the caller guarantees:
-        a valid shape, keys that are tuples of Q ints in [0, N), and phase
-        indices in [0, R).  ``entries`` is taken over, not copied."""
+        a valid shape, packed keys of Q digits in [0, N), and phase indices in
+        [0, R).  ``entries`` is taken over, not copied."""
         state = object.__new__(cls)
         object.__setattr__(state, "local_dim", local_dim)
         object.__setattr__(state, "num_qudits", num_qudits)
         object.__setattr__(state, "phase_order", phase_order)
-        object.__setattr__(state, "entries", entries)
+        object.__setattr__(state, "_packed", entries)
+        object.__setattr__(state, "entries", EntriesView(entries, local_dim, num_qudits))
         object.__setattr__(state, "provenance", provenance)
         return state
 
     def _retagged(self, provenance: Provenance | None) -> SparseState:
         """The same vector carrying ``provenance``."""
-        return SparseState._trusted(self.local_dim, self.num_qudits, self.phase_order, self.entries, provenance)
+        return SparseState._trusted(self.local_dim, self.num_qudits, self.phase_order, self._packed, provenance)
 
     @classmethod
     def basis_state(
@@ -243,14 +397,14 @@ class SparseState:
 
     def support(self) -> tuple[BasisIndex, ...]:
         """Supported basis strings in ascending order."""
-        return tuple(sorted(self.entries))
+        return tuple(map(self.entries._digits, sorted(self._packed)))
 
     def amplitude(self, digits: Sequence[int]) -> Amplitude | None:
         return self.entries.get(tuple(digits))
 
     def norm_squared(self) -> Fraction:
         """Exact squared norm: the sum of squared magnitudes."""
-        counts = Counter(self.entries.values())
+        counts = Counter(self._packed.values())
         return sum((amp.squared_magnitude() * count for amp, count in counts.items()), Fraction(0))
 
     def outcome_probability(self, digits: Sequence[int]) -> Fraction:
@@ -268,12 +422,13 @@ class SparseState:
                 f"tensor of local_dim {self.local_dim} with {other.local_dim}"
             )
         order = math.lcm(self.phase_order, other.phase_order)
-        a_values, a_keys = _distinct_amplitudes(self.promoted(order).entries)
-        b_values, b_keys = _distinct_amplitudes(other.promoted(order).entries)
+        a_values, a_keys = _distinct_amplitudes(self.promoted(order)._packed)
+        b_values, b_keys = _distinct_amplitudes(other.promoted(order)._packed)
         # One product per pair of distinct amplitudes; entries only index it.
         table = [[u.times(v, order) for v in b_values] for u in a_values]
-        a_rows = [(x, table[i]) for x, i in a_keys]
-        entries = {x + y: row[j] for x, row in a_rows for y, j in b_keys}
+        shift = digit_bits(self.local_dim) * other.num_qudits
+        a_rows = [(x << shift, table[i]) for x, i in a_keys]
+        entries = {x | y: row[j] for x, row in a_rows for y, j in b_keys}
         return SparseState._trusted(self.local_dim, self.num_qudits + other.num_qudits, order, entries)
 
     def inner_product(self, other: SparseState) -> complex:
@@ -281,13 +436,11 @@ class SparseState:
         if self.local_dim != other.local_dim or self.num_qudits != other.num_qudits:
             raise DimensionMismatchError("inner product needs matching local_dim and num_qudits")
         total = 0j
-        small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
-        for key in small.entries:
-            if key in big.entries:
-                total += (
-                    self.entries[key].to_complex(self.phase_order).conjugate()
-                    * other.entries[key].to_complex(other.phase_order)
-                )
+        mine, theirs = self._packed, other._packed
+        small, big = (mine, theirs) if len(mine) <= len(theirs) else (theirs, mine)
+        for key in small:
+            if key in big:
+                total += mine[key].to_complex(self.phase_order).conjugate() * theirs[key].to_complex(other.phase_order)
         return total
 
     def apply_bit_flip(self, position: int) -> SparseState:
@@ -296,20 +449,17 @@ class SparseState:
 
     def _bit_flipped(self, positions: Sequence[int]) -> SparseState:
         """Toggle the qubit digit at each of the distinct ``positions``, all in
-        one rebuild of every key; no positions gives back ``self``."""
+        one xor of every key; no positions gives back ``self``."""
         if not positions:
             return self
         if self.local_dim != 2:
             raise ValueError(f"bit flip needs local_dim 2, got {self.local_dim}")
+        mask = 0
         for position in positions:
             if not 0 <= position < self.num_qudits:
                 raise ValueError(f"position {position} out of range for {self.num_qudits} qudits")
-        entries = {}
-        for key, amp in self.entries.items():
-            digits = list(key)
-            for position in positions:
-                digits[position] ^= 1
-            entries[tuple(digits)] = amp
+            mask ^= 1 << (self.num_qudits - 1 - position)
+        entries = {key ^ mask: amp for key, amp in self._packed.items()}
         return SparseState._trusted(self.local_dim, self.num_qudits, self.phase_order, entries)
 
     def apply_sigma_z(self, position: int) -> SparseState:
@@ -319,16 +469,17 @@ class SparseState:
         if not 0 <= position < self.num_qudits:
             raise ValueError(f"position {position} out of range for {self.num_qudits} qudits")
         half = self.phase_order // 2
+        shift = self.num_qudits - 1 - position
         entries = {
-            key: amp.shifted(half, self.phase_order) if key[position] == 1 else amp
-            for key, amp in self.entries.items()
+            key: amp.shifted(half, self.phase_order) if key >> shift & 1 else amp
+            for key, amp in self._packed.items()
         }
         return SparseState._trusted(self.local_dim, self.num_qudits, self.phase_order, entries)
 
     def scaled(self, phase_shift: int = 0, inv_sqrt: int = 1) -> SparseState:
         """Multiply every amplitude by ``e^(2*pi*i*shift/R) * inv_sqrt**(-1/2)``."""
         order = self.phase_order
-        entries = _mapped(self.entries, lambda amp: amp.shifted(phase_shift, order).times_inv_sqrt(inv_sqrt))
+        entries = _mapped(self._packed, lambda amp: amp.shifted(phase_shift, order).times_inv_sqrt(inv_sqrt))
         return SparseState._trusted(self.local_dim, self.num_qudits, order, entries)
 
     def promoted(self, phase_order: int) -> SparseState:
@@ -337,7 +488,7 @@ class SparseState:
             return self
         if phase_order < 2 or phase_order % self.phase_order:
             raise ValueError(f"phase order {phase_order} does not refine {self.phase_order}")
-        entries = _mapped(self.entries, lambda amp: amp.rescaled(self.phase_order, phase_order))
+        entries = _mapped(self._packed, lambda amp: amp.rescaled(self.phase_order, phase_order))
         return SparseState._trusted(self.local_dim, self.num_qudits, phase_order, entries, self.provenance)
 
     def basis_value(self, digits: Sequence[int]) -> int:
@@ -346,6 +497,13 @@ class SparseState:
         for d in digits:
             value = value * self.local_dim + d
         return value
+
+    def _basis_value_of(self, key: int) -> int:
+        """The base-N value of a packed key: the key itself when N is a power
+        of two, since each field then holds exactly one base-N digit."""
+        if self.local_dim & (self.local_dim - 1):
+            return self.basis_value(self.entries._digits(key))
+        return key
 
     def to_dense(self) -> np.ndarray:
         """Dense complex vector of length N**Q (index = base-N digit value)."""
@@ -356,13 +514,15 @@ class SparseState:
 
     def _dense(self) -> np.ndarray:
         """Dense vector with no size guard; one complex per distinct amplitude."""
+        import numpy as np
+
         values: dict[Amplitude, complex] = {}
         vec = np.zeros(self.local_dim**self.num_qudits, dtype=complex)
-        for key, amp in self.entries.items():
+        for key, amp in self._packed.items():
             value = values.get(amp)
             if value is None:
                 value = values[amp] = amp.to_complex(self.phase_order)
-            vec[self.basis_value(key)] = value
+            vec[self._basis_value_of(key)] = value
         return vec
 
     def schmidt_rank(self, cut: int) -> int:
@@ -375,6 +535,8 @@ class SparseState:
     def _cut_ranks(self, cuts: Iterable[int]) -> tuple[tuple[int, int], ...]:
         """(cut, Schmidt rank) for each cut, in order, from one dense vector
         built at the first cut that passes its checks."""
+        import numpy as np
+
         ranks: list[tuple[int, int]] = []
         vec: np.ndarray | None = None
         for cut in cuts:
@@ -403,18 +565,16 @@ class SparseState:
         if self.local_dim != other.local_dim or self.num_qudits != other.num_qudits:
             return False
         order = math.lcm(self.phase_order, other.phase_order)
-        return self.promoted(order).entries == other.promoted(order).entries
+        return self.promoted(order)._packed == other.promoted(order)._packed
 
     def __repr__(self) -> str:
         return (
             f"SparseState(N={self.local_dim}, Q={self.num_qudits}, R={self.phase_order}, "
-            f"entries={len(self.entries)})"
+            f"entries={len(self._packed)})"
         )
 
 
-def _distinct_amplitudes(
-    entries: Mapping[BasisIndex, Amplitude],
-) -> tuple[list[Amplitude], list[tuple[BasisIndex, int]]]:
+def _distinct_amplitudes(entries: dict[int, Amplitude]) -> tuple[list[Amplitude], list[tuple[int, int]]]:
     """The distinct amplitudes of ``entries``, and each key with the index of
     its amplitude among them, in entry order."""
     index: dict[Amplitude, int] = {}
@@ -422,12 +582,10 @@ def _distinct_amplitudes(
     return list(index), keys
 
 
-def _mapped(
-    entries: Mapping[BasisIndex, Amplitude], fn: Callable[[Amplitude], Amplitude]
-) -> dict[BasisIndex, Amplitude]:
+def _mapped(entries: dict[int, Amplitude], fn: Callable[[Amplitude], Amplitude]) -> dict[int, Amplitude]:
     """``entries`` with ``fn`` applied once per distinct amplitude."""
     memo: dict[Amplitude, Amplitude] = {}
-    out: dict[BasisIndex, Amplitude] = {}
+    out: dict[int, Amplitude] = {}
     for key, amp in entries.items():
         image = memo.get(amp)
         if image is None:
@@ -436,14 +594,15 @@ def _mapped(
     return out
 
 
-def _net(key: BasisIndex, amps: list[Amplitude], order: int) -> Amplitude | None:
-    """Exact sum of the amplitudes colliding on ``key``; None when they cancel.
+def _net(state: SparseState, key: int, amps: list[Amplitude]) -> Amplitude | None:
+    """Exact sum of the amplitudes colliding on ``key`` of ``state``'s shape
+    and phase order; None when they cancel.
 
     Terms are counted per (magnitude, root of unity up to sign), opposite
     roots subtracting, so the result does not depend on their order.  The sum
     stays in the ring only when at most one count is left nonzero.
     """
-    half = order // 2
+    half = state.phase_order // 2
     counts: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
     for amp in amps:
         root, negated = amp.phase_index % half, amp.phase_index >= half
@@ -453,12 +612,13 @@ def _net(key: BasisIndex, amps: list[Amplitude], order: int) -> Amplitude | None
         return None
     if len(left) > 1:
         raise AmplitudeOverflowError(
-            f"amplitudes at {key} do not sum into the exact ring; use the dense path for general sums"
+            f"amplitudes at {state.entries._digits(key)} do not sum into the exact ring; "
+            "use the dense path for general sums"
         )
     (mag_exponents, root), count = left[0]
     phase = root if count > 0 else root + half
     if abs(count) == 1:
-        return Amplitude(phase, mag_exponents)
+        return Amplitude._canonical(phase, mag_exponents)
     return Amplitude(phase, mag_exponents + ((abs(count), -2),))
 
 
@@ -480,10 +640,10 @@ def superpose(terms: Sequence[tuple[int, SparseState]]) -> SparseState:
             raise DimensionMismatchError("superpose terms must share local_dim and num_qudits")
         if state.phase_order != order:
             raise DimensionMismatchError("superpose terms must share phase_order")
-    acc: dict[BasisIndex, Amplitude] = {}
-    collided: dict[BasisIndex, list[Amplitude]] = {}
+    acc: dict[int, Amplitude] = {}
+    collided: dict[int, list[Amplitude]] = {}
     for phase_shift, state in terms:
-        entries = state.entries
+        entries = state._packed
         if phase_shift % order:
             entries = _mapped(entries, lambda amp: amp.shifted(phase_shift, order))
         for key, amp in entries.items():
@@ -494,7 +654,7 @@ def superpose(terms: Sequence[tuple[int, SparseState]]) -> SparseState:
             else:
                 collided[key] = [acc[key], amp]
     for key, amps in collided.items():
-        total = _net(key, amps, order)
+        total = _net(first, key, amps)
         if total is None:
             del acc[key]
         else:

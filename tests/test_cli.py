@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, golden stdout, and file flows."""
 
+import json
 import resource
 import subprocess
 import sys
@@ -297,3 +298,59 @@ class TestGemGuard:
         assert result.stderr == "error: gem level 6 exceeds 1000000 entries\n"
         assert result.stdout == ""
         assert not (tmp_path / "g6.qfs").exists()
+
+
+# Runs each argv of a JSON list through the CLI in one interpreter; prints,
+# per command, its exit code and whether numpy was loaded by then.
+COLD_START_CHILD = """
+import json, sys
+import qfractal.cli
+report = [["import", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    code = qfractal.cli.main(argv)
+    report.append([" ".join(argv[:2]), code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+class TestColdStart:
+    """Only the dense paths load numpy: ``analyze --cut``, ``lucheck`` and
+    ``to_dense``."""
+
+    def run_child(self, commands):
+        result = subprocess.run(
+            [sys.executable, "-c", COLD_START_CHILD, json.dumps(commands)], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_exact_path_commands_do_not_load_numpy(self, tmp_path):
+        files = {name: str(tmp_path / f"{name}.qfs") for name in ("c2", "c3", "rep", "gem", "bit", "cl", "enc", "err")}
+        rule = tmp_path / "step.rule"
+        save_rule(representative_rule(2, 3, 2, 3), rule)
+        commands = [
+            ["gen", "--family", "cantor", "--n", "2", "-o", files["c2"]],
+            ["gen", "--family", "cantor", "--n", "3", "-o", files["c3"]],
+            ["gen", "--family", "representative", "--c", "3", "--s", "2", "--n", "2", "-o", files["rep"]],
+            ["gen", "--family", "bellgem", "--n", "3", "--sign", "-", "-o", files["gem"]],
+            ["gen", "--family", "bitflip", "--n", "1", "-o", files["bit"]],
+            ["gen", "--family", "cluster", "--qubits", "3", "-o", files["cl"]],
+            ["dim", "--c", "2", "--s", "3"],
+            ["verify-step", "--prev", files["c2"], "--next", files["c3"], "--rule", str(rule)],
+            ["scaling", "--states", files["c2"], files["c3"]],
+            ["analyze", "--state", files["c3"]],
+            ["code", "encode", "--spec", "bitflip:2", "--state", files["cl"], "-o", files["enc"]],
+            ["code", "inject", "--spec", "bitflip:2", "--state", files["enc"], "--errors", "0,10", "-o", files["err"]],
+            ["code", "decode", "--spec", "bitflip:2", "--state", files["err"]],
+            ["code", "roundtrip", "--spec", "bitflip:1", "--state", files["cl"], "--errors", "4"],
+        ]
+        report = self.run_child(commands)
+        assert [code for _, code, _ in report] == [0] * (len(commands) + 1)
+        assert [name for name, _, loaded in report if loaded] == []
+
+    def test_a_schmidt_cut_loads_it(self, tmp_path):
+        target = str(tmp_path / "c2.qfs")
+        report = self.run_child(
+            [["gen", "--family", "cantor", "--n", "2", "-o", target], ["analyze", "--state", target, "--cut", "1"]]
+        )
+        assert report == [["import", 0, False], ["gen --family", 0, False], ["analyze --state", 0, True]]

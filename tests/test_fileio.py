@@ -392,3 +392,104 @@ class TestSerializeGolden:
         assert serialize_state(state) == (
             "qfs/1\nlocal_dim 10\nnum_qudits 10\nphase_order 2\n\n0123456789 0 2:1\n9999999999 1 2:1\n"
         )
+
+
+class TestDigitStrings:
+    """Record digit strings that ``int()`` would take but the format forbids
+    keep their line-numbered errors, checked before any conversion."""
+
+    @pytest.mark.parametrize(
+        "local_dim,num_qudits,digits,message",
+        [
+            (2, 2, "0_1", "line 6: malformed digit string '0_1'"),
+            (2, 2, "+01", "line 6: malformed digit string '+01'"),
+            (2, 2, "-01", "line 6: malformed digit string '-01'"),
+            (2, 2, "\t01", "line 6: malformed digit string '\\t01'"),
+            (2, 2, "01\xa0", "line 6: malformed digit string '01\\xa0'"),
+            (2, 2, "٠١", "line 6: malformed digit string '٠١'"),
+            (2, 2, "０1", "line 6: malformed digit string '０1'"),
+            (2, 2, "²1", "line 6: malformed digit string '²1'"),
+            (2, 2, "02", "line 6: digit 2 outside [0, 2)"),
+            (2, 2, "2_0", "line 6: malformed digit string '2_0'"),
+            (2, 2, "011", "line 6: record has 3 digits, expected 2"),
+            (2, 2, "1", "line 6: record has 1 digits, expected 2"),
+            (2, 2, "", "line 6: malformed digit string ''"),
+            (2, 2, " 01", "line 6: malformed record line ' 01 0 1'"),
+            (3, 2, "13", "line 6: digit 3 outside [0, 3)"),
+            (3, 2, "1_2", "line 6: malformed digit string '1_2'"),
+            (3, 2, "+2", "line 6: malformed digit string '+2'"),
+            (3, 3, "1302", "line 6: digit 3 outside [0, 3)"),
+            (5, 3, "005", "line 6: digit 5 outside [0, 5)"),
+            (10, 2, "9a", "line 6: malformed digit string '9a'"),
+            (11, 2, "0_1,1", "line 6: digit is not an integer: '0_1'"),
+            (11, 2, "+1,1", "line 6: digit is not an integer: '+1'"),
+            (11, 2, "11,0", "line 6: digit 11 outside [0, 11)"),
+            (11, 2, "-1,0", "line 6: digit -1 outside [0, 11)"),
+            (11, 2, "1,1,1", "line 6: record has 3 digits, expected 2"),
+            (11, 2, "1,٣", "line 6: malformed digit string '1,٣'"),
+        ],
+    )
+    def test_rejected_with_its_message(self, local_dim, num_qudits, digits, message):
+        text = f"qfs/1\nlocal_dim {local_dim}\nnum_qudits {num_qudits}\nphase_order 8\n\n{digits} 0 1\n"
+        with pytest.raises(FormatError) as info:
+            parse_state(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("local_dim", range(2, 13))
+    def test_every_digit_parses_at_its_place(self, local_dim):
+        top = local_dim - 1
+        digits = [(0, top, 0), (top, 0, top)]
+        text = serialize_state(SparseState(local_dim, 3, 8, {key: Amplitude.inv_sqrt(2) for key in digits}))
+        state = parse_state(text)
+        assert state.support() == tuple(digits)
+        assert serialize_state(state) == text
+
+
+class TestShapeErrorLines:
+    """A shape value out of range names the line of its header key."""
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("local_dim 1\nnum_qudits 2\nphase_order 8\n", "line 2: local_dim must be >= 2, got 1"),
+            ("local_dim 2\nnum_qudits 0\nphase_order 8\n", "line 3: num_qudits must be >= 1, got 0"),
+            ("local_dim 2\nnum_qudits 2\nphase_order 3\n", "line 4: phase_order must be even and positive, got 3"),
+            ("phase_order 0\nlocal_dim 2\nnum_qudits 2\n", "line 2: phase_order must be even and positive, got 0"),
+            ("num_qudits 2\nphase_order 8\nlocal_dim -3\n", "line 4: local_dim must be >= 2, got -3"),
+        ],
+    )
+    def test_state_header(self, header, message):
+        with pytest.raises(FormatError) as info:
+            parse_state("qfs/1\n" + header + "\n")
+        assert str(info.value) == message
+
+    def test_cli_prints_the_line_and_exits_two(self, tmp_path, capsys):
+        from qfractal.cli import main
+
+        bad = tmp_path / "bad.qfs"
+        bad.write_text("qfs/1\nlocal_dim 1\nnum_qudits 2\nphase_order 8\n\n")
+        assert main(["analyze", "--state", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 2: local_dim must be >= 2, got 1\n"
+
+
+class TestRulePhaseOrder:
+    BODY = "\nslot 1 0 predecessor\nslot 2 0 basis:0\ncoeff 0,0 0\n"
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("c 2\ns 1\nphase_order 0\n", "line 4: phase_order must be >= 1, got 0"),
+            ("c 2\ns 1\nphase_order -8\n", "line 4: phase_order must be >= 1, got -8"),
+            ("phase_order 0\nc 2\ns 1\n", "line 2: phase_order must be >= 1, got 0"),
+            ("phase_order 0\nc 1\ns 1\n", "line 3: c must exceed 1, got 1"),
+        ],
+    )
+    def test_refused_on_its_header_line(self, header, message, tmp_path):
+        with pytest.raises(FormatError) as info:
+            parse_rule("qfs-rule/1\n" + header + self.BODY, tmp_path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("order", [1, 3, 8])
+    def test_positive_orders_still_parse(self, order, tmp_path):
+        rule = parse_rule(f"qfs-rule/1\nc 2\ns 1\nphase_order {order}\n" + self.BODY, tmp_path)
+        assert rule.phase_order == order

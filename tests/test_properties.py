@@ -35,17 +35,24 @@ from qfractal import (
     serialize_state,
     superpose,
 )
-from qfractal.states import RANK_CUTOFF
+from qfractal.states import DENSE_VECTOR_LIMIT, RANK_CUTOFF
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 MAGNITUDES = ((), ((2, 1),), ((3, 1),), ((2, 2),), ((2, 1), (3, 1)), ((2, -2),))
 BITFLIP_1 = CodeSpec(CodeKind.BIT_FLIP, 1)
+# Digit fields of 1 to 4 bits, and N = 11 for the comma-separated text form.
+LOCAL_DIMS = (2, 3, 4, 5, 11)
+
+
+def dense_qudits(local_dim):
+    """The most qudits whose dense vector ``to_dense`` still builds."""
+    return max(q for q in range(1, 15) if local_dim**q <= DENSE_VECTOR_LIMIT)
 
 
 @st.composite
 def states(draw, local_dim=None, num_qudits=None, phase_order=None, max_qudits=6):
-    n = local_dim or draw(st.sampled_from((2, 3)))
-    q = num_qudits or draw(st.integers(1, max_qudits))
+    n = local_dim or draw(st.sampled_from(LOCAL_DIMS))
+    q = num_qudits or draw(st.integers(1, min(max_qudits, dense_qudits(n))))
     r = phase_order or draw(st.sampled_from((2, 4, 8)))
     keys = st.tuples(*[st.integers(0, n - 1)] * q)
     amps = st.builds(Amplitude, st.integers(0, r - 1), st.sampled_from(MAGNITUDES))
@@ -77,7 +84,7 @@ def qubit_mask(state, position):
 @given(st.data())
 def test_tensor(data):
     a = data.draw(states(max_qudits=3))
-    b = data.draw(states(local_dim=a.local_dim, max_qudits=3))
+    b = data.draw(states(local_dim=a.local_dim, max_qudits=min(3, dense_qudits(a.local_dim) - a.num_qudits)))
     out = a.tensor(b)
     assert_valid(out)
     assert_dense(out, np.kron(a.to_dense(), b.to_dense()))
@@ -87,7 +94,8 @@ def test_tensor(data):
 @given(st.data())
 def test_superpose_of_signed_copies_in_any_order(data):
     # Copies of one amplitude with signs always sum into the ring.
-    n, q, r = data.draw(st.sampled_from((2, 3))), data.draw(st.integers(1, 4)), data.draw(st.sampled_from((2, 4, 8)))
+    n, q = data.draw(st.sampled_from(LOCAL_DIMS)), data.draw(st.integers(1, 4))
+    r = data.draw(st.sampled_from((2, 4, 8)))
     amp = Amplitude(data.draw(st.integers(0, r - 1)), data.draw(st.sampled_from(MAGNITUDES)))
     keys = st.tuples(*[st.integers(0, n - 1)] * q)
     supports = data.draw(st.lists(st.sets(keys, max_size=6), min_size=1, max_size=5))
@@ -199,18 +207,39 @@ def test_parse_serialize_round_trip(state, provenance):
     assert_dense(parsed, state.to_dense())
 
 
+@pytest.mark.parametrize("local_dim", LOCAL_DIMS)
+@SETTINGS
+@given(data=st.data())
+def test_parse_of_serialize_per_local_dim(local_dim, data):
+    # Long keys too: no dense vector is built here.
+    state = data.draw(states(local_dim=local_dim, num_qudits=data.draw(st.integers(1, 40))))
+    text = serialize_state(state)
+    parsed = parse_state(text)
+    assert parsed == state
+    assert parsed.entries == state.entries
+    assert serialize_state(parsed) == text
+    assert text.splitlines()[5:] == [record_line(key, state.entries[key], local_dim) for key in sorted(state.entries)]
+
+
+def record_line(digits, amp, local_dim):
+    """A state file's record for one entry, written from the digit tuple."""
+    key = ("" if local_dim <= 10 else ",").join(map(str, digits))
+    magnitude = ",".join(f"{base}:{exp}" for base, exp in amp.mag_exponents) or "1"
+    return f"{key} {amp.phase_index} {magnitude}"
+
+
 @st.composite
 def rule_steps(draw):
     """A normalized predecessor and a rule whose slot vectors are the
     predecessor or basis strings outside its support, distinct per slot, so
     every record product is orthonormal; every slot table covers [0, s)."""
-    n, q, r = draw(st.sampled_from((2, 3))), draw(st.integers(1, 2)), draw(st.sampled_from((2, 4, 8)))
+    n, r, c = draw(st.sampled_from(LOCAL_DIMS)), draw(st.sampled_from((2, 4, 8))), draw(st.integers(2, 3))
+    q = draw(st.integers(1, min(2, dense_qudits(n) // c)))
     keys = list(itertools.product(range(n), repeat=q))
     support = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=min(2, n**q - 1), unique=True))
     amp = st.builds(Amplitude.inv_sqrt, st.just(len(support)), st.integers(0, r - 1))
     prev = SparseState(n, q, r, {key: draw(amp) for key in support})
     others = [key for key in keys if key not in support]
-    c = draw(st.integers(2, 3))
     s = draw(st.integers(1, min(3, len(others) + 1)))
     records = draw(st.lists(st.tuples(*[st.integers(0, s - 1)] * c), min_size=s, max_size=s, unique=True))
     tables = []

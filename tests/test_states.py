@@ -1,5 +1,7 @@
 """Exact amplitude ring and sparse-state primitives."""
 
+import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +13,11 @@ from qfractal import (
     DimensionMismatchError,
     GuardExceededError,
     SparseState,
+    build_cantor,
     superpose,
 )
+from qfractal import states as states_module
+from qfractal.states import EntriesView, digit_bits, digit_text, pack_digits, unpack_digits
 
 
 def basis(local_dim, digits, order=8):
@@ -64,6 +69,113 @@ class TestAmplitude:
         assert Amplitude(1).rescaled(4, 8) == Amplitude(2)
         with pytest.raises(ValueError):
             Amplitude(1).rescaled(8, 12)
+
+
+class TestAmplitudeHash:
+    def test_hash_is_that_of_the_fields(self):
+        amp = Amplitude(3, ((6, 1),))
+        assert hash(amp) == hash((3, ((2, 1), (3, 1))))
+        assert hash(amp) == hash(Amplitude(3, ((2, 1), (3, 1))))
+
+    def test_shift_and_rescale_skip_canonicalization(self, monkeypatch):
+        amp = Amplitude(1, ((12, 2),))
+
+        def refuse(pairs):
+            raise AssertionError("canonical exponents recomputed")
+
+        monkeypatch.setattr(states_module, "_canonical_exponents", refuse)
+        shifted, rescaled = amp.shifted(3, 8), amp.rescaled(8, 16)
+        assert shifted.mag_exponents is amp.mag_exponents is rescaled.mag_exponents
+        monkeypatch.undo()
+        assert (shifted, rescaled) == (Amplitude(4, ((12, 2),)), Amplitude(2, ((12, 2),)))
+        assert hash(shifted) == hash(Amplitude(4, ((12, 2),)))
+        assert hash(rescaled) == hash(Amplitude(2, ((12, 2),)))
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8, 9, 10, 11, 16, 17, 300])
+    def test_digits_round_trip_in_order(self, local_dim):
+        top = local_dim - 1
+        strings = sorted(set(itertools.product((0, 1, top // 2, top), repeat=3)))
+        keys = [pack_digits(digits, local_dim) for digits in strings]
+        assert keys == sorted(set(keys))
+        assert [unpack_digits(key, local_dim, 3) for key in keys] == strings
+        for digits, key in zip(strings, keys):
+            assert key == sum(d << digit_bits(local_dim) * (2 - k) for k, d in enumerate(digits))
+
+    @pytest.mark.parametrize("local_dim", range(2, 11))
+    def test_digit_text_reads_back_in_base_two_to_the_field_width(self, local_dim):
+        digits = tuple(k % local_dim for k in range(25))
+        key = pack_digits(digits, local_dim)
+        text = digit_text(key, local_dim, len(digits))
+        assert text == "".join(map(str, digits))
+        assert int(text, 2 ** digit_bits(local_dim)) == key
+
+    def test_leading_zero_digits_are_written(self):
+        assert digit_text(0, 3, 4) == "0000"
+        assert unpack_digits(0, 11, 2) == (0, 0)
+
+
+class TestEntriesView:
+    def test_behaves_as_a_read_only_mapping(self):
+        half = Amplitude.inv_sqrt(2)
+        state = SparseState(3, 2, 8, {(0, 2): half, (2, 1): half.shifted(4, 8)})
+        view = state.entries
+        assert isinstance(view, Mapping)
+        assert len(view) == 2
+        assert list(view) == [(0, 2), (2, 1)]
+        assert view[(0, 2)] == half
+        assert view.get((2, 1)) == Amplitude(4, ((2, 1),))
+        assert view.get((1, 1)) is None
+        assert view.get((1, 1), "absent") == "absent"
+        assert (0, 2) in view and (1, 1) not in view
+        assert list(view.values()) == [half, Amplitude(4, ((2, 1),))]
+        assert list(view.items()) == [((0, 2), half), ((2, 1), Amplitude(4, ((2, 1),)))]
+        with pytest.raises(KeyError):
+            view[(1, 1)]
+        with pytest.raises(TypeError):
+            view[(0, 2)] = half
+
+    @pytest.mark.parametrize("key", [(0, 3), (0, 4), (0,), (0, 2, 0), [0, 2], "02", (0, "2"), (-1, 2)])
+    def test_keys_that_are_no_basis_string_are_absent(self, key):
+        view = SparseState(3, 2, 8, {(0, 2): Amplitude.one()}).entries
+        assert key not in view
+        assert view.get(key) is None
+        with pytest.raises(KeyError):
+            view[key]
+
+    def test_equality_with_dicts_and_views(self):
+        half = Amplitude.inv_sqrt(2)
+        entries = {(0, 1): half, (1, 0): half}
+        state = SparseState(2, 2, 8, entries)
+        assert state.entries == entries
+        assert entries == state.entries
+        assert state.entries == SparseState(2, 2, 8, dict(reversed(entries.items()))).entries
+        assert state.entries == SparseState(4, 2, 8, entries).entries
+        assert state.entries == SparseState(3, 2, 8, entries).entries
+        assert state.entries != {(0, 1): half}
+        assert state.entries != SparseState(2, 2, 8, {(0, 1): half, (1, 1): half}).entries
+        assert state.entries != SparseState(2, 2, 8, {(0, 1): half, (1, 0): half.shifted(4, 8)}).entries
+        assert state.entries != {(0, 1): half, (1, 1): half}
+        assert state.entries != SparseState(2, 3, 8, {(0, 0, 1): half, (0, 1, 0): half}).entries
+        assert state.entries != [((0, 1), half), ((1, 0), half)]
+
+    def test_constructor_accepts_a_view(self):
+        state = build_cantor(2)
+        rebuilt = SparseState(3, 4, 8, state.entries)
+        assert rebuilt == state
+        assert rebuilt.entries == state.entries
+        wider = SparseState(5, 4, 8, state.entries)
+        assert wider.entries == state.entries
+        with pytest.raises(ValueError, match=r"has digits outside \[0, 2\)$"):
+            SparseState(2, 4, 8, state.entries)
+        with pytest.raises(ValueError, match=r"has length 4, expected 5$"):
+            SparseState(3, 5, 8, state.entries)
+
+    def test_public_support_is_digit_tuples_in_order(self):
+        state = build_cantor(2)
+        assert state.support() == tuple(sorted(state.entries))
+        assert state.support()[:3] == ((0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2))
 
 
 class TestStateBasics:
