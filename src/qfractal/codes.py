@@ -89,8 +89,6 @@ def encode(state: SparseState, spec: CodeSpec) -> SparseState:
         if len(current.entries) << current.num_qudits > MAX_ENTRIES:
             raise GuardExceededError(f"encoded state would exceed {MAX_ENTRIES} entries")
         current = _encode_bell(current)
-        if len(current.entries) > MAX_ENTRIES:
-            raise GuardExceededError(f"encoded state exceeds {MAX_ENTRIES} entries")
     return current
 
 
@@ -99,7 +97,7 @@ def inject_errors(state: SparseState, positions: Iterable[int]) -> SparseState:
     ordered = list(positions)
     if len(set(ordered)) != len(ordered):
         raise ValueError(f"error positions must be distinct, got {ordered}")
-    return state._bit_flipped(ordered)
+    return state.apply_bit_flip(*ordered)
 
 
 @dataclass(frozen=True)

@@ -241,8 +241,6 @@ def apply_scale_rule(prev: SparseState, rule: ScaleRule, *, validate: bool = Tru
 
 def build_initial(local_dim: int) -> SparseState:
     """The single-qudit starting state |0> in dimension ``local_dim``."""
-    if local_dim < 2:
-        raise ValueError(f"local_dim must be >= 2, got {local_dim}")
     return SparseState.basis_state(local_dim, (0,))
 
 

@@ -1,10 +1,10 @@
 """Plain-text persistence for states and scale rules, plus support renders.
 
-Both formats are line oriented and canonical: serializing a parsed file
-reproduces it byte for byte.  State files open with the tag ``qfs/1``, rule
-files with ``qfs-rule/1``; a header of ``key value`` lines is separated from
-the body by one blank line.  State records are sorted ascending by basis
-string, which doubles as the duplicate check.
+Both formats are line oriented and canonical: serializing a parsed file that
+the library wrote reproduces it byte for byte.  State files open with the tag
+``qfs/1``, rule files with ``qfs-rule/1``; a header of ``key value`` lines is
+separated from the body by one blank line.  State records are sorted
+ascending by basis string, which doubles as the duplicate check.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ SVG_WIDTH = 720
 SVG_ROW_HEIGHT = 40
 SVG_ROW_GAP = 8
 SVG_PAD = 8
+
+# Bases are factored by trial division, so larger ones are refused first.
+MAX_MAGNITUDE_BASE = 2**20
 
 _DIGITS = b"0123456789"
 _INT_PATTERN = re.compile(r"-?[0-9]+")
@@ -119,6 +122,8 @@ def _magnitude_from_text(text: str, lineno: int) -> tuple[tuple[int, int], ...]:
         exponent = _int(exp_text, lineno, "magnitude exponent")
         if base < 2:
             _fail(lineno, f"magnitude base must be >= 2, got {base}")
+        if base > MAX_MAGNITUDE_BASE:
+            _fail(lineno, f"magnitude base must be <= {MAX_MAGNITUDE_BASE}, got {base}")
         if exponent == 0:
             _fail(lineno, "magnitude exponent must be nonzero")
         pairs.append((base, exponent))

@@ -33,7 +33,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AmplitudeOverflowError, DimensionMismatchError, GuardExceededError
 
@@ -149,35 +149,37 @@ def _canonical_exponents(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, i
     return tuple(sorted(acc.items()))
 
 
-@dataclass(frozen=True)
-class Amplitude:
+@lru_cache(maxsize=None)
+def _squared_magnitude(mag_exponents: tuple[tuple[int, int], ...]) -> Fraction:
+    """prod b**(-e) over (base, exponent) pairs, as a rational."""
+    return math.prod((Fraction(base) ** -exp for base, exp in mag_exponents), start=Fraction(1))
+
+
+class _AmplitudeFields(NamedTuple):
+    phase_index: int
+    mag_exponents: tuple[tuple[int, int], ...]
+
+
+class Amplitude(_AmplitudeFields):
     """One exact amplitude: phase ``e^(2*pi*i*r/R)`` times ``prod b**(-e/2)``.
 
     ``phase_index`` is interpreted modulo the owning state's phase order R.
     ``mag_exponents`` is kept canonical: prime bases, strictly increasing, no
     zero exponents.  Negative exponents (magnitudes above 1) occur transiently,
-    e.g. when colliding amplitudes double.  The hash is computed once, at
-    construction, since amplitudes are looked up on every dictionary pass.
+    e.g. when colliding amplitudes double.  An amplitude is the immutable
+    tuple of its canonical fields, so it hashes and compares equal to the
+    plain tuple ``(phase_index, mag_exponents)``.
     """
 
-    phase_index: int = 0
-    mag_exponents: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mag_exponents", _canonical_exponents(self.mag_exponents))
-        object.__setattr__(self, "_hash", hash((self.phase_index, self.mag_exponents)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, phase_index: int = 0, mag_exponents: Iterable[tuple[int, int]] = ()) -> Amplitude:
+        return tuple.__new__(cls, (phase_index, _canonical_exponents(mag_exponents)))
 
     @classmethod
     def _canonical(cls, phase_index: int, mag_exponents: tuple[tuple[int, int], ...]) -> Amplitude:
         """An amplitude from exponents that are canonical already."""
-        amp = object.__new__(cls)
-        object.__setattr__(amp, "phase_index", phase_index)
-        object.__setattr__(amp, "mag_exponents", mag_exponents)
-        object.__setattr__(amp, "_hash", hash((phase_index, mag_exponents)))
-        return amp
+        return tuple.__new__(cls, (phase_index, mag_exponents))
 
     @classmethod
     def one(cls) -> Amplitude:
@@ -194,10 +196,7 @@ class Amplitude:
 
     def squared_magnitude(self) -> Fraction:
         """Exact |amplitude|**2 as a rational."""
-        value = Fraction(1)
-        for base, exp in self.mag_exponents:
-            value *= Fraction(1, base**exp) if exp > 0 else Fraction(base ** (-exp))
-        return value
+        return _squared_magnitude(self.mag_exponents)
 
     def magnitude(self) -> float:
         return math.prod(base ** (-exp / 2) for base, exp in self.mag_exponents)
@@ -249,8 +248,8 @@ class Provenance:
 
 class EntriesView(Mapping):
     """Read-only mapping from digit tuples to amplitudes over a state's packed
-    entries.  Length and values read the packed dict; lookups pack the tuple
-    they are given, and iteration unpacks each key."""
+    entries.  Length and values read the packed dict, lookups (and so Mapping's
+    ``in``, ``get`` and ``==``) pack the tuple, and iteration unpacks keys."""
 
     __slots__ = ("_packed", "_local_dim", "_num_qudits")
 
@@ -286,27 +285,11 @@ class EntriesView(Mapping):
             raise KeyError(digits)
         return amp
 
-    def __contains__(self, digits: object) -> bool:
-        return self._key(digits) in self._packed
-
-    def get(self, digits: object, default: object = None) -> object:
-        return self._packed.get(self._key(digits), default)
-
     def values(self):
         return self._packed.values()
 
     def items(self) -> _EntryItems:
         return _EntryItems(self)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        if isinstance(other, EntriesView) and other._num_qudits == self._num_qudits:
-            # Equal field widths pack equal digit strings into equal keys.
-            if digit_bits(other._local_dim) == digit_bits(self._local_dim):
-                return self._packed == other._packed
-        missing = object()
-        return len(self) == len(other) and all(self.get(key, missing) == amp for key, amp in other.items())
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -351,10 +334,7 @@ class SparseState:
                 raise ValueError(f"basis index {key} has length {len(key)}, expected {self.num_qudits}")
             if min(key) < 0 or max(key) >= self.local_dim:
                 raise ValueError(f"basis index {key} has digits outside [0, {self.local_dim})")
-            reduced = 0 <= amp.phase_index < order
-            packed[pack_digits(key, self.local_dim)] = (
-                amp if reduced else Amplitude._canonical(amp.phase_index % order, amp.mag_exponents)
-            )
+            packed[pack_digits(key, self.local_dim)] = amp if 0 <= amp.phase_index < order else amp.shifted(0, order)
         object.__setattr__(self, "_packed", packed)
         object.__setattr__(self, "entries", EntriesView(packed, self.local_dim, self.num_qudits))
 
@@ -443,13 +423,10 @@ class SparseState:
                 total += mine[key].to_complex(self.phase_order).conjugate() * theirs[key].to_complex(other.phase_order)
         return total
 
-    def apply_bit_flip(self, position: int) -> SparseState:
-        """Toggle the qubit digit at ``position`` in every component; exact."""
-        return self._bit_flipped([position])
-
-    def _bit_flipped(self, positions: Sequence[int]) -> SparseState:
-        """Toggle the qubit digit at each of the distinct ``positions``, all in
-        one xor of every key; no positions gives back ``self``."""
+    def apply_bit_flip(self, *positions: int) -> SparseState:
+        """Toggle the qubit digit at each of ``positions`` in every component,
+        all in one xor of every key; exact.  A position given twice toggles
+        twice, and no positions gives back ``self``."""
         if not positions:
             return self
         if self.local_dim != 2:

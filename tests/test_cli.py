@@ -265,6 +265,16 @@ class TestErrorExits:
         assert out == ""
         assert err.startswith("error: line 6:")
 
+    def test_large_magnitude_base_is_refused_before_factoring(self, capsys, tmp_path):
+        bad = tmp_path / "big.qfs"
+        bad.write_text("qfs/1\nlocal_dim 2\nnum_qudits 1\nphase_order 8\n\n0 0 10000000000000061:2\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--state", str(bad))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 6: magnitude base must be <= 1048576, got 10000000000000061\n"
+
     def test_memory_error_is_a_resource_exit(self, capsys, tmp_path, monkeypatch):
         def exhausted(n):
             raise MemoryError

@@ -218,6 +218,24 @@ class TestErrorMessages:
         with pytest.raises(GuardExceededError, match=r"^encoded state exceeds 0 entries$"):
             encode(build_cluster(2), bitflip(3))
 
+    def test_bell_guard_fires_before_each_encoding_pass(self, monkeypatch):
+        passes = []
+
+        def counted(state):
+            passes.append(state.num_qudits)
+            return encode_bell(state)
+
+        encode_bell = qfractal.codes._encode_bell
+        monkeypatch.setattr(qfractal.codes, "_encode_bell", counted)
+        monkeypatch.setattr(qfractal.codes, "MAX_ENTRIES", 7)
+        with pytest.raises(GuardExceededError, match=r"^encoded state would exceed 7 entries$"):
+            encode(SparseState.basis_state(2, (0, 1, 1)), CodeSpec(CodeKind.BELL_PAIR, 1))
+        assert passes == []
+        monkeypatch.setattr(qfractal.codes, "MAX_ENTRIES", 4)
+        with pytest.raises(GuardExceededError, match=r"^encoded state would exceed 4 entries$"):
+            encode(SparseState.basis_state(2, (0, 1)), CodeSpec(CodeKind.BELL_PAIR, 2))
+        assert passes == [2]
+
     def test_encode_refuses_a_register_over_max_qudits(self):
         with pytest.raises(GuardExceededError, match=r"^encoded register would exceed 10000 qubits$"):
             encode(build_cluster(2), bitflip(9))

@@ -189,7 +189,7 @@ class TestRepresentative:
             build_representative(2, 3, 13, local_dim=3)
 
     def test_initial_state_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^local_dim must be >= 2, got 1$"):
             build_initial(1)
 
 

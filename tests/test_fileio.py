@@ -101,6 +101,19 @@ class TestStateFormat:
         with pytest.raises(FormatError):
             parse_state(text)
 
+    @pytest.mark.parametrize(
+        "magnitude, message",
+        [("1:2", "magnitude base must be >= 2, got 1"), ("1048577:2", "magnitude base must be <= 1048576, got 1048577")],
+    )
+    def test_magnitude_base_out_of_range(self, magnitude, message):
+        text = f"qfs/1\nlocal_dim 2\nnum_qudits 1\nphase_order 8\n\n0 0 {magnitude}\n"
+        with pytest.raises(FormatError, match=f"^line 6: {message}$"):
+            parse_state(text)
+
+    def test_largest_magnitude_base_is_accepted(self):
+        state = parse_state("qfs/1\nlocal_dim 2\nnum_qudits 1\nphase_order 8\n\n0 0 1048576:2\n")
+        assert state.entries[(0,)] == Amplitude(0, ((2, 40),))
+
     def test_error_names_the_line(self):
         text = "qfs/1\nlocal_dim 2\nnum_qudits 1\nphase_order 8\n\n0 0 1\nbroken\n"
         with pytest.raises(FormatError, match="line 7"):

@@ -50,6 +50,9 @@ class TestAmplitude:
         assert Amplitude(0, ((2, 3),)).squared_magnitude() == Fraction(1, 8)
         assert Amplitude(0, ((2, -2),)).squared_magnitude() == 4
 
+    def test_squared_magnitude_is_computed_once_per_magnitude(self):
+        assert Amplitude(0, ((6, 1),)).squared_magnitude() is Amplitude(5, ((2, 1), (3, 1))).squared_magnitude()
+
     def test_quarter_turn_phases_are_exact_complex(self):
         assert Amplitude(0).to_complex(8) == 1
         assert Amplitude(2).to_complex(8) == 1j
@@ -72,6 +75,17 @@ class TestAmplitude:
 
 
 class TestAmplitudeHash:
+    def test_equals_the_tuple_of_its_canonical_fields(self):
+        amp = Amplitude(3, ((6, 1),))
+        assert amp == (3, ((2, 1), (3, 1)))
+        assert repr(amp) == "Amplitude(phase_index=3, mag_exponents=((2, 1), (3, 1)))"
+
+    def test_is_immutable(self):
+        amp = Amplitude(3, ((6, 1),))
+        with pytest.raises(AttributeError):
+            amp.phase_index = 4
+        assert amp.phase_index == 3
+
     def test_hash_is_that_of_the_fields(self):
         amp = Amplitude(3, ((6, 1),))
         assert hash(amp) == hash((3, ((2, 1), (3, 1))))
@@ -141,8 +155,15 @@ class TestEntriesView:
         view = SparseState(3, 2, 8, {(0, 2): Amplitude.one()}).entries
         assert key not in view
         assert view.get(key) is None
+        assert view.get(key, "absent") == "absent"
         with pytest.raises(KeyError):
             view[key]
+
+    @pytest.mark.parametrize("key", [(0, 3), (0,), (0, 2, 0), "02", (0, "2"), (-1, 2)])
+    def test_mappings_keyed_by_no_basis_string_differ(self, key):
+        view = SparseState(3, 2, 8, {(0, 2): Amplitude.one()}).entries
+        assert view != {key: Amplitude.one()}
+        assert {key: Amplitude.one()} != view
 
     def test_equality_with_dicts_and_views(self):
         half = Amplitude.inv_sqrt(2)
@@ -304,6 +325,13 @@ class TestLocalOperators:
         state = bell(-1)
         assert state.apply_bit_flip(1).apply_bit_flip(1) == state
         assert state.apply_bit_flip(1).norm_squared() == state.norm_squared()
+
+    def test_several_positions_flip_as_chained_flips(self):
+        state = SparseState(2, 3, 8, {(0, 0, 1): Amplitude.inv_sqrt(2), (1, 1, 0): Amplitude.inv_sqrt(2, 4)})
+        assert state.apply_bit_flip(0, 2) == state.apply_bit_flip(0).apply_bit_flip(2)
+        assert state.apply_bit_flip(0, 2).support() == ((0, 1, 1), (1, 0, 0))
+        assert state.apply_bit_flip() is state
+        assert state.apply_bit_flip(1, 1) == state
 
     def test_bit_flip_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
