@@ -7,10 +7,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .construct import ORTHO_TOL, FractalParams, ScaleRule, apply_scale_rule
 from .errors import AnalysisError, GuardExceededError, QfsError
@@ -35,15 +34,13 @@ def fractal_dimension(c: int, s: int) -> float:
     return FractalParams(c, s).dimension
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """Outcome of verifying one recursion step, check by check."""
 
     checks: tuple[CheckResult, ...]
@@ -125,8 +122,7 @@ def rule_basis_probabilities(
     return probabilities
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     """Uniform outcome probability per scale and the stepwise decay ratios."""
 
     probabilities: tuple[Fraction, ...]
@@ -197,8 +193,7 @@ def single_qubit_cliffords() -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(words), np.array(mats)
 
 
-@dataclass(frozen=True)
-class LocalCliffordMatch:
+class LocalCliffordMatch(NamedTuple):
     """A per-qubit Clifford assignment mapping one state onto another."""
 
     indices: tuple[int, ...]

@@ -8,9 +8,8 @@ concatenate level by level; level 1 is always the innermost encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .construct import MAX_ENTRIES, MAX_QUDITS
 from .errors import CodeError, GuardExceededError
@@ -26,16 +25,20 @@ class CodeKind(Enum):
         return 3 if self is CodeKind.BIT_FLIP else 2
 
 
-@dataclass(frozen=True)
-class CodeSpec:
-    """A code family together with its concatenation depth."""
-
+class _CodeSpecFields(NamedTuple):
     kind: CodeKind
     levels: int
 
-    def __post_init__(self) -> None:
-        if self.levels < 1:
-            raise CodeError(f"levels must be >= 1, got {self.levels}")
+
+class CodeSpec(_CodeSpecFields):
+    """A code family together with its concatenation depth."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: CodeKind, levels: int) -> CodeSpec:
+        if levels < 1:
+            raise CodeError(f"levels must be >= 1, got {levels}")
+        return tuple.__new__(cls, (kind, levels))
 
     @property
     def block_arity(self) -> int:
@@ -100,8 +103,7 @@ def inject_errors(state: SparseState, positions: Iterable[int]) -> SparseState:
     return state.apply_bit_flip(*ordered)
 
 
-@dataclass(frozen=True)
-class DecodeReport:
+class DecodeReport(NamedTuple):
     """Decoded register plus the (level, block) corrections that were applied.
 
     ``success`` is True whenever decoding ran to completion; inconsistent or

@@ -11,10 +11,9 @@ single-qudit state produces the self-similar families this package studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import GuardExceededError, ScaleRuleError
 from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, digit_bits, superpose
@@ -27,22 +26,26 @@ MAX_QUDITS = 10**4
 ORTHO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FractalParams:
+class _FractalParamsFields(NamedTuple):
+    c: int
+    s: int
+    n: int
+
+
+class FractalParams(_FractalParamsFields):
     """Recursion parameters: ``c`` subsystems per scale change, probability
     scaling factor ``s``, and scale index ``n``."""
 
-    c: int
-    s: int
-    n: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.c <= 1:
-            raise ValueError(f"c must exceed 1, got {self.c}")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+    def __new__(cls, c: int, s: int, n: int = 0) -> FractalParams:
+        if c <= 1:
+            raise ValueError(f"c must exceed 1, got {c}")
+        if s < 1:
+            raise ValueError(f"s must be >= 1, got {s}")
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        return tuple.__new__(cls, (c, s, n))
 
     @property
     def dimension(self) -> float:
@@ -52,20 +55,17 @@ class FractalParams:
         return math.log(self.c) / math.log(self.s)
 
 
-@dataclass(frozen=True)
-class Predecessor:
+class Predecessor(NamedTuple):
     """Slot entry standing for the previous-scale state."""
 
 
-@dataclass(frozen=True)
-class BasisSlot:
+class BasisSlot(NamedTuple):
     """Slot entry naming a computational basis string of the previous scale."""
 
     digits: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NamedSlot:
+class NamedSlot(NamedTuple):
     """Slot entry holding an explicitly supplied normalized state.
 
     ``path`` records the state-file origin when the rule was read from disk,
@@ -79,8 +79,7 @@ class NamedSlot:
 SlotVector = Union[Predecessor, BasisSlot, NamedSlot]
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Coefficient(NamedTuple):
     """One nonzero record: per-slot table indices plus a phase index.
 
     The magnitude is implicit: every record weighs ``1/sqrt(s)``.
@@ -90,25 +89,37 @@ class Coefficient:
     phase_index: int = 0
 
 
-@dataclass(frozen=True)
-class ScaleRule:
-    """One recursion step: slot tables plus the nonzero coefficient records."""
-
+class _ScaleRuleFields(NamedTuple):
     params: FractalParams
     slot_tables: tuple[Mapping[int, SlotVector], ...]
     coefficients: tuple[Coefficient, ...]
-    phase_order: int = DEFAULT_PHASE_ORDER
+    phase_order: int
 
-    def __post_init__(self) -> None:
-        c, s = self.params.c, self.params.s
-        if len(self.slot_tables) != c:
-            raise ScaleRuleError(f"rule has {len(self.slot_tables)} slot tables, expected c = {c}")
-        object.__setattr__(self, "slot_tables", tuple(dict(t) for t in self.slot_tables))
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if len(self.coefficients) != s:
-            raise ScaleRuleError(f"rule has {len(self.coefficients)} coefficients, expected s = {s}")
+
+class ScaleRule(_ScaleRuleFields):
+    """One recursion step: slot tables plus the nonzero coefficient records.
+
+    The constructor copies each slot table into a dict and the records into a
+    tuple, and checks the counts and indices against ``params``."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        params: FractalParams,
+        slot_tables: tuple[Mapping[int, SlotVector], ...],
+        coefficients: Iterable[Coefficient],
+        phase_order: int = DEFAULT_PHASE_ORDER,
+    ) -> ScaleRule:
+        c, s = params.c, params.s
+        if len(slot_tables) != c:
+            raise ScaleRuleError(f"rule has {len(slot_tables)} slot tables, expected c = {c}")
+        slot_tables = tuple(dict(t) for t in slot_tables)
+        coefficients = tuple(coefficients)
+        if len(coefficients) != s:
+            raise ScaleRuleError(f"rule has {len(coefficients)} coefficients, expected s = {s}")
         seen: set[tuple[int, ...]] = set()
-        for coeff in self.coefficients:
+        for coeff in coefficients:
             if len(coeff.indices) != c:
                 raise ScaleRuleError(f"coefficient {coeff.indices} does not have {c} indices")
             if any(i < 0 or i >= s for i in coeff.indices):
@@ -116,6 +127,7 @@ class ScaleRule:
             if coeff.indices in seen:
                 raise ScaleRuleError(f"duplicate coefficient indices {coeff.indices}")
             seen.add(coeff.indices)
+        return tuple.__new__(cls, (params, slot_tables, coefficients, phase_order))
 
     @property
     def c(self) -> int:

@@ -314,7 +314,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     partial document."""
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name + ".", suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

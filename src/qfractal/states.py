@@ -30,9 +30,9 @@ import cmath
 import math
 from collections import Counter
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AmplitudeOverflowError, DimensionMismatchError, GuardExceededError
@@ -236,20 +236,49 @@ class Amplitude(_AmplitudeFields):
         return Amplitude._canonical((self.phase_index * step) % new_order, self.mag_exponents)
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Optional construction metadata carried by generated states."""
+class _Frozen:
+    """Instances refuse attribute assignment and deletion; constructors
+    write their fields past this, through ``object.__setattr__`` or
+    ``vars()``."""
 
-    family: str | None = None
-    c: int | None = None
-    s: int | None = None
-    n: int | None = None
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Provenance(_Frozen):
+    """Optional construction metadata carried by generated states.
+
+    The fields live in the instance ``__dict__``, so ``vars()`` gives them as
+    a dict in the order family, c, s, n.
+    """
+
+    def __init__(
+        self, family: str | None = None, c: int | None = None, s: int | None = None, n: int | None = None
+    ) -> None:
+        vars(self).update(family=family, c=c, s=s, n=n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"Provenance({', '.join(f'{key}={value!r}' for key, value in vars(self).items())})"
 
 
 class EntriesView(Mapping):
     """Read-only mapping from digit tuples to amplitudes over a state's packed
-    entries.  Length and values read the packed dict, lookups (and so Mapping's
-    ``in``, ``get`` and ``==``) pack the tuple, and iteration unpacks keys."""
+    entries.  Length, values and equality with a view of the same shape read
+    the packed dict, lookups (and so Mapping's ``in``, ``get`` and other
+    equality) pack the tuple, and iteration unpacks keys."""
 
     __slots__ = ("_packed", "_local_dim", "_num_qudits")
 
@@ -288,6 +317,15 @@ class EntriesView(Mapping):
     def values(self):
         return self._packed.values()
 
+    def __eq__(self, other: object) -> bool:
+        if (
+            isinstance(other, EntriesView)
+            and other._local_dim == self._local_dim
+            and other._num_qudits == self._num_qudits
+        ):
+            return self._packed == other._packed
+        return Mapping.__eq__(self, other)
+
     def items(self) -> _EntryItems:
         return _EntryItems(self)
 
@@ -303,8 +341,7 @@ class _EntryItems(ItemsView):
         return zip(map(view._digits, view._packed), view._packed.values())
 
 
-@dataclass(frozen=True, eq=False)
-class SparseState:
+class SparseState(_Frozen):
     """A pure multi-qudit state as a map from basis digit strings to amplitudes.
 
     Only nonzero entries are stored.  ``local_dim`` (N), ``num_qudits`` (Q) and
@@ -318,13 +355,25 @@ class SparseState:
     keys.
     """
 
-    local_dim: int
-    num_qudits: int
-    phase_order: int
-    entries: Mapping[BasisIndex, Amplitude] = field(default_factory=dict)
-    provenance: Provenance | None = None
+    __slots__ = ("local_dim", "num_qudits", "phase_order", "entries", "provenance", "_packed")
+
+    def __init__(
+        self,
+        local_dim: int,
+        num_qudits: int,
+        phase_order: int,
+        entries: Mapping[BasisIndex, Amplitude] = MappingProxyType({}),
+        provenance: Provenance | None = None,
+    ) -> None:
+        object.__setattr__(self, "local_dim", local_dim)
+        object.__setattr__(self, "num_qudits", num_qudits)
+        object.__setattr__(self, "phase_order", phase_order)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "provenance", provenance)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate the constructor's arguments and pack ``entries``."""
         check_shape(self.local_dim, self.num_qudits, self.phase_order)
         order = self.phase_order
         packed: dict[int, Amplitude] = {}
