@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .construct import MAX_ENTRIES, MAX_QUDITS
 from .errors import CodeError, GuardExceededError
-from .states import Amplitude, SparseState, superpose
+from .states import Amplitude, SparseState, _Checked, superpose
 
 
 class CodeKind(Enum):
@@ -30,7 +30,7 @@ class _CodeSpecFields(NamedTuple):
     levels: int
 
 
-class CodeSpec(_CodeSpecFields):
+class CodeSpec(_Checked, _CodeSpecFields):
     """A code family together with its concatenation depth."""
 
     __slots__ = ()

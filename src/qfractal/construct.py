@@ -16,7 +16,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import GuardExceededError, ScaleRuleError
-from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, digit_bits, superpose
+from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, _Checked, digit_bits, superpose
 
 # Constructors refuse outputs beyond these desk-scale ceilings.
 MAX_ENTRIES = 10**6
@@ -32,7 +32,7 @@ class _FractalParamsFields(NamedTuple):
     n: int
 
 
-class FractalParams(_FractalParamsFields):
+class FractalParams(_Checked, _FractalParamsFields):
     """Recursion parameters: ``c`` subsystems per scale change, probability
     scaling factor ``s``, and scale index ``n``."""
 
@@ -96,7 +96,7 @@ class _ScaleRuleFields(NamedTuple):
     phase_order: int
 
 
-class ScaleRule(_ScaleRuleFields):
+class ScaleRule(_Checked, _ScaleRuleFields):
     """One recursion step: slot tables plus the nonzero coefficient records.
 
     The constructor copies each slot table into a dict and the records into a

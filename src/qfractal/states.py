@@ -160,7 +160,19 @@ class _AmplitudeFields(NamedTuple):
     mag_exponents: tuple[tuple[int, int], ...]
 
 
-class Amplitude(_AmplitudeFields):
+class _Checked:
+    """Mixin for a named tuple whose ``__new__`` checks or canonicalizes its
+    fields: ``_make``, and so ``_replace``, go through that constructor
+    instead of building the tuple directly."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]):
+        return cls(*iterable)
+
+
+class Amplitude(_Checked, _AmplitudeFields):
     """One exact amplitude: phase ``e^(2*pi*i*r/R)`` times ``prod b**(-e/2)``.
 
     ``phase_index`` is interpreted modulo the owning state's phase order R.
@@ -276,9 +288,8 @@ class Provenance(_Frozen):
 
 class EntriesView(Mapping):
     """Read-only mapping from digit tuples to amplitudes over a state's packed
-    entries.  Length, values and equality with a view of the same shape read
-    the packed dict, lookups (and so Mapping's ``in``, ``get`` and other
-    equality) pack the tuple, and iteration unpacks keys."""
+    entries.  Length and values read the packed dict, lookups (and so Mapping's
+    ``in``, ``get`` and ``==``) pack the tuple, and iteration unpacks keys."""
 
     __slots__ = ("_packed", "_local_dim", "_num_qudits")
 
@@ -317,15 +328,6 @@ class EntriesView(Mapping):
     def values(self):
         return self._packed.values()
 
-    def __eq__(self, other: object) -> bool:
-        if (
-            isinstance(other, EntriesView)
-            and other._local_dim == self._local_dim
-            and other._num_qudits == self._num_qudits
-        ):
-            return self._packed == other._packed
-        return Mapping.__eq__(self, other)
-
     def items(self) -> _EntryItems:
         return _EntryItems(self)
 
@@ -355,7 +357,7 @@ class SparseState(_Frozen):
     keys.
     """
 
-    __slots__ = ("local_dim", "num_qudits", "phase_order", "entries", "provenance", "_packed")
+    __slots__ = ("local_dim", "num_qudits", "phase_order", "entries", "provenance", "_packed", "__weakref__")
 
     def __init__(
         self,
@@ -407,6 +409,11 @@ class SparseState(_Frozen):
         object.__setattr__(state, "entries", EntriesView(entries, local_dim, num_qudits))
         object.__setattr__(state, "provenance", provenance)
         return state
+
+    def __reduce__(self) -> tuple[Callable[..., SparseState], tuple]:
+        # copy and pickle rebuild through the trusted constructor; their
+        # default restores slots by assignment, which instances refuse.
+        return SparseState._trusted, (self.local_dim, self.num_qudits, self.phase_order, self._packed, self.provenance)
 
     def _retagged(self, provenance: Provenance | None) -> SparseState:
         """The same vector carrying ``provenance``."""

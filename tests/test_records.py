@@ -1,7 +1,10 @@
 """Contracts of the package's record types: constructor signatures and
 validation messages, immutability, equality, hashing, repr and ``vars()``."""
 
+import copy
 import inspect
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -34,10 +37,16 @@ def rule_parts():
     return FractalParams(2, 2), ({0: Predecessor(), 1: BasisSlot((1,))}, {0: BasisSlot((0,)), 1: BasisSlot((1,))})
 
 
+def plain_rule():
+    params, tables = rule_parts()
+    return ScaleRule(params, tables, (Coefficient((0, 0)), Coefficient((1, 1))))
+
+
 def records():
     """One instance of each record type, with the name of one of its fields."""
     bell = build_bell_pair(1)
-    params, tables = rule_parts()
+    tables = rule_parts()[1]
+    named = {0: NamedSlot(bell, "bell.qfs")}
     return [
         (CheckResult("norm", True, "target norm squared 1"), "passed"),
         (StepReport((CheckResult("norm", True, "ok"),), True, 2), "valid"),
@@ -47,9 +56,10 @@ def records():
         (DecodeReport(bell, (), True), "success"),
         (FractalParams(2, 3, 1), "n"),
         (BasisSlot((0, 1)), "digits"),
-        (NamedSlot(bell, "bell.qfs"), "path"),
+        (named[0], "path"),
         (Coefficient((0, 1), 4), "phase_index"),
-        (ScaleRule(params, tables, (Coefficient((0, 0)), Coefficient((1, 1)))), "phase_order"),
+        (plain_rule(), "phase_order"),
+        (ScaleRule(FractalParams(2, 1), (tables[0], named), [Coefficient((0, 0))]), "slot_tables"),
         (Provenance("cantor", 2, 3, 8), "n"),
         (bell, "provenance"),
     ]
@@ -132,6 +142,55 @@ class TestEqualityAndHash:
     def test_states_stay_unhashable(self):
         with pytest.raises(TypeError):
             hash(build_cantor(1))
+
+
+class TestCopies:
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("record, field", records())
+    def test_copies_and_pickle_round_trips_are_equal(self, record, field, duplicate):
+        twin = duplicate(record)
+        assert type(twin) is type(record)
+        assert twin == record
+        assert getattr(twin, field) == getattr(record, field)
+
+    def test_state_copies_keep_entries_and_provenance(self):
+        state = build_cantor(2)
+        for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert twin == state
+            assert twin.entries == state.entries
+            assert twin.provenance == state.provenance
+            with pytest.raises(AttributeError):
+                twin.num_qudits = 1
+
+    def test_states_take_weak_references(self):
+        state = build_cantor(1)
+        assert weakref.ref(state)() is state
+
+    @pytest.mark.parametrize(
+        "record, changes, message",
+        [
+            (FractalParams(2, 3), {"c": 1}, "c must exceed 1, got 1"),
+            (CodeSpec(CodeKind.BIT_FLIP, 2), {"levels": 0}, "levels must be >= 1, got 0"),
+            (plain_rule(), {"coefficients": [Coefficient((0, 0))]}, "rule has 1 coefficients, expected s = 2"),
+        ],
+    )
+    def test_replace_and_make_validate(self, record, changes, message):
+        with pytest.raises((ValueError, CodeError, ScaleRuleError)) as info:
+            record._replace(**changes)
+        assert str(info.value) == message
+        with pytest.raises((ValueError, CodeError, ScaleRuleError)) as info:
+            type(record)._make({**record._asdict(), **changes}.values())
+        assert str(info.value) == message
+
+    def test_replace_builds_through_the_constructor(self):
+        replaced = plain_rule()._replace(coefficients=[Coefficient((1, 1)), Coefficient((0, 0))])
+        assert replaced.coefficients == (Coefficient((1, 1)), Coefficient((0, 0)))
+        assert FractalParams(2, 3)._replace(n=4) == FractalParams(2, 3, 4)
+        assert Amplitude()._replace(mag_exponents=[(2, 1), (2, 1)]) == Amplitude(0, ((2, 2),))
 
 
 class TestShape:

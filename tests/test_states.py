@@ -181,18 +181,6 @@ class TestEntriesView:
         assert state.entries != SparseState(2, 3, 8, {(0, 0, 1): half, (0, 1, 0): half}).entries
         assert state.entries != [((0, 1), half), ((1, 0), half)]
 
-    def test_views_of_one_shape_compare_without_decoding_keys(self, monkeypatch):
-        def refuse(view, key):
-            raise AssertionError("a key was decoded")
-
-        monkeypatch.setattr(EntriesView, "_digits", refuse)
-        half = Amplitude.inv_sqrt(2)
-        view = SparseState(2, 2, 8, {(0, 1): half, (1, 0): half}).entries
-        assert view == SparseState(2, 2, 8, {(1, 0): half, (0, 1): half}).entries
-        assert view != SparseState(2, 2, 8, {(0, 1): half, (1, 0): half.shifted(4, 8)}).entries
-        assert view != SparseState(2, 2, 8, {(0, 1): half}).entries
-        assert not view == SparseState(2, 2, 8, {(0, 1): half, (1, 1): half}).entries
-
     def test_views_of_other_shapes_and_dicts_compare_as_mappings(self):
         half = Amplitude.inv_sqrt(2)
         entries = {(0, 1): half, (1, 0): half}
