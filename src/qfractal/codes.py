@@ -16,6 +16,11 @@ from .errors import CodeError, GuardExceededError
 from .states import Amplitude, SparseState, _Checked, superpose
 
 
+# One octal digit is one block's three bits: their majority, and whether they differ.
+_VOTED = str.maketrans("01234567", "00010111")
+_FLIPPED = str.maketrans("01234567", "01111110")
+
+
 class CodeKind(Enum):
     BIT_FLIP = "bitflip"
     BELL_PAIR = "bellpair"
@@ -46,12 +51,12 @@ class CodeSpec(_Checked, _CodeSpecFields):
 
 
 def _encode_repetition(state: SparseState, levels: int) -> SparseState:
-    # Concatenating the three-fold repetition L times repeats each digit 3**L
-    # times, so all levels are one pass of whole runs over each key's bits.
+    # L concatenated three-fold repetitions repeat each digit 3**L times: a
+    # key's bits as octal digits 3**(L-1) apart, times 3**L ones, carry nothing.
     copies = 3**levels
-    runs = {ord("0"): "0" * copies, ord("1"): "1" * copies}
+    spacer, run = "0" * (copies // 3 - 1), (1 << copies) - 1
     width = f"0{state.num_qudits}b"
-    entries = {int(format(key, width).translate(runs), 2): amp for key, amp in state._packed.items()}
+    entries = {int(spacer.join(format(key, width)), 8) * run: amp for key, amp in state._packed.items()}
     return SparseState._trusted(2, copies * state.num_qudits, state.phase_order, entries)
 
 
@@ -80,7 +85,8 @@ def encode(state: SparseState, spec: CodeSpec) -> SparseState:
     """Concatenate ``spec.levels`` encoding passes over a qubit register."""
     if state.local_dim != 2:
         raise CodeError("encoding is defined for qubit registers")
-    if state.num_qudits * spec.block_arity**spec.levels > MAX_QUDITS:
+    # num_qudits >= 1 and arity >= 2: deep specs are refused before the power.
+    if spec.levels >= MAX_QUDITS.bit_length() or state.num_qudits * spec.block_arity**spec.levels > MAX_QUDITS:
         raise GuardExceededError(f"encoded register would exceed {MAX_QUDITS} qubits")
     if spec.kind is CodeKind.BIT_FLIP:
         # Repetition keeps the number of entries, so one check covers all levels.
@@ -118,49 +124,43 @@ class DecodeReport(NamedTuple):
 def decode_majority(state: SparseState, spec: CodeSpec) -> DecodeReport:
     """Peel repetition-code levels by majority vote, innermost first.
 
-    Every superposition component must show the same flipped-block pattern at
-    each level, and no two components may merge after a vote; either defect
-    raises :class:`CodeError`.
+    The keys are written end to end in octal, one digit per block, so a level
+    is two string translations over all components.  Each component must show
+    the same flipped-block pattern at each level and no two may merge after a
+    vote; the first component with either defect raises :class:`CodeError`.
     """
     if spec.kind is not CodeKind.BIT_FLIP:
         raise CodeError("majority decoding applies to the repetition code only")
     if state.local_dim != 2:
         raise CodeError("decoding is defined for qubit registers")
-    if state.num_qudits % 3**spec.levels != 0:
-        raise CodeError(
-            f"{state.num_qudits} qubits do not split into 3**{spec.levels} blocks"
-        )
-    current = state
+    width = state.num_qudits
+    # 3**levels > width >= 1 once levels reaches width's bit length.
+    if spec.levels >= width.bit_length() or width % 3**spec.levels:
+        raise CodeError(f"{width} qubits do not split into 3**{spec.levels} blocks")
+    count = len(state._packed)
+    digits = "".join(map(format, state._packed, [f"0{width // 3}o"] * count))
     corrections: list[tuple[int, int]] = []
     for level in range(1, spec.levels + 1):
-        blocks = current.num_qudits // 3
-        width = f"0{current.num_qudits}b"
-        entries: dict[int, Amplitude] = {}
-        pattern: int | None = None
-        for key, amp in current._packed.items():
-            # a, b, c hold each block's first, second and third bit, so the
-            # bitwise operators vote every block at once.
-            bits = format(key, width)
-            a, b, c = (int(bits[i::3], 2) for i in range(3))
-            flipped = (a | b | c) ^ (a & b & c)
-            if pattern is None:
-                pattern = flipped
-            elif pattern != flipped:
-                raise CodeError(f"level {level} error pattern differs between components")
-            new_key = a & b | a & c | b & c
-            if new_key in entries:
-                raise CodeError(f"components collide after the level {level} vote")
-            entries[new_key] = amp
-        current = SparseState._trusted(2, blocks, current.phase_order, entries)
-        flags = format(pattern or 0, f"0{blocks}b")
-        corrections.extend((level, block) for block, flag in enumerate(flags) if flag == "1")
-    return DecodeReport(current, tuple(corrections), True)
+        width //= 3
+        pattern = digits[:width].translate(_FLIPPED)
+        consistent = digits.translate(_FLIPPED) == pattern * count
+        bits = digits.translate(_VOTED)
+        chunks = [bits[start : start + width] for start in range(0, len(bits), width)]
+        if not consistent or len(set(chunks)) < count:
+            first: dict[str, int] = {}
+            for index, chunk in enumerate(chunks):
+                if digits[index * width : index * width + width].translate(_FLIPPED) != pattern:
+                    raise CodeError(f"level {level} error pattern differs between components")
+                if first.setdefault(chunk, index) != index:
+                    raise CodeError(f"components collide after the level {level} vote")
+        corrections.extend((level, block) for block, flag in enumerate(pattern) if flag == "1")
+        if bits and level < spec.levels:
+            digits = format(int(bits, 2), f"0{len(bits) // 3}o")
+    entries = {int(chunk, 2): amp for chunk, amp in zip(chunks, state._packed.values())}
+    return DecodeReport(SparseState._trusted(2, width, state.phase_order, entries), tuple(corrections), True)
 
 
-def roundtrip_check(
-    state: SparseState, spec: CodeSpec, error_positions: Iterable[int] = ()
-) -> bool:
+def roundtrip_check(state: SparseState, spec: CodeSpec, error_positions: Iterable[int] = ()) -> bool:
     """Encode, corrupt, decode; True iff the decoded register equals ``state``."""
-    encoded = encode(state, spec)
-    corrupted = inject_errors(encoded, error_positions)
+    corrupted = inject_errors(encode(state, spec), error_positions)
     return decode_majority(corrupted, spec).decoded == state

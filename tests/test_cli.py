@@ -310,6 +310,30 @@ class TestGemGuard:
         assert not (tmp_path / "g6.qfs").exists()
 
 
+class TestCodeGuard:
+    # Building 2**100000000 or 3**100000000 takes minutes; both guards must
+    # refuse from the number of levels alone.
+    @pytest.mark.parametrize(
+        "action, code, stderr",
+        [
+            ("encode", 3, "error: encoded register would exceed 10000 qubits\n"),
+            ("decode", 1, "error: 1 qubits do not split into 3**100000000 blocks\n"),
+        ],
+        ids=["encode", "decode"],
+    )
+    def test_deep_spec_refused_at_once(self, tmp_path, action, code, stderr):
+        source = tmp_path / "one.qfs"
+        assert main(["gen", "--family", "bitflip", "--n", "0", "--logical", "1", "-o", str(source)]) == 0
+        argv = ["code", action, "--spec", "bitflip:100000000", "--state", str(source), "-o", str(tmp_path / "out.qfs")]
+        start = time.perf_counter()
+        result = subprocess.run([sys.executable, "-m", "qfractal", *argv], capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert result.returncode == code
+        assert result.stderr == stderr
+        assert result.stdout == ""
+        assert not (tmp_path / "out.qfs").exists()
+
+
 # Runs each argv of a JSON list through the CLI in one interpreter; prints,
 # per command, its exit code and which of numpy and dataclasses were loaded
 # by then.

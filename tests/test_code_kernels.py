@@ -1,8 +1,11 @@
 """The repetition-code kernels against plain per-digit references.
 
-``encode``, ``inject_errors`` and ``decode_majority`` work on whole keys.
-These tests compare them with the digit-by-digit algorithms they replace:
-repeating each digit, chaining single bit flips, and voting block by block.
+``encode`` spreads each key's bits and multiplies by a run of ones,
+``inject_errors`` flips bits with one mask, and ``decode_majority`` votes
+every block of every component at once on all keys written end to end in
+octal.  These tests compare them with the digit-by-digit algorithms they
+replace: repeating each digit, chaining single bit flips, and voting block
+by block, one component at a time.
 """
 
 import pytest
@@ -93,6 +96,22 @@ def reference_decode(state, levels):
     return current, tuple(corrections)
 
 
+def defective_register(levels, components):
+    """Six-digit words, each digit repeated 3**levels times.  A component
+    ``(word, block, part)`` complements the ``part``-th third of its digit
+    ``block``, so the level-``levels`` vote flags that block and restores the
+    word, while every lower level votes clean."""
+    span = 3**levels
+    third = span // 3
+    entries = {}
+    for word, block, part in components:
+        key = [int(digit) for digit in format(word, "06b") for _ in range(span)]
+        start = block * span + part * third
+        key[start : start + third] = [1 - digit for digit in key[start : start + third]]
+        entries[tuple(key)] = Amplitude.one()
+    return SparseState(2, 6 * span, 8, entries)
+
+
 def assert_decode_matches_reference(state, levels):
     spec = bitflip(levels)
     try:
@@ -160,6 +179,39 @@ class TestDecodeMatchesPerBlockVote:
         colliding = SparseState(2, 9, 8, {(1, 0, 0) * 3: one, (0, 1, 0) * 3: one})
         with pytest.raises(CodeError, match=r"^components collide after the level 1 vote$"):
             decode_majority(colliding, bitflip(2))
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize(
+        "collide_at, differ_at, message",
+        [
+            (20, 40, "components collide after the level {} vote"),
+            (40, 20, "level {} error pattern differs between components"),
+            # one component with both defects: the pattern check comes first
+            (20, 20, "level {} error pattern differs between components"),
+        ],
+        ids=["collision-first", "pattern-first", "same-component"],
+    )
+    def test_the_first_defective_component_raises(self, levels, collide_at, differ_at, message):
+        # Sixty components flag block 0 at the top level, except that the
+        # one at differ_at flags block 1, and the one at collide_at repeats
+        # word 5 with another third of its block flipped, so it merges with
+        # component 5 after the vote.
+        components = [(word, 0, 0) for word in range(60)]
+        components[differ_at] = (differ_at, 1, 0)
+        components[collide_at] = (5, components[collide_at][1], 1)
+        state = defective_register(levels, components)
+        assert len(state.entries) == 60
+        with pytest.raises(CodeError) as info:
+            decode_majority(state, bitflip(levels))
+        assert str(info.value) == message.format(levels)
+        assert_decode_matches_reference(state, levels)
+
+    def test_a_shared_pattern_decodes_every_component(self):
+        state = defective_register(2, [(word, 3, 2) for word in range(60)])
+        report = decode_majority(state, bitflip(2))
+        assert report.corrections == ((2, 3),)
+        assert list(report.decoded.entries) == [tuple(map(int, format(word, "06b"))) for word in range(60)]
+        assert_decode_matches_reference(state, 2)
 
     def test_empty_state_decodes_with_no_corrections(self):
         report = decode_majority(SparseState(2, 9, 8, {}), bitflip(2))
