@@ -121,6 +121,11 @@ class DecodeReport(NamedTuple):
     success: bool
 
 
+def _require_repetition(spec: CodeSpec) -> None:
+    if spec.kind is not CodeKind.BIT_FLIP:
+        raise CodeError("majority decoding applies to the repetition code only")
+
+
 def decode_majority(state: SparseState, spec: CodeSpec) -> DecodeReport:
     """Peel repetition-code levels by majority vote, innermost first.
 
@@ -129,8 +134,7 @@ def decode_majority(state: SparseState, spec: CodeSpec) -> DecodeReport:
     the same flipped-block pattern at each level and no two may merge after a
     vote; the first component with either defect raises :class:`CodeError`.
     """
-    if spec.kind is not CodeKind.BIT_FLIP:
-        raise CodeError("majority decoding applies to the repetition code only")
+    _require_repetition(spec)
     if state.local_dim != 2:
         raise CodeError("decoding is defined for qubit registers")
     width = state.num_qudits
@@ -161,6 +165,8 @@ def decode_majority(state: SparseState, spec: CodeSpec) -> DecodeReport:
 
 
 def roundtrip_check(state: SparseState, spec: CodeSpec, error_positions: Iterable[int] = ()) -> bool:
-    """Encode, corrupt, decode; True iff the decoded register equals ``state``."""
+    """Encode, corrupt, decode; True iff the decoded register equals ``state``.
+    A spec that majority decoding cannot undo is refused before encoding."""
+    _require_repetition(spec)
     corrupted = inject_errors(encode(state, spec), error_positions)
     return decode_majority(corrupted, spec).decoded == state

@@ -172,6 +172,20 @@ class TestProductCutReport:
         assert product_cut_report(plus, [2]) == ((2, 2),)
         assert product_cut_report(build_cantor(2), [2]) == ((2, 1),)
 
+    @pytest.mark.parametrize("c, s, n", [(2, 3, 3), (3, 2, 2), (3, 3, 2), (2, 5, 3), (4, 2, 2)])
+    def test_representative_closed_form(self, c, s, n):
+        # |0> then blocks sum_j |j...j>/sqrt(s) on (c-1)c**m qudits, m < n:
+        # rank s strictly inside a block, 1 at the block edges c**m.
+        state = build_representative(c, s, n, local_dim=max(2, s))
+        edges = {c**m for m in range(n)}
+        assert product_cut_report(state) == tuple((cut, 1 if cut in edges else s) for cut in range(1, c**n))
+
+    def test_cuts_past_the_old_dense_limits(self):
+        assert build_cantor(4).schmidt_rank(8) == 1
+        assert product_cut_report(build_cluster(14), [1, 13]) == ((1, 2), (13, 2))
+        for state in build_gem_sequence(5):
+            assert state.schmidt_rank(16) == 2
+
 
 class TestCliffordTable:
     def test_twenty_four_distinct_unitaries(self):
@@ -350,7 +364,7 @@ class TestCutReportAgainstSingleCuts:
 
     @pytest.mark.parametrize(
         "cuts",
-        [[2, 0], [0, 2], [3, 14, 2], [2, 1, 0], [1, 2], [5, 13, 0]],
+        [[2, 0], [0, 2], [3, 14, 2], [2, 1, 0], [1, 13, 14], [5, 13, 0]],
     )
     def test_mixed_lists_raise_what_the_first_bad_cut_raises(self, cuts):
         state = build_cluster(14)
@@ -366,7 +380,7 @@ class TestCutReportAgainstSingleCuts:
             product_cut_report(state, cuts)
         assert str(info.value) == str(expected)
 
-    def test_one_dense_vector_serves_every_cut(self, monkeypatch):
+    def test_no_dense_vector_is_built(self, monkeypatch):
         calls = []
         original = SparseState._dense
 
@@ -377,5 +391,5 @@ class TestCutReportAgainstSingleCuts:
         monkeypatch.setattr(SparseState, "_dense", counted)
         state = build_cluster(12)
         report = product_cut_report(state)
-        assert len(report) == 11
-        assert len(calls) == 1
+        assert report == tuple((cut, 2) for cut in range(1, 12))
+        assert calls == []

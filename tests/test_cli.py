@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, golden stdout, and file flows."""
 
+import itertools
 import json
 import resource
 import subprocess
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from qfractal import build_cantor, load_state, save_rule, save_state
+from qfractal import Amplitude, SparseState, build_cantor, load_state, save_rule, save_state
 from qfractal.cli import main
 from qfractal.construct import representative_rule
 
@@ -185,6 +186,17 @@ class TestCode:
         )
         assert (code, out) == (1, "roundtrip: fail\n")
 
+    @pytest.mark.parametrize("qubits", [9, 10])
+    def test_roundtrip_refuses_a_non_repetition_spec_before_encoding(self, capsys, tmp_path, qubits):
+        # The Bell encoding of 9 qubits has 262144 entries and that of 10
+        # qubits trips the entries guard; neither may be built.
+        source = tmp_path / "cluster.qfs"
+        run(capsys, "gen", "--family", "cluster", "--qubits", str(qubits), "-o", str(source))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "code", "roundtrip", "--spec", "bellpair:1", "--state", str(source))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (1, "", "error: majority decoding applies to the repetition code only\n")
+
     def test_bad_spec_is_a_usage_error(self, capsys, tmp_path):
         logical = tmp_path / "zero.qfs"
         run(capsys, "gen", "--family", "bitflip", "--n", "0", "-o", str(logical))
@@ -310,6 +322,26 @@ class TestGemGuard:
         assert not (tmp_path / "g6.qfs").exists()
 
 
+class TestCutGuard:
+    def test_refused_before_the_step(self, tmp_path):
+        # sum_x |x>|x> on 12 + 12 qubits: 2048 rows of 2 cells enter cut 12.
+        amp = Amplitude(0, ((2, 12),))
+        state = SparseState(2, 24, 8, {digits * 2: amp for digits in itertools.product((0, 1), repeat=12)})
+        source = tmp_path / "pairs.qfs"
+        save_state(state, source)
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "qfractal", "analyze", "--state", str(source), "--cut", "11", "--cut", "12"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 10
+        assert result.returncode == 3
+        assert result.stderr == "error: cut 12: sweep cells 8388608 exceeds 4194304\n"
+        assert result.stdout.endswith("support 4096\nuniform_probability 1/4096\n")
+
+
 class TestCodeGuard:
     # Building 2**100000000 or 3**100000000 takes minutes; both guards must
     # refuse from the number of levels alone.
@@ -351,9 +383,9 @@ print(json.dumps(report))
 
 
 class TestColdStart:
-    """Only the dense paths load numpy: ``analyze --cut``, ``lucheck`` and
-    ``to_dense``.  No path loads dataclasses, whose import and class bodies
-    once took a third of the CLI's import time."""
+    """Only the dense paths load numpy: ``lucheck`` and ``to_dense``.  No
+    path loads dataclasses, whose import and class bodies once took a third
+    of the CLI's import time."""
 
     def run_child(self, commands):
         result = subprocess.run(
@@ -386,9 +418,21 @@ class TestColdStart:
         assert [code for _, code, _ in report] == [0] * (len(commands) + 1)
         assert [name for name, _, loaded in report if loaded] == []
 
-    def test_a_schmidt_cut_loads_it(self, tmp_path):
+    def test_only_lucheck_loads_it(self, tmp_path):
         target = str(tmp_path / "c2.qfs")
+        cluster = str(tmp_path / "cl.qfs")
         report = self.run_child(
-            [["gen", "--family", "cantor", "--n", "2", "-o", target], ["analyze", "--state", target, "--cut", "1"]]
+            [
+                ["gen", "--family", "cantor", "--n", "2", "-o", target],
+                ["analyze", "--state", target, "--cut", "1"],
+                ["gen", "--family", "cluster", "--qubits", "2", "-o", cluster],
+                ["lucheck", "--a", cluster, "--b", cluster],
+            ]
         )
-        assert report == [["import", 0, []], ["gen --family", 0, []], ["analyze --state", 0, ["numpy"]]]
+        assert report == [
+            ["import", 0, []],
+            ["gen --family", 0, []],
+            ["analyze --state", 0, []],
+            ["gen --family", 0, []],
+            ["lucheck --a", 0, ["numpy"]],
+        ]

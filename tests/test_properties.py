@@ -35,10 +35,12 @@ from qfractal import (
     serialize_state,
     superpose,
 )
-from qfractal.states import DENSE_VECTOR_LIMIT, RANK_CUTOFF
+from qfractal.states import DENSE_VECTOR_LIMIT
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 MAGNITUDES = ((), ((2, 1),), ((3, 1),), ((2, 2),), ((2, 1), (3, 1)), ((2, -2),))
+# Powers of the magnitude bases 2 and 3, odd and even, above and below 1.
+RADICAL_MAGNITUDES = MAGNITUDES + (((3, -1),), ((2, 3),), ((3, 2),), ((2, -1), (3, 1)))
 BITFLIP_1 = CodeSpec(CodeKind.BIT_FLIP, 1)
 # Digit fields of 1 to 4 bits, and N = 11 for the comma-separated text form.
 LOCAL_DIMS = (2, 3, 4, 5, 11)
@@ -50,12 +52,12 @@ def dense_qudits(local_dim):
 
 
 @st.composite
-def states(draw, local_dim=None, num_qudits=None, phase_order=None, max_qudits=6):
+def states(draw, local_dim=None, num_qudits=None, phase_order=None, max_qudits=6, magnitudes=MAGNITUDES):
     n = local_dim or draw(st.sampled_from(LOCAL_DIMS))
     q = num_qudits or draw(st.integers(1, min(max_qudits, dense_qudits(n))))
     r = phase_order or draw(st.sampled_from((2, 4, 8)))
     keys = st.tuples(*[st.integers(0, n - 1)] * q)
-    amps = st.builds(Amplitude, st.integers(0, r - 1), st.sampled_from(MAGNITUDES))
+    amps = st.builds(Amplitude, st.integers(0, r - 1), st.sampled_from(magnitudes))
     return SparseState(n, q, r, draw(st.dictionaries(keys, amps, max_size=12)))
 
 
@@ -301,9 +303,17 @@ def test_rule_basis_probabilities(data):
     assert all(p * s in (0, 1) for p in probabilities)
 
 
+RANK_CUTOFF = 1e-9
+
+
 @SETTINGS
-@given(states())
-def test_schmidt_rank(state):
+@given(st.data())
+def test_schmidt_rank(data):
+    # The exact rank over F_p against the dense SVD, on phase orders whose
+    # roots of unity already hold sqrt 2 (8 | R) or sqrt 3 (12 | R): the
+    # images of the radicals must agree with those of the roots.
+    order = data.draw(st.sampled_from((8, 12, 24)))
+    state = data.draw(states(phase_order=order, magnitudes=RADICAL_MAGNITUDES))
     dense = state.to_dense()
     for cut in range(1, state.num_qudits):
         singular = np.linalg.svd(dense.reshape(state.local_dim**cut, -1), compute_uv=False)

@@ -29,6 +29,12 @@ def uniform3():
     return SparseState(3, 1, 8, {(0,): third, (1,): third, (2,): third})
 
 
+def maximally_entangled(m):
+    """sum_x |x>|x> / 2**(m/2) on 2m qubits."""
+    amp = Amplitude(0, ((2, m),))
+    return SparseState(2, 2 * m, 8, {digits + digits: amp for digits in itertools.product((0, 1), repeat=m)})
+
+
 def bell(sign):
     half = Amplitude.inv_sqrt(2)
     return SparseState(2, 2, 8, {(0, 1): half, (1, 0): half if sign > 0 else half.shifted(4, 8)})
@@ -398,9 +404,60 @@ class TestSchmidtRank:
             bell(+1).schmidt_rank(0)
         with pytest.raises(ValueError):
             bell(+1).schmidt_rank(2)
-        wide = SparseState(2, 26, 8, {})
-        with pytest.raises(GuardExceededError):
-            wide.schmidt_rank(13)
+        assert SparseState(2, 26, 8, {})._cut_ranks(range(1, 26)) == tuple((cut, 0) for cut in range(1, 26))
+        # Rank 2**k at cut k <= 12: the 2048 rows entering cut 12 hold 4096 cells.
+        with pytest.raises(GuardExceededError, match=r"^cut 12: sweep cells 8388608 exceeds 4194304$"):
+            maximally_entangled(12).schmidt_rank(12)
+        assert maximally_entangled(12).schmidt_rank(11) == 2**11
+
+    def test_root_order_guard(self):
+        # sqrt 1000003 needs zeta of order 8 * 1000003, too many for the Gauss sum.
+        state = SparseState(2, 2, 8, {(0, 0): Amplitude.inv_sqrt(1000003)})
+        with pytest.raises(GuardExceededError, match=r"^root order 8000024 exceeds 4194304$"):
+            state.schmidt_rank(1)
+
+    @pytest.mark.parametrize("order, base, exponent", [(8, 2, 3), (12, 3, 2)], ids=["sqrt2", "sqrt3"])
+    def test_rows_related_through_a_radical(self, order, base, exponent):
+        # zeta + 1/zeta is sqrt 2 for zeta of order 8 and sqrt 3 for order 12,
+        # so with a = base**(-exponent/2) row 2 is row 0 plus row 1.
+        def amp(phase, exp=exponent):
+            return Amplitude(phase, ((base, exp),))
+
+        entries = {(0, 0): amp(0), (0, 2): amp(1), (1, 1): amp(0), (1, 2): amp(order - 1)}
+        entries.update({(2, 0): amp(0), (2, 1): amp(0), (2, 2): amp(0, exponent - 1)})
+        state = SparseState(3, 2, order, entries)
+        assert state.norm_squared() == 1
+        assert state.schmidt_rank(1) == 2
+        entries[(2, 2)] = amp(order // 2, exponent - 1)
+        assert SparseState(3, 2, order, entries).schmidt_rank(1) == 3
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_radical_squares_to_its_base(self, q):
+        # Rows e_j + e_q / q for j < q and a last row of ones: the rank is q
+        # iff q copies of 1/q sum to 1.  Phase order 2 leaves zeta_4 to the
+        # embedding alone.
+        entries = {(q, q): Amplitude.one()}
+        for j in range(q):
+            entries[(j, j)] = entries[(q, j)] = Amplitude.one()
+            entries[(j, q)] = Amplitude(0, ((q, 2),))
+        assert SparseState(q + 1, 2, 2, entries).schmidt_rank(1) == q
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+    def test_gauss_sum_radicals(self, q):
+        # Identity rows 0..q-1 with column q all ones, and a last row of
+        # (j | q) zeta_q**j: the rank is q iff the corner equals
+        # sum_j (j | q) zeta_q**j, which is sqrt q, or i sqrt q when q = 3 mod 4.
+        order = 4 * q
+        residues = {j * j % q for j in range(1, q)}
+        entries = {}
+        for j in range(q):
+            entries[(j, j)] = entries[(j, q)] = Amplitude.one()
+            if j:
+                entries[(q, j)] = Amplitude(4 * j + (0 if j in residues else order // 2))
+        corner = q if q % 4 == 3 else 0
+        for phase, rank in [(corner, q), (corner + order // 2, q + 1)]:
+            entries[(q, q)] = Amplitude(phase, ((q, -1),))
+            assert SparseState(q + 1, 2, order, entries).schmidt_rank(1) == rank
 
 
 class TestSumOrder:
