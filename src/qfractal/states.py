@@ -27,7 +27,6 @@ results through the public constructor to pin that they would pass it.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from collections import Counter
 from collections.abc import ItemsView, Mapping
@@ -45,8 +44,6 @@ DEFAULT_PHASE_ORDER = 8
 
 # Desk-scale ceilings: keep every dense operation in the sub-second range.
 DENSE_VECTOR_LIMIT = 2**14
-# One step of the Schmidt sweep: the rows entering it times their cells.
-SCHMIDT_STEP_LIMIT = 2**22
 
 # Local dimensions up to here write each digit as one ASCII character, and
 # their keys convert through that text; larger ones go digit by digit.
@@ -561,46 +558,19 @@ class SparseState(_Frozen):
 
     def schmidt_rank(self, cut: int) -> int:
         """Exact Schmidt rank across the prefix cut after ``cut`` qudits,
-        computed over a prime field as :meth:`_cut_ranks` describes."""
+        computed over a prime field as :mod:`qfractal.ranks` describes."""
         return self._cut_ranks((cut,))[0][1]
 
     def _cut_ranks(self, cuts: Iterable[int]) -> tuple[tuple[int, int], ...]:
         """(cut, Schmidt rank) for each cut, in order, from one sweep up to
-        the largest cut.
-
-        The state enters F_p as one vector.  The rows of the cut-k
-        coefficient matrix are the leading-digit slices of the rows at cut
-        k - 1, so slicing each echelon row of cut k - 1 and eliminating the
-        slices gives an echelon basis of the cut-k row space; its size is the
-        rank.  Amplitudes map into F_p through one ring homomorphism (see
-        :func:`_field_images`).  The rank over F_p never exceeds the true
-        rank r, and equals it unless every nonzero r-by-r minor lies in the
-        kernel: a prime ideal over the one p >= 2**61 chosen from R and the
-        magnitude bases.
-        """
+        the largest cut (see :mod:`qfractal.ranks`)."""
         cuts = tuple(cuts)
         for cut in cuts:
             if not 0 < cut < self.num_qudits:
                 raise ValueError(f"cut must satisfy 0 < cut < {self.num_qudits}, got {cut}")
-        ranks = [0]
-        modulus, rows = 0, []
-        if cuts and self._packed:
-            modulus, images = _field_images(self.phase_order, set(self._packed.values()))
-            rows = [{key: images[amp] for key, amp in self._packed.items()}]
-        bits = digit_bits(self.local_dim)
-        for cut in range(1, max(cuts, default=0) + 1):
-            _check_sweep(f"cut {cut}: sweep cells", len(rows) * sum(map(len, rows)))
-            shift = bits * (self.num_qudits - cut)
-            mask = (1 << shift) - 1
-            pivots: dict[int, dict[int, int]] = {}
-            for row in rows:
-                pieces: dict[int, dict[int, int]] = {}
-                for col, value in row.items():
-                    pieces.setdefault(col >> shift, {})[col & mask] = value
-                for piece in pieces.values():
-                    _eliminate(piece, pivots, modulus)
-            rows = list(pivots.values())
-            ranks.append(len(rows))
+        from .ranks import sweep_ranks
+
+        ranks = sweep_ranks(self, max(cuts, default=0))
         return tuple((cut, ranks[cut]) for cut in cuts)
 
     def __eq__(self, other: object) -> bool:
@@ -637,80 +607,6 @@ def _mapped(entries: dict[int, Amplitude], fn: Callable[[Amplitude], Amplitude])
             image = memo[amp] = fn(amp)
         out[key] = image
     return out
-
-
-def _check_sweep(what: str, size: int) -> None:
-    """The Schmidt sweep's one guard, on a step's work or the root order."""
-    if size > SCHMIDT_STEP_LIMIT:
-        raise GuardExceededError(f"{what} {size} exceeds {SCHMIDT_STEP_LIMIT}")
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 41; these witnesses make it exact below 3.3 * 10**24."""
-    twos = ((n - 1) & (1 - n)).bit_length() - 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        x = pow(a, (n - 1) >> twos, n)
-        if x != 1 and n - 1 not in (pow(x, 2**j, n) for j in range(twos)):
-            return False
-    return True
-
-
-@lru_cache(maxsize=32)
-def _prime_field(order: int) -> tuple[int, int]:
-    """The least prime p = 1 mod ``order`` at or above 2**61, and an
-    element of multiplicative order ``order`` in F_p."""
-    p = -(-(2**61 - 1) // order) * order + 1
-    while not _is_prime(p):
-        p += order
-    for g in itertools.count(2):
-        w = pow(g, (p - 1) // order, p)
-        if all(pow(w, order // q, p) != 1 for q, _ in _prime_factors(order)):
-            return p, w
-
-
-def _field_images(phase_order: int, amps: set[Amplitude]) -> tuple[int, dict[Amplitude, int]]:
-    """p and the image in F_p of each amplitude under one homomorphism
-    Z[zeta_M] -> F_p, M = lcm(R, 8 if 2 is a magnitude base, 4q for each odd
-    prime base q).  Every root is a power of one w of order M: zeta_R is
-    w**(M/R), sqrt 2 is zeta_8 + 1/zeta_8, and sqrt q is the Gauss sum
-    sum_x zeta_q**(x*x), divided by i = zeta_4 when q = 3 mod 4."""
-    bases = {base for amp in amps for base, _ in amp.mag_exponents}
-    order = math.lcm(phase_order, *(8 if base == 2 else 4 * base for base in bases))
-    _check_sweep("root order", order)
-    p, w = _prime_field(order)
-    roots: dict[int, int] = {}
-    for q in bases:
-        if q == 2:
-            eighth = pow(w, order // 8, p)
-            roots[q] = eighth + pow(eighth, -1, p)
-        else:
-            # x and -x contribute the same term; i**-1 is w**(3M/4).
-            zeta = pow(w, order // q, p)
-            gauss = 1 + 2 * sum(pow(zeta, x * x % q, p) for x in range(1, q // 2 + 1))
-            roots[q] = gauss * pow(w, 3 * order // 4, p) if q % 4 == 3 else gauss
-    zeta_r = pow(w, order // phase_order, p)
-    return p, {
-        amp: pow(zeta_r, amp.phase_index, p) * math.prod(pow(roots[b], -e, p) for b, e in amp.mag_exponents) % p
-        for amp in amps
-    }
-
-
-def _eliminate(vector: dict[int, int], pivots: dict[int, dict[int, int]], p: int) -> None:
-    """Reduce ``vector`` against the echelon rows of ``pivots``, each keyed
-    by its least column; what is left joins them as a new row."""
-    while vector:
-        col = min(vector)
-        row = pivots.get(col)
-        if row is None:
-            pivots[col] = vector
-            return
-        factor = vector[col] * pow(row[col], -1, p) % p
-        for c, v in row.items():
-            value = (vector.get(c, 0) - factor * v) % p
-            if value:
-                vector[c] = value
-            else:
-                del vector[c]
 
 
 def _net(state: SparseState, key: int, amps: list[Amplitude]) -> Amplitude | None:
