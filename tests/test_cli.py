@@ -323,23 +323,39 @@ class TestGemGuard:
 
 
 class TestCutGuard:
-    def test_refused_before_the_step(self, tmp_path):
-        # sum_x |x>|x> on 12 + 12 qubits: 2048 rows of 2 cells enter cut 12.
+    def test_wide_sparse_cut_answers(self, tmp_path):
+        # sum_x |x>|x> on 12 + 12 qubits: a 4096 x 4096 coefficient matrix
+        # with one cell per row and column.
         amp = Amplitude(0, ((2, 12),))
         state = SparseState(2, 24, 8, {digits * 2: amp for digits in itertools.product((0, 1), repeat=12)})
         source = tmp_path / "pairs.qfs"
         save_state(state, source)
-        start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "qfractal", "analyze", "--state", str(source), "--cut", "11", "--cut", "12"],
             capture_output=True,
             text=True,
             timeout=60,
         )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert result.stdout.endswith("schmidt_rank[11] 2048\nschmidt_rank[12] 4096\n")
+
+    def test_dense_cut_refused_within_its_budget(self, tmp_path):
+        # The 256 x 256 Fourier matrix: eliminating its rows reads about 1.1e7 cells.
+        state = SparseState(256, 2, 256, {(a, b): Amplitude(a * b % 256, ((2, 16),)) for a in range(256) for b in range(256)})
+        source = tmp_path / "fourier.qfs"
+        save_state(state, source)
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "qfractal", "analyze", "--state", str(source), "--cut", "1"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
         assert time.perf_counter() - start < 10
         assert result.returncode == 3
-        assert result.stderr == "error: cut 12: sweep cells 8388608 exceeds 4194304\n"
-        assert result.stdout.endswith("support 4096\nuniform_probability 1/4096\n")
+        assert result.stderr == "error: cut 1: sweep work exceeds 4194304\n"
+        assert result.stdout.endswith("support 65536\nuniform_probability 1/65536\n")
 
 
 class TestCodeGuard:

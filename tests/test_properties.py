@@ -309,10 +309,11 @@ RANK_CUTOFF = 1e-9
 @SETTINGS
 @given(st.data())
 def test_schmidt_rank(data):
-    # The exact rank over F_p against the dense SVD, on phase orders whose
-    # roots of unity already hold sqrt 2 (8 | R) or sqrt 3 (12 | R): the
-    # images of the radicals must agree with those of the roots.
-    order = data.draw(st.sampled_from((8, 12, 24)))
+    # The exact rank over F_p against the dense SVD.  Where the roots of
+    # unity already hold sqrt 2 (8 | R) or sqrt 3 (12 | R), the images of the
+    # radicals must agree with those of the roots; for R = 2 and 4 the
+    # embedding supplies zeta_8 and zeta_12 beyond R.
+    order = data.draw(st.sampled_from((2, 4, 8, 12, 24)))
     state = data.draw(states(phase_order=order, magnitudes=RADICAL_MAGNITUDES))
     dense = state.to_dense()
     for cut in range(1, state.num_qudits):

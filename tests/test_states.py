@@ -17,6 +17,7 @@ from qfractal import (
     superpose,
 )
 from qfractal import states as states_module
+from qfractal.ranks import _prime_divisors, _prime_field
 from qfractal.states import EntriesView, digit_bits, digit_text, pack_digits, unpack_digits
 
 
@@ -33,6 +34,11 @@ def maximally_entangled(m):
     """sum_x |x>|x> / 2**(m/2) on 2m qubits."""
     amp = Amplitude(0, ((2, m),))
     return SparseState(2, 2 * m, 8, {digits + digits: amp for digits in itertools.product((0, 1), repeat=m)})
+
+
+def fourier(n):
+    """The n x n discrete Fourier transform as a state on two qudits of dimension n."""
+    return SparseState(n, 2, n, {(a, b): Amplitude(a * b % n, ((n, 2),)) for a in range(n) for b in range(n)})
 
 
 def bell(sign):
@@ -405,16 +411,62 @@ class TestSchmidtRank:
         with pytest.raises(ValueError):
             bell(+1).schmidt_rank(2)
         assert SparseState(2, 26, 8, {})._cut_ranks(range(1, 26)) == tuple((cut, 0) for cut in range(1, 26))
-        # Rank 2**k at cut k <= 12: the 2048 rows entering cut 12 hold 4096 cells.
-        with pytest.raises(GuardExceededError, match=r"^cut 12: sweep cells 8388608 exceeds 4194304$"):
-            maximally_entangled(12).schmidt_rank(12)
-        assert maximally_entangled(12).schmidt_rank(11) == 2**11
+        # Rank 2**k at cut k <= 12, but no slice ever meets a pivot, so the
+        # 4096 x 4096 cut costs no more than its 4096 cells.
+        assert maximally_entangled(12)._cut_ranks((11, 12)) == ((11, 2**11), (12, 2**12))
+        assert fourier(64).schmidt_rank(1) == 64
+        # Eliminating 256 dense slices of 256 cells reads about 1.1e7 cells.
+        with pytest.raises(GuardExceededError, match=r"^cut 1: sweep work exceeds 4194304$"):
+            fourier(256).schmidt_rank(1)
 
-    def test_root_order_guard(self):
-        # sqrt 1000003 needs zeta of order 8 * 1000003, too many for the Gauss sum.
-        state = SparseState(2, 2, 8, {(0, 0): Amplitude.inv_sqrt(1000003)})
-        with pytest.raises(GuardExceededError, match=r"^root order 8000024 exceeds 4194304$"):
-            state.schmidt_rank(1)
+    def test_slicing_is_charged(self):
+        # A product of |0...0> on 1088 qubits and 4096 strings on the last 12:
+        # rank 1 everywhere, but every cut slices one row of 4096 cells.
+        amp = Amplitude(0, ((2, 12),))
+        tail = SparseState(2, 12, 2, {digits: amp for digits in itertools.product((0, 1), repeat=12)})
+        state = basis(2, (0,) * 1088, order=2).tensor(tail)
+        assert state._cut_ranks((1, 1024)) == ((1, 1), (1024, 1))
+        with pytest.raises(GuardExceededError, match=r"^cut 1025: sweep work exceeds 4194304$"):
+            state.schmidt_rank(1025)
+
+    @pytest.mark.parametrize(
+        "order, primes",
+        [
+            (8, {2}),
+            (2 * 1031 * 1033, {2, 1031, 1033}),
+            (4 * 3**5 * 1000003**2, {2, 3, 1000003}),
+            (2 * 4294967291 * 4294967279, {2, 4294967279, 4294967291}),
+            (8 * (2**61 - 1), {2, 2**61 - 1}),
+        ],
+    )
+    def test_prime_field_has_a_root_of_the_full_order(self, order, primes):
+        assert _prime_divisors(order) == primes
+        p, w = _prime_field(order)
+        assert p >= 2**61 and p % order == 1
+        assert pow(w, order, p) == 1
+        assert all(pow(w, order // q, p) != 1 for q in primes)
+
+    def test_root_order_and_gauss_sum_guards(self):
+        # M = 2**65 is past the proven prime search, and sqrt(2**31 - 1) needs
+        # a Gauss sum of 2**30 terms.
+        with pytest.raises(GuardExceededError, match=r"^root order 36893488147419103232 exceeds 18446744073709551616$"):
+            SparseState(2, 2, 2**65, {(0, 0): Amplitude(1)}).schmidt_rank(1)
+        with pytest.raises(GuardExceededError, match=r"^Gauss sum work 2147483647 exceeds 4194304$"):
+            SparseState(2, 2, 8, {(0, 0): Amplitude.inv_sqrt(2**31 - 1)}).schmidt_rank(1)
+
+    @pytest.mark.parametrize(
+        "order, unit, base",
+        [(2**40, 1, 2), (2 * (2**61 - 1), 1, 2), (2 * 1000003 * 1000033, 1, 3), (2**70, 2**68, 2), (8, 1, 1048573)],
+        ids=["two-power", "mersenne-61", "two-large-primes", "phases-use-zeta4", "base-near-2**20"],
+    )
+    def test_large_root_orders(self, order, unit, base):
+        # a zeta**(j+k) over j, k in {0, 1} is a product; a further zeta on
+        # one corner makes it rank 2.
+        a = Amplitude(0, ((base, 1),))
+        entries = {(j, k): a.shifted((j + k) * unit, order) for j in (0, 1) for k in (0, 1)}
+        assert SparseState(2, 2, order, entries).schmidt_rank(1) == 1
+        entries[(1, 1)] = a.shifted(3 * unit, order)
+        assert SparseState(2, 2, order, entries).schmidt_rank(1) == 2
 
     @pytest.mark.parametrize("order, base, exponent", [(8, 2, 3), (12, 3, 2)], ids=["sqrt2", "sqrt3"])
     def test_rows_related_through_a_radical(self, order, base, exponent):
