@@ -152,7 +152,9 @@ def _field_images(phase_order: int, amps: set[Amplitude]) -> tuple[int, int, dic
         roots[q] = gauss * pow(w, 3 * order // 4, p) if q % 4 == 3 else gauss
     zeta_r = pow(w, order // roots_order, p)
     return SCHMIDT_WORK_LIMIT - gauss_work, p, {
-        amp: pow(zeta_r, amp.phase_index // stride, p) * math.prod(pow(roots[b], -e, p) for b, e in amp.mag_exponents) % p
+        amp: pow(zeta_r, amp.phase_index // stride, p)
+        * math.prod(pow(roots[b], -e, p) for b, e in amp.mag_exponents)
+        % p
         for amp in amps
     }
 

@@ -342,7 +342,8 @@ class TestCutGuard:
 
     def test_dense_cut_refused_within_its_budget(self, tmp_path):
         # The 256 x 256 Fourier matrix: eliminating its rows reads about 1.1e7 cells.
-        state = SparseState(256, 2, 256, {(a, b): Amplitude(a * b % 256, ((2, 16),)) for a in range(256) for b in range(256)})
+        entries = {(a, b): Amplitude(a * b % 256, ((2, 16),)) for a in range(256) for b in range(256)}
+        state = SparseState(256, 2, 256, entries)
         source = tmp_path / "fourier.qfs"
         save_state(state, source)
         start = time.perf_counter()
