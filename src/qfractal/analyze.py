@@ -1,22 +1,18 @@
 """Measurements on constructed states: self-similarity dimension, recursion
-step verification, probability scaling, entanglement cuts, and brute-force
-local-Clifford equivalence for small qubit registers."""
+step verification, probability scaling, entanglement cuts, and a pruned
+search for local-Clifford equivalence of small qubit registers."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .construct import ORTHO_TOL, FractalParams, ScaleRule, apply_scale_rule
 from .errors import AnalysisError, GuardExceededError, QfsError
 from .states import SparseState
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Probabilities measured against rule-basis products snap to multiples of 1/s
 # within this tolerance; anything farther is reported as an error.
@@ -25,7 +21,8 @@ SNAP_TOL = 1e-9
 # A candidate local-Clifford transform counts as a match above this fidelity.
 FIDELITY_TOL = 1e-9
 
-# Exhaustive search over 24**Q gate assignments stays tractable only here.
+# At worst the search visits all 24**Q gate assignments, which stays
+# tractable only here.
 LU_MAX_QUBITS = 5
 
 
@@ -155,42 +152,48 @@ def product_cut_report(
     return state._cut_ranks(cuts)
 
 
-def _canonical_gate_key(matrix: np.ndarray) -> bytes:
-    import numpy as np
+# A single-qubit gate as rows of complex entries.
+Gate = tuple[tuple[complex, complex], tuple[complex, complex]]
 
-    flat = matrix.ravel()
+
+def _gate_product(x: Gate, y: Gate) -> Gate:
+    return tuple(tuple(row[0] * y[0][j] + row[1] * y[1][j] for j in range(2)) for row in x)
+
+
+def _canonical_gate_key(gate: Gate) -> tuple[complex, ...]:
+    flat = [z for row in gate for z in row]
     pivot = next(z for z in flat if abs(z) > 0.4)
-    normalized = matrix / (pivot / abs(pivot))
-    return (np.round(normalized, 9) + 0.0).tobytes()
+    unit = pivot / abs(pivot)
+    return tuple(complex(round(w.real, 9), round(w.imag, 9)) for w in (z / unit for z in flat))
 
 
 @lru_cache(maxsize=1)
-def single_qubit_cliffords() -> tuple[tuple[str, ...], np.ndarray]:
-    """The 24 single-qubit Clifford gates up to global phase.
+def single_qubit_cliffords() -> tuple[tuple[str, ...], tuple[Gate, ...]]:
+    """The 24 single-qubit Clifford gates up to global phase, each a 2x2
+    tuple of rows.
 
     Generated breadth-first from the identity over {H, S} products, so the
     listing is deterministic: identity first, then by word length.
     """
-    import numpy as np
-
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    s = np.array([[1, 0], [0, 1j]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    words, mats = ["I"], [eye]
+    r = 1 / math.sqrt(2)
+    h = ((complex(r), complex(r)), (complex(r), complex(-r)))
+    s = ((1 + 0j, 0j), (0j, 1j))
+    eye = ((1 + 0j, 0j), (0j, 1 + 0j))
+    words, gates = ["I"], [eye]
     seen = {_canonical_gate_key(eye)}
     queue = deque([("I", eye)])
     while queue:
-        word, mat = queue.popleft()
-        for gate_name, gate in (("H", h), ("S", s)):
-            next_word = gate_name if word == "I" else word + gate_name
-            next_mat = mat @ gate
-            key = _canonical_gate_key(next_mat)
+        word, gate = queue.popleft()
+        for letter, factor in (("H", h), ("S", s)):
+            next_word = letter if word == "I" else word + letter
+            next_gate = _gate_product(gate, factor)
+            key = _canonical_gate_key(next_gate)
             if key not in seen:
                 seen.add(key)
                 words.append(next_word)
-                mats.append(next_mat)
-                queue.append((next_word, next_mat))
-    return tuple(words), np.array(mats)
+                gates.append(next_gate)
+                queue.append((next_word, next_gate))
+    return tuple(words), tuple(gates)
 
 
 class LocalCliffordMatch(NamedTuple):
@@ -202,22 +205,14 @@ class LocalCliffordMatch(NamedTuple):
 
 
 def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalCliffordMatch | None:
-    """Search all per-qubit single-Clifford assignments U1 x ... x UQ for one
-    with |<b|U a>| above 1 - FIDELITY_TOL; None when no assignment matches,
-    after all 24**Q assignments have been scanned.
+    """The lexicographically first per-qubit Clifford assignment U1 x ... x UQ
+    over the fixed gate listing with |<b|U a>| above 1 - FIDELITY_TOL; None
+    when no assignment matches.
 
-    The overlap is a mode product: in the outer product of conj(b) and a,
-    merge each qubit's (out, in) index pair into one mode of size 4; then
-    <b|U a> is that tensor with the flattened 24 x 4 gate table contracted on
-    every mode.  All but the last three modes are contracted once up front;
-    the scan walks their gate indices in lexicographic order and contracts
-    the remaining modes per step, so each step holds at most 24**3 overlaps.
-
-    The result is deterministic: the lexicographically first matching index
-    tuple over the fixed gate listing.
+    The search is depth first over qubits 0..Q-1 and drops a prefix of gates
+    when no completion can reach the threshold; the bound it uses is set out
+    in :mod:`qfractal.clifford_search`, which loads on the first call.
     """
-    import numpy as np
-
     if a.local_dim != 2 or b.local_dim != 2:
         raise ValueError("local Clifford search is defined for qubit states")
     if a.num_qudits != b.num_qudits:
@@ -229,24 +224,11 @@ def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalClif
         if abs(float(state.norm_squared()) - 1.0) > FIDELITY_TOL:
             raise ValueError("states must be normalized")
 
+    from .clifford_search import first_match
+
     words, gates = single_qubit_cliffords()
-    flat = gates.reshape(24, 4)  # column 2*out + in
-    threshold = 1.0 - FIDELITY_TOL
-    modes = np.multiply.outer(b.to_dense().conj(), a.to_dense()).reshape((2,) * (2 * q))
-    modes = modes.transpose([axis for k in range(q) for axis in (k, q + k)]).reshape((4,) * q)
-    head = max(q - 3, 0)
-    # Each contraction eats the leading mode and appends its gate axis, so
-    # gate axes stay in qubit order.
-    for _ in range(head):
-        modes = np.tensordot(modes, flat, ([0], [1]))
-    rows = modes.reshape(4 ** (q - head), 24**head).T
-    for prefix, row in zip(itertools.product(range(24), repeat=head), rows):
-        overlaps = row.reshape((4,) * (q - head))
-        for _ in range(q - head):
-            overlaps = np.tensordot(overlaps, flat, ([0], [1]))
-        magnitudes = np.abs(overlaps).ravel()
-        hits = np.flatnonzero(magnitudes > threshold)
-        if hits.size:
-            full = prefix + tuple(int(v) for v in np.unravel_index(hits[0], overlaps.shape))
-            return LocalCliffordMatch(full, tuple(words[i] for i in full), float(magnitudes[hits[0]]))
-    return None
+    found = first_match(a._dense(), b._dense(), q, gates, 1.0 - FIDELITY_TOL)
+    if found is None:
+        return None
+    indices, fidelity = found
+    return LocalCliffordMatch(indices, tuple(words[i] for i in indices), fidelity)

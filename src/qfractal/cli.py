@@ -19,7 +19,15 @@ from .analyze import (
     product_cut_report,
     verify_scale_step,
 )
-from .codes import CodeKind, CodeSpec, decode_majority, encode, inject_errors, roundtrip_check
+from .codes import (
+    CodeKind,
+    CodeSpec,
+    decode_majority,
+    encode,
+    inject_errors,
+    roundtrip_check,
+    splits_into_blocks,
+)
 from .construct import (
     build_bitflip_state,
     build_cantor,
@@ -135,6 +143,8 @@ def _cmd_code(args: argparse.Namespace) -> int:
     if args.action == "inject":
         if args.output is None:
             raise ValueError("code inject requires -o")
+        if not splits_into_blocks(state.num_qudits, spec):
+            raise ValueError(f"{state.num_qudits} qubits do not split into {spec.block_arity}**{spec.levels} blocks")
         save_state(inject_errors(state, errors), args.output)
         return 0
     if args.action == "decode":

@@ -1,0 +1,158 @@
+"""Depth-first search for the first local-Clifford tuple mapping one qubit
+state onto another, pruned by the purities of the reduced states.
+
+The overlap <b|U a> of U = U_0 x ... x U_(Q-1) is a mode product: in the
+outer product of conj(b) and a, merge each qubit's (out, in) index pair into
+one mode of size 4; then <b|U a> is that tensor with each qubit's gate,
+flattened to four entries in mode order 2*out + in, contracted on its mode.
+The search walks the gate indices of qubits 0..Q-1 in lexicographic order
+and contracts the leading mode at each step, so a prefix of k gates holds a
+tensor C of 4**(Q-k) entries.
+
+A prefix is dropped when no completion can reach the threshold.  With p_a(k)
+and p_b(k) the purities Tr rho**2 of the states reduced to their first k
+qubits, p_a(k) + p_b(k) - 2 |C|**2 is the squared Frobenius distance between
+the prefix's image of a's reduced state and b's.  That is at most the
+squared trace distance, which is at most 4 (1 - F**2) for any completion of
+fidelity F.  So a prefix whose distance exceeds 4 (1 - threshold**2) holds
+no match, and the first match found is the first of the full scan.
+
+A child's |C|**2 is read from the Gram matrix of its parent's four
+leading-mode blocks, so only the children that survive are built.
+
+:func:`qfractal.analyze.lu_equivalent_by_local_clifford` imports this module
+on its first call, so the commands that search nothing do not compile it.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from operator import add, mul
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .analyze import Gate
+
+# A gate's nonzero entries as (mode index 2*out + in, entry).
+GateTerms = tuple[tuple[int, complex], ...]
+
+# Pairs (m, k), m <= k, of a tensor's four leading-mode blocks, in the order
+# that _block_gram lists their inner products.
+_BLOCK_PAIRS = tuple((m, k) for m in range(4) for k in range(m, 4))
+
+
+@lru_cache(maxsize=1)
+def _gate_tables(gates: tuple[Gate, ...]) -> tuple[list[tuple[complex, ...]], list[GateTerms], list[tuple[float, ...]]]:
+    """Per gate: its entries in mode order, its nonzero entries, and the
+    weights that turn a tensor's block Gram into the squared norm of its
+    contraction with that gate."""
+    entries, terms, weights = [], [], []
+    for gate in gates:
+        flat = tuple(z for row in gate for z in row)
+        entries.append(flat)
+        terms.append(tuple((m, z) for m, z in enumerate(flat) if z))
+        # |sum_m g_m B_m|**2 = sum_{m,k} conj(g_m) g_k <B_m|B_k>, and the
+        # pair (k, m) adds the conjugate of (m, k)'s term.
+        row: list[float] = []
+        for m, k in _BLOCK_PAIRS:
+            w = flat[m].conjugate() * flat[k] * (1 if m == k else 2)
+            row += (w.real, -w.imag)
+        weights.append(tuple(row))
+    return entries, terms, weights
+
+
+def _block_gram(blocks: list[list[complex]]) -> list[float]:
+    """Real and imaginary parts of <B_m|B_k> over _BLOCK_PAIRS."""
+    bras = [list(map(complex.conjugate, block)) for block in blocks]
+    gram: list[float] = []
+    for m, k in _BLOCK_PAIRS:
+        value = sum(map(mul, bras[m], blocks[k]))
+        gram += (value.real, value.imag)
+    return gram
+
+
+def _contract(blocks: list[list[complex]], terms: GateTerms) -> list[complex]:
+    """The tensor whose leading-mode ``blocks`` are contracted with one
+    gate's nonzero entries."""
+    (m, z), *rest = terms
+    acc = map(z.__mul__, blocks[m])
+    for m, z in rest:
+        acc = map(add, acc, map(z.__mul__, blocks[m]))
+    return list(acc)
+
+
+def _purity(vec: list[complex], q: int, k: int) -> float:
+    """Tr rho**2 of the reduced state on the first k qubits.
+
+    rho is M M^dagger for the vector as a 2**k x 2**(q-k) matrix M, and
+    M^dagger M has the same Frobenius norm, so the Gram matrix of the shorter
+    side is used, one triangle of it."""
+    width = 1 << (q - k)
+    rows = [vec[start : start + width] for start in range(0, len(vec), width)]
+    if len(rows) > width:
+        rows = list(zip(*rows))
+    bras = [list(map(complex.conjugate, row)) for row in rows]
+    total = 0.0
+    for r, bra in enumerate(bras):
+        total += abs(sum(map(mul, bra, rows[r]))) ** 2
+        total += 2 * sum(abs(sum(map(mul, bra, row))) ** 2 for row in rows[r + 1 :])
+    return total
+
+
+@lru_cache(maxsize=None)
+def _interleaving(q: int) -> tuple[int, ...]:
+    """For each index of the mode tensor, whose bits run o_0 i_0 o_1 i_1 ...,
+    the index (o << q) | i of the outer product of conj(b) and a."""
+    order = []
+    for index in range(1 << 2 * q):
+        o = i = 0
+        for shift in range(2 * q - 2, -1, -2):
+            o, i = o << 1 | index >> shift + 1 & 1, i << 1 | index >> shift & 1
+        order.append(o << q | i)
+    return tuple(order)
+
+
+def first_match(
+    a: list[complex], b: list[complex], q: int, gates: tuple[Gate, ...], threshold: float
+) -> tuple[tuple[int, ...], float] | None:
+    """The first gate-index tuple, in lexicographic order over ``gates``,
+    with |<b|U a>| > ``threshold``, and that value; None when there is none.
+
+    ``a`` and ``b`` are dense vectors of ``q`` qubits, qubit 0 the most
+    significant.
+    """
+    entries, terms, weights = _gate_tables(gates)
+    outer = [y * x for y in map(complex.conjugate, b) for x in a]
+    modes = list(map(outer.__getitem__, _interleaving(q)))
+    # A prefix of k gates survives while 2 |C|**2 >= p_a(k) + p_b(k) - bound;
+    # the 1e-12 leaves room for rounding in the purities and |C|**2.
+    bound = 4 * (1 - threshold**2) + 1e-12
+    floors = {k: (_purity(a, q, k) + _purity(b, q, k) - bound) / 2 for k in range(1, q)}
+
+    def search(depth: int, tensor: list[complex]) -> tuple[tuple[int, ...], float] | None:
+        if depth == q - 1:
+            t0, t1, t2, t3 = tensor
+            fidelities = [abs(z0 * t0 + z1 * t1 + z2 * t2 + z3 * t3) for z0, z1, z2, z3 in entries]
+            if max(fidelities) <= threshold:
+                return None
+            index = next(i for i, fidelity in enumerate(fidelities) if fidelity > threshold)
+            return (index,), fidelities[index]
+        floor = floors[depth + 1]
+        n = len(tensor) >> 2
+        blocks = [tensor[m * n : m * n + n] for m in range(4)]
+        # The first gate's child (the identity's, in the listing) is built
+        # outright, so a hit through it skips the Gram that prices the rest.
+        child = _contract(blocks, terms[0])
+        if sum(map(mul, child, map(complex.conjugate, child))).real >= floor:
+            found = search(depth + 1, child)
+            if found is not None:
+                return (0,) + found[0], found[1]
+        gram = _block_gram(blocks)
+        for index in range(1, len(terms)):
+            if sum(map(mul, weights[index], gram)) >= floor:
+                found = search(depth + 1, _contract(blocks, terms[index]))
+                if found is not None:
+                    return (index,) + found[0], found[1]
+        return None
+
+    return search(0, modes)

@@ -121,6 +121,14 @@ class DecodeReport(NamedTuple):
     success: bool
 
 
+def splits_into_blocks(num_qubits: int, spec: CodeSpec) -> bool:
+    """Whether ``num_qubits`` is a whole number of ``spec``'s code blocks,
+    each of block_arity**levels qubits."""
+    # block_arity**levels > num_qubits >= 1 once levels reaches its bit
+    # length, so deep specs are answered before the power is formed.
+    return spec.levels < num_qubits.bit_length() and num_qubits % spec.block_arity**spec.levels == 0
+
+
 def _require_repetition(spec: CodeSpec) -> None:
     if spec.kind is not CodeKind.BIT_FLIP:
         raise CodeError("majority decoding applies to the repetition code only")
@@ -138,8 +146,7 @@ def decode_majority(state: SparseState, spec: CodeSpec) -> DecodeReport:
     if state.local_dim != 2:
         raise CodeError("decoding is defined for qubit registers")
     width = state.num_qudits
-    # 3**levels > width >= 1 once levels reaches width's bit length.
-    if spec.levels >= width.bit_length() or width % 3**spec.levels:
+    if not splits_into_blocks(width, spec):
         raise CodeError(f"{width} qubits do not split into 3**{spec.levels} blocks")
     count = len(state._packed)
     digits = "".join(map(format, state._packed, [f"0{width // 3}o"] * count))

@@ -256,6 +256,9 @@ def _slot_from_text(text: str, base_dir: Path, lineno: int) -> SlotVector:
             _fail(lineno, f"malformed basis string {body!r}")
         if "," in body:
             digits = tuple(_int(part, lineno, "basis digit") for part in body.split(","))
+            negative = next((d for d in digits if d < 0), None)
+            if negative is not None:
+                _fail(lineno, f"basis digit {negative} is negative")
         elif body.isdigit():
             digits = tuple(int(ch) for ch in body)
         else:

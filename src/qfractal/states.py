@@ -541,14 +541,15 @@ class SparseState(_Frozen):
         dim = self.local_dim**self.num_qudits
         if dim > DENSE_VECTOR_LIMIT:
             raise GuardExceededError(f"dense dimension {dim} exceeds {DENSE_VECTOR_LIMIT}")
-        return self._dense()
-
-    def _dense(self) -> np.ndarray:
-        """Dense vector with no size guard; one complex per distinct amplitude."""
         import numpy as np
 
+        return np.array(self._dense(), dtype=complex)
+
+    def _dense(self) -> list[complex]:
+        """Dense vector as a list, with no size guard; one complex per
+        distinct amplitude."""
         values: dict[Amplitude, complex] = {}
-        vec = np.zeros(self.local_dim**self.num_qudits, dtype=complex)
+        vec = [0j] * self.local_dim**self.num_qudits
         for key, amp in self._packed.items():
             value = values.get(amp)
             if value is None:

@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfractal import (
     Amplitude,
+    AmplitudeOverflowError,
     AnalysisError,
     GuardExceededError,
     SparseState,
@@ -28,9 +31,13 @@ from qfractal import (
     representative_rule,
     rule_basis_probabilities,
     single_qubit_cliffords,
+    superpose,
     verify_scale_step,
 )
+from qfractal import clifford_search
 from qfractal.analyze import FIDELITY_TOL
+
+SEARCH_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def negate_first(state):
@@ -187,18 +194,35 @@ class TestProductCutReport:
             assert state.schmidt_rank(16) == 2
 
 
+def clifford_matrices():
+    return np.array(single_qubit_cliffords()[1])
+
+
 class TestCliffordTable:
     def test_twenty_four_distinct_unitaries(self):
         words, gates = single_qubit_cliffords()
         assert len(words) == 24
         assert words[0] == "I"
-        for gate in gates:
+        assert all(len(gate) == 2 and all(len(row) == 2 for row in gate) for gate in gates)
+        assert all(type(z) is complex for gate in gates for row in gate for z in row)
+        matrices = clifford_matrices()
+        for gate in matrices:
             assert np.allclose(gate @ gate.conj().T, np.eye(2), atol=1e-12)
         # pairwise distinct up to global phase
         for i in range(24):
             for j in range(i + 1, 24):
-                overlap = abs(np.trace(gates[i].conj().T @ gates[j])) / 2
+                overlap = abs(np.trace(matrices[i].conj().T @ matrices[j])) / 2
                 assert overlap < 1 - 1e-6
+
+    def test_words_spell_their_gates(self):
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        s = np.diag([1, 1j])
+        words, _ = single_qubit_cliffords()
+        for word, gate in zip(words, clifford_matrices()):
+            product = np.eye(2)
+            for letter in word.replace("I", ""):
+                product = product @ (h if letter == "H" else s)
+            assert np.allclose(product, gate, atol=1e-12)
 
 
 class TestLocalCliffordSearch:
@@ -262,7 +286,7 @@ class TestLocalCliffordSearch:
 def kronecker_products(num_qubits):
     """Every Kronecker product of the 24 gates on ``num_qubits`` qubits, built
     one by one in lexicographic index order."""
-    _, gates = single_qubit_cliffords()
+    gates = clifford_matrices()
     products = [np.ones((1, 1), dtype=complex)]
     for _ in range(num_qubits):
         products = [np.kron(product, gate) for product in products for gate in gates]
@@ -270,9 +294,19 @@ def kronecker_products(num_qubits):
 
 
 def first_match_by_kronecker(a, b):
-    """Reference scan: the first index tuple whose product maps a onto b."""
-    products = kronecker_products(a.num_qudits)
-    fidelities = np.abs(np.einsum("i,kij,j->k", b.to_dense().conj(), products, a.to_dense()))
+    """Reference scan: the first index tuple whose product maps a onto b.
+
+    Up to three qubits every product is a Kronecker product.  On four,
+    qubit 0's gate acts on its own axis, against the products on the other
+    three, so no 16 x 16 product is built."""
+    assert a.num_qudits <= 4
+    bra, ket = b.to_dense().conj(), a.to_dense()
+    if a.num_qudits < 4:
+        overlaps = np.einsum("i,kij,j->k", bra, kronecker_products(a.num_qudits), ket)
+    else:
+        operands = bra.reshape(2, 8), clifford_matrices(), kronecker_products(3), ket.reshape(2, 8)
+        overlaps = np.einsum("xo,gxy,kop,yp->gk", *operands, optimize=True)
+    fidelities = np.abs(overlaps).ravel()
     hits = np.flatnonzero(fidelities > 1 - FIDELITY_TOL)
     if hits.size == 0:
         return None
@@ -330,6 +364,113 @@ class TestLocalCliffordAgainstKronecker:
         assert first_match_by_kronecker(*self.CASES["miss-product-vs-cluster"]()) is None
         indices, _ = first_match_by_kronecker(*self.CASES["last-qubit-flip"]())
         assert indices[:-1] == (0, 0) and indices[-1] != 0
+
+
+def ghz(num_qubits, phase_index=0):
+    """(|0...0> + e^(2 pi i r/8) |1...1>)/sqrt(2)."""
+    half = Amplitude.inv_sqrt(2)
+    return SparseState(
+        2, num_qubits, 8, {(0,) * num_qubits: half, (1,) * num_qubits: Amplitude(phase_index, half.mag_exponents)}
+    )
+
+
+def test_t_phased_ghz_is_no_local_clifford_image_of_ghz():
+    # Local Cliffords map stabilizer states to stabilizer states, and a
+    # relative phase e^(i pi/4) between |00000> and |11111> is not one.
+    # A T gate on one qubit does map GHZ onto it, so every prefix survives
+    # the reduced-state bound and the miss is decided at the last qubit.
+    assert lu_equivalent_by_local_clifford(ghz(5), ghz(5, 1)) is None
+    assert lu_equivalent_by_local_clifford(ghz(5), ghz(5, 2)).words == ("I", "I", "I", "I", "S")
+
+
+@st.composite
+def ring_qubit_states(draw, num_qubits):
+    """Normalized qubit states with amplitudes e^(2 pi i r/8) 2**(-e/2): a
+    unit weight on one basis string, halved again and again onto fresh
+    strings."""
+    keys = draw(st.permutations(range(2**num_qubits)))
+    exponents = [0]
+    for pick in draw(st.lists(st.integers(0, 2**num_qubits), max_size=2**num_qubits - 1)):
+        parent = pick % len(exponents)
+        exponents[parent] += 1
+        exponents.append(exponents[parent])
+    phases = draw(st.lists(st.integers(0, 7), min_size=len(exponents), max_size=len(exponents)))
+    entries = {
+        tuple(int(bit) for bit in format(key, f"0{num_qubits}b")): Amplitude(phase, ((2, exponent),))
+        for key, exponent, phase in zip(keys, exponents, phases)
+    }
+    return SparseState(2, num_qubits, 8, entries)
+
+
+def apply_gate_word(state, position, word):
+    """The exact image of ``state`` under one listed gate on ``position``:
+    the word's letters act right to left, H as (X + Z)/sqrt(2) and S as a
+    quarter turn on the digit 1."""
+    for letter in reversed(word.replace("I", "")):
+        if letter == "H":
+            images = state.apply_bit_flip(position), state.apply_sigma_z(position)
+            state = superpose([(0, image.scaled(inv_sqrt=2)) for image in images])
+        else:
+            entries = {
+                digits: Amplitude(amp.phase_index + 2 * digits[position], amp.mag_exponents)
+                for digits, amp in state.entries.items()
+            }
+            state = SparseState(2, state.num_qudits, state.phase_order, entries)
+    return state
+
+
+@SEARCH_SETTINGS
+@given(st.data())
+def test_search_equals_the_kronecker_scan_on_ring_states(data):
+    num_qubits = data.draw(st.integers(1, 4))
+    a = data.draw(ring_qubit_states(num_qubits))
+    if data.draw(st.booleans()):
+        words, _ = single_qubit_cliffords()
+        indices = data.draw(st.lists(st.integers(0, 23), min_size=num_qubits, max_size=num_qubits))
+        b = a
+        try:
+            for position, index in enumerate(indices):
+                b = apply_gate_word(b, position, words[index])
+        except AmplitudeOverflowError:
+            assume(False)
+    else:
+        b = data.draw(ring_qubit_states(num_qubits))
+    expected = first_match_by_kronecker(a, b)
+    match = lu_equivalent_by_local_clifford(a, b)
+    if expected is None:
+        assert match is None
+    else:
+        assert match is not None
+        assert match.indices == expected[0]
+        assert abs(match.fidelity - expected[1]) < 1e-12
+
+
+@SEARCH_SETTINGS
+@given(st.data())
+def test_purities_equal_the_reduced_density_matrices(data):
+    num_qubits = data.draw(st.integers(1, 5))
+    state = data.draw(ring_qubit_states(num_qubits))
+    vec = state.to_dense()
+    for k in range(num_qubits + 1):
+        matrix = vec.reshape(2**k, -1)
+        rho = matrix @ matrix.conj().T
+        assert abs(clifford_search._purity(state._dense(), num_qubits, k) - np.trace(rho @ rho).real) < 1e-12
+
+
+def test_cluster_against_zero_is_decided_at_the_one_gate_prefixes(monkeypatch):
+    # Every qubit of cluster-5 is maximally mixed and |00000> is a product,
+    # so no first gate survives and no prefix of two gates is built.
+    built = []
+    contract = clifford_search._contract
+
+    def counted(blocks, terms):
+        built.append(len(blocks[0]))
+        return contract(blocks, terms)
+
+    monkeypatch.setattr(clifford_search, "_contract", counted)
+    assert lu_equivalent_by_local_clifford(build_cluster(5), SparseState.basis_state(2, (0,) * 5)) is None
+    assert set(built) <= {256}
+    assert len(built) <= 24
 
 
 def dense_rank(state, cut):

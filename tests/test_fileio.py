@@ -242,6 +242,22 @@ class TestNonAsciiDigits:
             parse_rule(text, tmp_path)
 
 
+class TestNegativeBasisDigits:
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("-1", "malformed basis string '-1'"),
+            ("-1,0", "basis digit -1 is negative"),
+            ("0,-2", "basis digit -2 is negative"),
+        ],
+    )
+    def test_both_forms_are_line_numbered_format_errors(self, body, message, tmp_path):
+        text = f"qfs-rule/1\nc 2\ns 1\nphase_order 8\n\nslot 1 0 predecessor\nslot 2 0 basis:{body}\ncoeff 0,0 0\n"
+        with pytest.raises(FormatError) as info:
+            parse_rule(text, tmp_path)
+        assert str(info.value) == f"line 7: {message}"
+
+
 class TestStrictIntegers:
     """Integer fields accept ASCII ``-?[0-9]+`` only, never the wider forms
     that ``int()`` takes (non-ASCII digits, ``_``, ``+``, whitespace)."""

@@ -5,7 +5,8 @@ verify-step` prints every check, naming the last orthonormality defect.  The
 expected texts are those the checks printed while each ran its own loop over
 the slot cells; they pin which defect and which unresolved cell each report
 names.  A ``basis:`` slot whose digits fall outside the predecessor's
-``[0, N)`` is reported like one of the wrong length.
+``[0, N)`` is reported like one of the wrong length; a negative digit is
+refused when the rule file is parsed.
 """
 
 import pytest
@@ -38,8 +39,22 @@ PRESENT = "predecessor_present: pass (a referenced slot resolves to the predeces
 ORTHONORMAL = "slot_orthonormality: pass (pairwise within 1e-09)\n"
 INVALID = "norm: pass (target norm squared 1)\nextracted_s: -\nvalid: no\n"
 
+
+
+def report(lines):
+    """verify-step's exit code and output for a report whose check lines
+    between HEAD and INVALID are ``lines``."""
+    return 1, HEAD + lines + INVALID, ""
+
+
+def refused(message):
+    """verify-step's exit code and output for a rule file refused as it is
+    parsed."""
+    return 2, "", f"error: {message}\n"
+
+
 # name: (prev, slot tables, coefficient indices, rule file slot lines, target,
-#        check_rule_against message or None, verify-step lines between HEAD and INVALID)
+#        check_rule_against message or None, verify-step exit code, stdout and stderr)
 CASES = {
     "unresolved_cells": (
         ZERO,
@@ -48,9 +63,11 @@ CASES = {
         "slot 1 0 predecessor\nslot 2 0 basis:1\n",
         SparseState.basis_state(2, (0, 1)),
         "slot 1 has no entry for index 1",
-        "predecessor_present: FAIL (slot 1 has no entry for index 1)\n"
-        "slot_orthonormality: FAIL (slot 1 has no entry for index 1)\n"
-        "reconstruction: FAIL (slot 2 has no entry for index 1)\n",
+        report(
+            "predecessor_present: FAIL (slot 1 has no entry for index 1)\n"
+            "slot_orthonormality: FAIL (slot 1 has no entry for index 1)\n"
+            "reconstruction: FAIL (slot 2 has no entry for index 1)\n"
+        ),
     ),
     "two_slots_not_orthogonal": (
         ZERO,
@@ -59,9 +76,11 @@ CASES = {
         "slot 1 0 predecessor\nslot 1 1 file:plus.qfs\nslot 2 0 basis:0\nslot 2 1 file:plus.qfs\n",
         SparseState.basis_state(2, (0, 1)),
         "slot 1 vectors are not orthogonal",
-        PRESENT + "slot_orthonormality: FAIL (slot 2 vectors not orthogonal)\n"
-        "reconstruction: FAIL (amplitudes at (0, 0) do not sum into the exact ring; "
-        "use the dense path for general sums)\n",
+        report(
+            PRESENT + "slot_orthonormality: FAIL (slot 2 vectors not orthogonal)\n"
+            "reconstruction: FAIL (amplitudes at (0, 0) do not sum into the exact ring; "
+            "use the dense path for general sums)\n"
+        ),
     ),
     "unnormalized_named_slot": (
         QUTRIT_ZERO,
@@ -70,8 +89,10 @@ CASES = {
         "slot 1 0 predecessor\nslot 1 1 basis:1\nslot 2 0 basis:0\nslot 2 1 file:unnormalized.qfs\n",
         SparseState.basis_state(3, (0, 0)),
         "slot 2 vector 1 is not normalized",
-        PRESENT + "slot_orthonormality: FAIL (slot 2 vector not normalized)\n"
-        "reconstruction: FAIL (scale rule output is not normalized; slot products must be orthonormal)\n",
+        report(
+            PRESENT + "slot_orthonormality: FAIL (slot 2 vector not normalized)\n"
+            "reconstruction: FAIL (scale rule output is not normalized; slot products must be orthonormal)\n"
+        ),
     ),
     "basis_digit_too_large": (
         ZERO,
@@ -80,9 +101,11 @@ CASES = {
         "slot 1 0 predecessor\nslot 1 1 basis:1\nslot 2 0 basis:5\nslot 2 1 basis:1\n",
         SparseState.basis_state(2, (0, 0)),
         "slot 2 basis string has digits outside [0, 2)",
-        "predecessor_present: FAIL (slot 2 basis string has digits outside [0, 2))\n"
-        "slot_orthonormality: FAIL (slot 2 basis string has digits outside [0, 2))\n"
-        "reconstruction: FAIL (slot 2 basis string has digits outside [0, 2))\n",
+        report(
+            "predecessor_present: FAIL (slot 2 basis string has digits outside [0, 2))\n"
+            "slot_orthonormality: FAIL (slot 2 basis string has digits outside [0, 2))\n"
+            "reconstruction: FAIL (slot 2 basis string has digits outside [0, 2))\n"
+        ),
     ),
     "basis_digit_negative": (
         SparseState.basis_state(2, (0, 0)),
@@ -91,9 +114,7 @@ CASES = {
         "slot 1 0 predecessor\nslot 1 1 basis:11\nslot 2 0 basis:-1,0\nslot 2 1 basis:11\n",
         SparseState.basis_state(2, (0, 0, 0, 0)),
         "slot 2 basis string has digits outside [0, 2)",
-        "predecessor_present: FAIL (slot 2 basis string has digits outside [0, 2))\n"
-        "slot_orthonormality: FAIL (slot 2 basis string has digits outside [0, 2))\n"
-        "reconstruction: FAIL (slot 2 basis string has digits outside [0, 2))\n",
+        refused("line 8: basis digit -1 is negative"),
     ),
     "no_predecessor": (
         QUTRIT_ZERO,
@@ -102,8 +123,10 @@ CASES = {
         "slot 1 0 basis:1\nslot 2 0 basis:1\nslot 2 1 basis:2\n",
         SparseState(3, 2, 8, {(1, 1): HALF, (1, 2): HALF}),
         "no referenced slot resolves to the predecessor state",
-        "predecessor_present: FAIL (no slot matches the predecessor)\n" + ORTHONORMAL
-        + "reconstruction: pass (rule output equals the target exactly)\n",
+        report(
+            "predecessor_present: FAIL (no slot matches the predecessor)\n" + ORTHONORMAL
+            + "reconstruction: pass (rule output equals the target exactly)\n"
+        ),
     ),
     "reconstruction_mismatch": (
         ZERO,
@@ -112,7 +135,7 @@ CASES = {
         "slot 1 0 predecessor\nslot 1 1 basis:1\nslot 2 0 basis:0\nslot 2 1 basis:1\n",
         SparseState(2, 2, 8, {(0, 0): HALF, (1, 1): Amplitude.inv_sqrt(2, phase_index=4)}),
         None,
-        PRESENT + ORTHONORMAL + "reconstruction: FAIL (rule output differs from the target)\n",
+        report(PRESENT + ORTHONORMAL + "reconstruction: FAIL (rule output differs from the target)\n"),
     ),
 }
 
@@ -135,7 +158,7 @@ def test_check_rule_against_names_the_first_defect(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_verify_step_stdout(name, tmp_path, capsys):
-    prev, _, indices, slot_lines, target, _, middle = CASES[name]
+    prev, _, indices, slot_lines, target, _, expected = CASES[name]
     save_state(prev, tmp_path / "prev.qfs")
     save_state(target, tmp_path / "next.qfs")
     save_state(PLUS, tmp_path / "plus.qfs")
@@ -146,7 +169,7 @@ def test_verify_step_stdout(name, tmp_path, capsys):
     argv += ["--prev", str(tmp_path / "prev.qfs"), "--next", str(tmp_path / "next.qfs")]
     code = main(argv)
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (1, HEAD + middle + INVALID, "")
+    assert (code, captured.out, captured.err) == expected
 
 
 @pytest.mark.parametrize("digit", [-1, 2])
