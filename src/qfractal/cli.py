@@ -135,16 +135,15 @@ def _cmd_code(args: argparse.Namespace) -> int:
     spec = _parse_code_spec(args.spec)
     state = load_state(args.state)
     errors = _parse_error_positions(args.errors)
+    if args.action in ("encode", "inject") and args.output is None:
+        raise ValueError(f"code {args.action} requires -o")
+    # Both act on an encoded register, so both refuse one of partial blocks.
+    if args.action in ("inject", "decode") and not splits_into_blocks(state.num_qudits, spec):
+        raise ValueError(f"{state.num_qudits} qubits do not split into {spec.block_arity}**{spec.levels} blocks")
     if args.action == "encode":
-        if args.output is None:
-            raise ValueError("code encode requires -o")
         save_state(encode(state, spec), args.output)
         return 0
     if args.action == "inject":
-        if args.output is None:
-            raise ValueError("code inject requires -o")
-        if not splits_into_blocks(state.num_qudits, spec):
-            raise ValueError(f"{state.num_qudits} qubits do not split into {spec.block_arity}**{spec.levels} blocks")
         save_state(inject_errors(state, errors), args.output)
         return 0
     if args.action == "decode":

@@ -206,10 +206,11 @@ class TestCode:
             ("bitflip:100000000", "7 qubits do not split into 3**100000000 blocks"),
         ],
     )
-    def test_inject_refuses_a_register_of_partial_blocks(self, capsys, tmp_path, spec, message):
+    @pytest.mark.parametrize("action", ["inject", "decode"])
+    def test_refuses_a_register_of_partial_blocks(self, capsys, tmp_path, spec, message, action):
         source, target = tmp_path / "cluster.qfs", tmp_path / "out.qfs"
         run(capsys, "gen", "--family", "cluster", "--qubits", "7", "-o", str(source))
-        argv = ["code", "inject", "--spec", spec, "--state", str(source), "--errors", "1", "-o", str(target)]
+        argv = ["code", action, "--spec", spec, "--state", str(source), "--errors", "1", "-o", str(target)]
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
         assert not target.exists()
 
@@ -390,7 +391,7 @@ class TestCodeGuard:
         "action, code, stderr",
         [
             ("encode", 3, "error: encoded register would exceed 10000 qubits\n"),
-            ("decode", 1, "error: 1 qubits do not split into 3**100000000 blocks\n"),
+            ("decode", 2, "error: 1 qubits do not split into 3**100000000 blocks\n"),
         ],
         ids=["encode", "decode"],
     )

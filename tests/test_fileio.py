@@ -1,13 +1,21 @@
 """Text format round trips, parse failure modes, and support rendering."""
 
-import pytest
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qfractal.fileio as fileio
 from qfractal import (
     Amplitude,
     BasisSlot,
     Coefficient,
     FormatError,
     FractalParams,
+    GuardExceededError,
     NamedSlot,
     Predecessor,
     Provenance,
@@ -26,6 +34,7 @@ from qfractal import (
     serialize_rule,
     serialize_state,
 )
+from qfractal.cli import main
 from qfractal.fileio import load_rule, load_state, save_rule, save_state, write_text_atomic
 
 
@@ -183,6 +192,228 @@ class TestAtomicWrite:
         save_state(state, tmp_path / "cluster.qfs")
         assert load_state(tmp_path / "cluster.qfs") == state
 
+    @pytest.mark.parametrize("error", [MemoryError(), GuardExceededError("serialized state too large")])
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_a_failing_iterable_leaves_the_target_as_it_was(self, tmp_path, error, existing):
+        target = tmp_path / "out.qfs"
+        if existing:
+            target.write_bytes(b"old bytes\n")
+
+        def chunks():
+            yield "new " * 1000
+            yield "more\n"
+            raise error
+
+        with pytest.raises(type(error)):
+            write_text_atomic(target, chunks())
+        assert list(tmp_path.iterdir()) == ([target] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize(
+        "error, stderr",
+        [(MemoryError(), "error: out of memory\n"), (GuardExceededError("too large"), "error: too large\n")],
+    )
+    def test_cli_save_failing_part_way_exits_three(self, tmp_path, capsys, error, stderr):
+        # One record per batch, and the third record's text fails: the header
+        # and two batches are written to the temp file first.
+        target = tmp_path / "out.qfs"
+        target.write_bytes(b"old bytes\n")
+        calls = []
+
+        def failing(key, local_dim, num_qudits):
+            calls.append(key)
+            if len(calls) == 3:
+                raise error
+            return fileio.digit_text(key, local_dim, num_qudits)
+
+        with mock.patch.object(fileio, "CHUNK_CHARS", 1), mock.patch.object(fileio, "_key_to_text", failing):
+            code = main(["gen", "--family", "cantor", "--n", "2", "-o", str(target)])
+        assert (code, capsys.readouterr().err) == (3, stderr)
+        assert len(calls) == 3
+        assert target.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("writer", ["save_state", "save_rule", "viz --svg"])
+    def test_every_writer_is_atomic_and_writes_a_str_whole(self, tmp_path, capsys, writer):
+        source = tmp_path / "in.qfs"
+        save_state(build_cantor(2), source)
+        target = tmp_path / "out"
+        target.write_bytes(b"old bytes\n")
+        writes = []
+
+        class HalfWriter:
+            """Writes half of the first piece it is given, then runs out of memory."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def writelines(self, pieces):
+                for piece in pieces:
+                    self.write(piece)
+
+            def write(self, text):
+                writes.append(text)
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise MemoryError
+
+        real_fdopen = fileio.os.fdopen
+        with mock.patch.object(fileio.os, "fdopen", lambda fd, mode: HalfWriter(real_fdopen(fd, mode))):
+            if writer == "save_state":
+                with pytest.raises(MemoryError):
+                    save_state(build_cantor(2), target)
+                expected = serialize_state(build_cantor(2)).split("\n\n")[0] + "\n\n"
+            elif writer == "save_rule":
+                with pytest.raises(MemoryError):
+                    save_rule(representative_rule(2, 3, 1, 3), target)
+                expected = serialize_rule(representative_rule(2, 3, 1, 3))
+            else:
+                assert main(["viz", "--state", str(source), "--svg", str(target)]) == 3
+                assert capsys.readouterr().err == "error: out of memory\n"
+                expected = render_support(build_cantor(2), "svg")
+        # A str goes to one write whole; a state's first piece is its header.
+        assert writes == [expected]
+        assert target.read_bytes() == b"old bytes\n"
+        assert sorted(tmp_path.iterdir()) == [source, target]
+
+    def test_a_str_is_not_iterated(self, tmp_path):
+        class NoIter(str):
+            def __iter__(self):
+                raise AssertionError("iterated character by character")
+
+        target = tmp_path / "out.txt"
+        write_text_atomic(target, NoIter("whole\ntext\n"))
+        assert target.read_text() == "whole\ntext\n"
+
+
+def _outcome(read):
+    """The canonical text of the state ``read`` returns, or its error."""
+    try:
+        return serialize_state(read())
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@st.composite
+def state_files(draw):
+    """The text of a valid state file, then one mutation of it."""
+    local_dim = draw(st.sampled_from([2, 3, 10, 12]))
+    num_qudits = draw(st.integers(1, 5))
+    phase_order = draw(st.sampled_from([2, 8]))
+    digits = st.tuples(*[st.integers(0, local_dim - 1)] * num_qudits)
+    amplitudes = st.builds(
+        Amplitude, st.integers(0, phase_order - 1), st.sampled_from([(), ((2, 1),), ((3, -1), (5, 2))])
+    )
+    entries = draw(st.dictionaries(digits, amplitudes, max_size=10))
+    text = serialize_state(SparseState(local_dim, num_qudits, phase_order, entries))
+    lines = text.split("\n")
+    records = range(5, len(lines) - 1)  # indices of the record lines
+    mutation = draw(
+        st.sampled_from(
+            ["none", "crlf", "cr", "\x0c", "\u2028", "no final newline", "empty", "header only", "bad digit", "order"]
+        )
+    )
+    if mutation == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif mutation == "cr":
+        text = text.replace("\n", "\r")
+    elif mutation in ("\x0c", "\u2028"):
+        at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "\n"]))
+        text = text[:at] + mutation + text[at + 1 :]
+    elif mutation == "no final newline":
+        text = text[:-1]
+    elif mutation == "empty":
+        text = ""
+    elif mutation == "header only":
+        text = "\n".join(lines[:4]) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    elif mutation == "bad digit" and records:
+        at = draw(st.sampled_from(records))
+        lines[at] = draw(st.sampled_from(["9", "x", "-"])) + lines[at][1:]
+        text = "\n".join(lines)
+    elif mutation == "order" and len(records) > 1:
+        at = draw(st.sampled_from(records[1:]))
+        lines[at - 1], lines[at] = lines[at], lines[at - 1]
+        text = "\n".join(lines)
+    return text
+
+
+class TestStreamedParity:
+    """A file read in chunks parses as its whole text does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=state_files(), chunk=st.integers(1, 40))
+    def test_load_state_matches_parse_state(self, text, chunk):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "state.qfs"
+            path.write_bytes(text.encode())
+            with mock.patch.object(fileio, "CHUNK_CHARS", chunk):
+                streamed = _outcome(lambda: load_state(path))
+            assert streamed == _outcome(lambda: parse_state(path.read_text()))
+
+    @pytest.mark.parametrize(
+        "state", [build_cantor(7), build_cluster(14), SparseState(12, 40, 8, {(11,) * 40: Amplitude.one()})]
+    )
+    def test_save_state_writes_the_serialized_text(self, tmp_path, state):
+        # cantor-7 (295 KB) and cluster-14 (361 KB) span several chunks.
+        save_state(state, tmp_path / "out.qfs")
+        text = serialize_state(state)
+        assert (tmp_path / "out.qfs").read_text() == text
+        assert serialize_state(load_state(tmp_path / "out.qfs")) == text
+
+    @pytest.mark.parametrize("mutation", ["bad digit", "order"])
+    def test_error_past_the_first_chunk_names_its_line(self, tmp_path, mutation):
+        lines = serialize_state(build_cantor(7)).split("\n")
+        at = 1000  # in the third chunk
+        assert len("\n".join(lines[:at])) > 2 * fileio.CHUNK_CHARS
+        if mutation == "bad digit":
+            lines[at] = "3" + lines[at][1:]
+            message = f"line {at + 1}: digit 3 outside [0, 3)"
+        else:
+            lines[at - 1], lines[at] = lines[at], lines[at - 1]
+            message = f"line {at + 1}: records must be in strictly ascending order"
+        path = tmp_path / "bad.qfs"
+        path.write_text("\n".join(lines))
+        for read in (lambda: load_state(path), lambda: parse_state(path.read_text())):
+            with pytest.raises(FormatError) as caught:
+                read()
+            assert str(caught.value) == message
+
+    def test_rule_and_its_file_slot_are_read_in_chunks(self, tmp_path):
+        plus, _ = build_gem_sequence(3)
+        save_state(plus, tmp_path / "plus.qfs")
+        slots = [line for j in (1, 2) for line in (f"slot {j} 0 file:plus.qfs", f"slot {j} 1 predecessor")]
+        text = "\n".join(["qfs-rule/1", "c 2", "s 2", "phase_order 8", "", *slots, "coeff 0,1 0", "coeff 1,0 4", ""])
+        (tmp_path / "gem.rule").write_text(text)
+        with mock.patch.object(fileio, "CHUNK_CHARS", 7):
+            loaded = load_rule(tmp_path / "gem.rule")
+        assert loaded.slot_tables[0][0].state == plus
+        assert serialize_rule(loaded) == serialize_rule(parse_rule(text, tmp_path)) == text
+
+
+class TestUndecodableBytes:
+    # Decoding is streamed, so the byte position counts from the start of the
+    # 64 KiB chunk being decoded: 70000 - 65536 = 4464.
+    def test_cli_exits_two_with_the_chunk_position(self, tmp_path, capsys):
+        raw = serialize_state(build_cantor(7)).encode()
+        path = tmp_path / "bad.qfs"
+        path.write_bytes(raw[:70000] + b"\xff" + raw[70000:])
+        assert main(["analyze", "--state", str(path)]) == 2
+        assert capsys.readouterr().err == "error: 'utf-8' codec can't decode byte 0xff in position 4464: invalid start byte\n"
+
+    def test_a_line_check_before_the_bad_chunk_is_reported_first(self, tmp_path, capsys):
+        raw = serialize_state(build_cantor(7)).encode()
+        path = tmp_path / "bad.qfs"
+        path.write_bytes(raw.replace(b"phase_order 8", b"phase_order x", 1)[:70000] + b"\xff" + raw[70000:])
+        assert main(["analyze", "--state", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 4: phase_order is not an integer: 'x'\n"
+
 
 class TestRenderSupport:
     def test_single_qutrit_fills_the_first_third(self):
@@ -332,6 +563,20 @@ class TestHeaderLineNumbers:
     def test_reordered_state_header(self, header, message):
         with pytest.raises(FormatError) as info:
             parse_state("qfs/1\n" + header + "\n0 0 1\n")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("qfs/1\nlocal_dim 2\nphase_order 8\n\n0 0 1\n", "line 4: missing header key 'num_qudits'"),
+            ("qfs/1\nlocal_dim 2\nphase_order 8\n", "line 4: missing header key 'num_qudits'"),
+            ("qfs/1", "line 2: missing header key 'local_dim'"),
+        ],
+        ids=["blank line", "no blank line", "tag only"],
+    )
+    def test_missing_key_names_the_blank_line_or_one_past_the_end(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_state(text)
         assert str(info.value) == message
 
     def test_reordered_state_header_parses_to_the_canonical_file(self):
