@@ -192,17 +192,22 @@ class ScaleRule(_Checked, _ScaleRuleFields):
         ]
         return any(prev in vectors for vectors in slots), defects
 
-    def products(self, prev: SparseState) -> Iterator[SparseState]:
-        """The ``s`` slot products in coefficient order.  Each cell resolves
-        once, when a record first needs it, so the first bad cell in
-        coefficient order raises."""
+    def records(self, prev: SparseState) -> Iterator[tuple[SparseState, ...]]:
+        """Each record's resolved slot vectors, in coefficient order.  Each
+        cell resolves once, when a record first needs it, so the first bad
+        cell in coefficient order raises."""
         cells: dict[tuple[int, int], SparseState] = {}
         for coeff in self.coefficients:
             record = tuple(enumerate(coeff.indices))
             for cell in record:
                 if cell not in cells:
                     cells[cell] = self.resolve(*cell, prev)
-            yield reduce(SparseState.tensor, map(cells.__getitem__, record))
+            yield tuple(map(cells.__getitem__, record))
+
+    def products(self, prev: SparseState) -> Iterator[SparseState]:
+        """The ``s`` slot products in coefficient order, built as they are
+        iterated."""
+        return (reduce(SparseState.tensor, vectors) for vectors in self.records(prev))
 
 
 def check_rule_against(prev: SparseState, rule: ScaleRule) -> None:
@@ -233,7 +238,12 @@ def apply_scale_rule(prev: SparseState, rule: ScaleRule, *, validate: bool = Tru
         check_rule_against(prev, rule)
     if prev.num_qudits * rule.c > MAX_QUDITS:
         raise GuardExceededError(f"output would exceed {MAX_QUDITS} qudits")
-    products = list(rule.products(prev))
+    records = list(rule.records(prev))
+    # A tensor product has the product of its factors' entry counts, and the
+    # sum of the records' products bounds the output.
+    if sum(math.prod(len(vector._packed) for vector in vectors) for vectors in records) > MAX_ENTRIES:
+        raise GuardExceededError(f"output would exceed {MAX_ENTRIES} entries")
+    products = [reduce(SparseState.tensor, vectors) for vectors in records]
     order = math.lcm(rule.phase_order, *(p.phase_order for p in products))
     step = order // rule.phase_order
     terms: list[tuple[int, SparseState]] = []
@@ -241,8 +251,6 @@ def apply_scale_rule(prev: SparseState, rule: ScaleRule, *, validate: bool = Tru
         scaled = product.promoted(order).scaled(inv_sqrt=rule.s)
         terms.append(((coeff.phase_index * step) % order, scaled))
     result = superpose(terms)
-    if len(result.entries) > MAX_ENTRIES:
-        raise GuardExceededError(f"output exceeds {MAX_ENTRIES} entries")
     if result.norm_squared() != Fraction(1):
         raise ScaleRuleError("scale rule output is not normalized; slot products must be orthonormal")
     provenance = None

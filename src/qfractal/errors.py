@@ -15,7 +15,7 @@ class AmplitudeOverflowError(QfsError):
     """Colliding amplitudes do not net to a single ring element.
 
     The sparse amplitude ring only represents unit phases times radical
-    magnitudes; sums outside the ring must be handled on the dense path.
+    magnitudes, so a sum outside the ring is refused rather than rounded.
     """
 
 

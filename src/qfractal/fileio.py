@@ -6,19 +6,22 @@ the library wrote reproduces it byte for byte.  State files open with the tag
 separated from the body by one blank line.  State records are sorted
 ascending by basis string, which doubles as the duplicate check.
 
-Files are streamed: a reader takes ``CHUNK_CHARS`` characters at a time and
-feeds their lines to the same line loop that parses a whole ``str``, and a
-state is written as batches of about ``CHUNK_CHARS`` characters of records.
-So a command holds one chunk of text next to the state, never the whole text.
+Files are streamed through Python's text layer.  A file and a whole ``str``
+are read by one line loop over a text stream with universal newlines, so a
+line ends at LF, CR LF or CR and at no other character.  A file is decoded
+8 KiB at a time, and the byte position that an undecodable byte's error
+names counts from the start of that block, not of the file.  A state is
+written one record at a time into the file object's buffer.  So a command
+holds the state and a buffer of text, never the whole text.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import tempfile
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NoReturn, Sequence, Union
 
@@ -46,13 +49,6 @@ from .states import (
 
 STATE_TAG = "qfs/1"
 RULE_TAG = "qfs-rule/1"
-
-# Characters read per chunk, and about the text of one written batch of
-# records.  With 1 MiB chunks `qfs verify-step` on cantor 7 -> 8 peaked at
-# 21.8 MB, above the 20.2 MB of reading whole files; 64 KiB gives 18.6 MB.
-CHUNK_CHARS = 1 << 16
-# Every character that ends a line for str.splitlines().
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 ASCII_MAX_WIDTH = 72
 SVG_WIDTH = 720
@@ -144,26 +140,9 @@ def _magnitude_from_text(text: str, lineno: int) -> tuple[tuple[int, int], ...]:
 
 
 def _read_lines(handle: IO[str]) -> Iterator[str]:
-    """The lines of a text file, as ``str.splitlines()`` of its whole text
-    gives them, read ``CHUNK_CHARS`` characters at a time."""
-    return chain.from_iterable(_line_batches(handle))
-
-
-def _line_batches(handle: IO[str]) -> Iterator[list[str]]:
-    head: list[str] = []  # the pieces of a line that has not ended yet
-    while chunk := handle.read(CHUNK_CHARS):
-        lines = chunk.splitlines()
-        tail = None if chunk[-1] in _LINE_BREAKS else lines.pop()
-        if lines:
-            if head:
-                head.append(lines[0])
-                lines[0] = "".join(head)
-                head = []
-            yield lines
-        if tail is not None:
-            head.append(tail)
-    if head:
-        yield ["".join(head)]
+    """The lines of a text stream opened with universal newlines, each
+    without the newline that ends it."""
+    return (line.rstrip("\n") for line in handle)
 
 
 def _read_header(
@@ -212,20 +191,13 @@ def header_lines(state: SparseState) -> list[str]:
 
 
 def _state_chunks(state: SparseState) -> Iterator[str]:
-    """The ``qfs/1`` text of ``state``: the header, then its records in
-    batches of about ``CHUNK_CHARS`` characters."""
+    """The ``qfs/1`` text of ``state``: the header, then one record a piece."""
     yield "\n".join([STATE_TAG, *header_lines(state), "", ""])
     local_dim, num_qudits, packed = state.local_dim, state.num_qudits, state._packed
     # One amplitude text per distinct amplitude; the records only look it up.
     amp_texts = {amp: f" {amp.phase_index} {_magnitude_to_text(amp)}\n" for amp in set(packed.values())}
-    digit_chars = 1 if local_dim <= TEXT_DIGITS_MAX else len(str(local_dim - 1)) + 1
-    record_chars = num_qudits * digit_chars + max(map(len, amp_texts.values()), default=0)
-    batch = max(1, CHUNK_CHARS // record_chars)
-    keys = sorted(packed)
-    for start in range(0, len(keys), batch):
-        yield "".join(
-            [_key_to_text(key, local_dim, num_qudits) + amp_texts[packed[key]] for key in keys[start : start + batch]]
-        )
+    for key in sorted(packed):
+        yield _key_to_text(key, local_dim, num_qudits) + amp_texts[packed[key]]
 
 
 def serialize_state(state: SparseState) -> str:
@@ -235,7 +207,7 @@ def serialize_state(state: SparseState) -> str:
 def parse_state(text: str) -> SparseState:
     """Parse a ``qfs/1`` document; any defect raises :class:`FormatError`
     naming the offending line."""
-    return _state_from_lines(iter(text.splitlines()))
+    return _state_from_lines(_read_lines(io.StringIO(text, newline=None)))
 
 
 def _state_from_lines(lines: Iterator[str]) -> SparseState:
@@ -328,7 +300,7 @@ def _slot_from_text(text: str, base_dir: Path, lineno: int) -> SlotVector:
 def parse_rule(text: str, base_dir: str | Path = ".") -> ScaleRule:
     """Parse a ``qfs-rule/1`` document, loading ``file:`` slots relative to
     ``base_dir``."""
-    return _rule_from_lines(iter(text.splitlines()), Path(base_dir))
+    return _rule_from_lines(_read_lines(io.StringIO(text, newline=None)), Path(base_dir))
 
 
 def _rule_from_lines(lines: Iterator[str], base: Path) -> ScaleRule:
@@ -368,11 +340,15 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write ``text``, one ``str`` or an iterable of pieces written in turn,
     via a sibling temp file and rename.  Readers never see a partial
     document: if writing fails, the iterable raising included, the temp file
-    is removed and an existing target keeps its old bytes."""
+    is removed and an existing target keeps its old bytes.  The file gets the
+    mode ``open(path, "w")`` would create it with, 0o666 less the umask."""
     target = Path(path)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
             handle.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp_name, target)
     except BaseException:

@@ -6,7 +6,7 @@ amplitude occurring in the supported state families (Bell pairs and gems,
 Cantor-type representative states, repetition-code registers, linear cluster
 states) is of this form, so states compare bit-exactly.  Sums that leave the
 ring raise :class:`~qfractal.errors.AmplitudeOverflowError` instead of silently
-degrading to floats; callers fall back to the dense numpy path where needed.
+degrading to floats.
 
 Each basis string is stored as one packed integer: every digit takes a field
 of ``(N - 1).bit_length()`` bits, the leftmost ket symbol in the most
@@ -62,13 +62,6 @@ def shape_defect(local_dim: int, num_qudits: int, phase_order: int) -> tuple[str
     if phase_order < 2 or phase_order % 2:
         return "phase_order", f"phase_order must be even and positive, got {phase_order}"
     return None
-
-
-def check_shape(local_dim: int, num_qudits: int, phase_order: int) -> None:
-    """Raise ValueError unless N >= 2, Q >= 1 and R is even and positive."""
-    defect = shape_defect(local_dim, num_qudits, phase_order)
-    if defect is not None:
-        raise ValueError(defect[1])
 
 
 def digit_bits(local_dim: int) -> int:
@@ -374,7 +367,9 @@ class SparseState(_Frozen):
 
     def __post_init__(self) -> None:
         """Validate the constructor's arguments and pack ``entries``."""
-        check_shape(self.local_dim, self.num_qudits, self.phase_order)
+        defect = shape_defect(self.local_dim, self.num_qudits, self.phase_order)
+        if defect is not None:
+            raise ValueError(defect[1])
         order = self.phase_order
         packed: dict[int, Amplitude] = {}
         for digits, amp in self.entries.items():
@@ -432,9 +427,6 @@ class SparseState(_Frozen):
     def support(self) -> tuple[BasisIndex, ...]:
         """Supported basis strings in ascending order."""
         return tuple(map(self.entries._digits, sorted(self._packed)))
-
-    def amplitude(self, digits: Sequence[int]) -> Amplitude | None:
-        return self.entries.get(tuple(digits))
 
     def norm_squared(self) -> Fraction:
         """Exact squared norm: the sum of squared magnitudes."""

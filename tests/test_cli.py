@@ -116,6 +116,39 @@ class TestVerifyStep:
         assert code == 2
         assert "error:" in err
 
+    def test_output_guard_fires_before_the_products_are_built(self, tmp_path):
+        # prev^(x3) of cantor-5 has 243**3 entries.  Under a 1 GiB address-space
+        # cap, building it first ends in "error: out of memory" with no report.
+        save_state(build_cantor(5), tmp_path / "c5.qfs")
+        slots = "".join(f"slot {j} 0 predecessor\n" for j in (1, 2, 3))
+        (tmp_path / "cube.rule").write_text(f"qfs-rule/1\nc 3\ns 1\nphase_order 8\n\n{slots}coeff 0,0,0 0\n")
+        save_state(SparseState.basis_state(3, (0,) * 96), tmp_path / "next.qfs")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = ["verify-step", "--rule", "cube.rule", "--prev", "c5.qfs", "--next", "next.qfs"]
+        argv[2::2] = [str(tmp_path / name) for name in argv[2::2]]
+        result = subprocess.run(
+            [sys.executable, "-m", "qfractal", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert (result.returncode, result.stderr) == (1, "")
+        checks = result.stdout.splitlines()[:6]
+        assert [line.split(":")[0] for line in checks] == [
+            "coefficient_count",
+            "coefficient_magnitudes",
+            "predecessor_present",
+            "slot_orthonormality",
+            "reconstruction",
+            "norm",
+        ]
+        assert checks[4] == "reconstruction: FAIL (output would exceed 1000000 entries)"
+        assert result.stdout.endswith("valid: no\n")
+
 
 class TestAnalyze:
     def test_summary_lines(self, capsys, tmp_path):

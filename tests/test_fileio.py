@@ -1,5 +1,7 @@
 """Text format round trips, parse failure modes, and support rendering."""
 
+import io
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -215,8 +217,8 @@ class TestAtomicWrite:
         [(MemoryError(), "error: out of memory\n"), (GuardExceededError("too large"), "error: too large\n")],
     )
     def test_cli_save_failing_part_way_exits_three(self, tmp_path, capsys, error, stderr):
-        # One record per batch, and the third record's text fails: the header
-        # and two batches are written to the temp file first.
+        # The third record's text fails: the header and two records have been
+        # handed to the temp file first.
         target = tmp_path / "out.qfs"
         target.write_bytes(b"old bytes\n")
         calls = []
@@ -227,7 +229,7 @@ class TestAtomicWrite:
                 raise error
             return fileio.digit_text(key, local_dim, num_qudits)
 
-        with mock.patch.object(fileio, "CHUNK_CHARS", 1), mock.patch.object(fileio, "_key_to_text", failing):
+        with mock.patch.object(fileio, "_key_to_text", failing):
             code = main(["gen", "--family", "cantor", "--n", "2", "-o", str(target)])
         assert (code, capsys.readouterr().err) == (3, stderr)
         assert len(calls) == 3
@@ -282,6 +284,24 @@ class TestAtomicWrite:
         assert writes == [expected]
         assert target.read_bytes() == b"old bytes\n"
         assert sorted(tmp_path.iterdir()) == [source, target]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    @pytest.mark.parametrize("writer", ["save_state", "save_rule", "viz --svg"])
+    def test_written_files_take_the_umask_mode(self, tmp_path, writer, umask):
+        source = tmp_path / "in.qfs"
+        save_state(build_cantor(2), source)
+        target = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            if writer == "save_state":
+                save_state(build_cantor(2), target)
+            elif writer == "save_rule":
+                save_rule(representative_rule(2, 3, 1, 3), target)
+            else:
+                assert main(["viz", "--state", str(source), "--svg", str(target)]) == 0
+        finally:
+            os.umask(previous)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_a_str_is_not_iterated(self, tmp_path):
         class NoIter(str):
@@ -345,23 +365,47 @@ def state_files(draw):
 
 
 class TestStreamedParity:
-    """A file read in chunks parses as its whole text does."""
+    """A file read through its handle parses as its whole text does."""
 
     @settings(max_examples=300, deadline=None)
-    @given(text=state_files(), chunk=st.integers(1, 40))
-    def test_load_state_matches_parse_state(self, text, chunk):
+    @given(text=state_files())
+    def test_load_state_matches_parse_state(self, text):
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "state.qfs"
             path.write_bytes(text.encode())
-            with mock.patch.object(fileio, "CHUNK_CHARS", chunk):
-                streamed = _outcome(lambda: load_state(path))
-            assert streamed == _outcome(lambda: parse_state(path.read_text()))
+            assert _outcome(lambda: load_state(path)) == _outcome(lambda: parse_state(text))
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028", "\x85"])
+    @pytest.mark.parametrize("at, error", [(0, "expected header tag 'qfs/1'"), (9, "malformed record line {line!r}")])
+    def test_only_newlines_end_a_line(self, tmp_path, capsys, separator, at, error):
+        # str.splitlines() would also split at these, and both halves would parse.
+        lines = serialize_state(build_cantor(1)).split("\n")
+        lines[at : at + 2] = [lines[at] + separator + lines[at + 1]]
+        text = "\n".join(lines)
+        message = f"line {at + 1}: " + error.format(line=lines[at])
+        path = tmp_path / "sep.qfs"
+        path.write_bytes(text.encode())
+        for read in (lambda: load_state(path), lambda: parse_state(text)):
+            with pytest.raises(FormatError) as caught:
+                read()
+            assert str(caught.value) == message
+        assert main(["analyze", "--state", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_record_longer_than_the_io_buffer_round_trips(self, tmp_path):
+        entries = {(11,) * 8000: Amplitude.inv_sqrt(2), (0,) * 7999 + (5,): Amplitude.inv_sqrt(2, phase_index=4)}
+        state = SparseState(12, 8000, 8, entries)
+        text = serialize_state(state)
+        assert max(map(len, text.split("\n"))) > 2 * io.DEFAULT_BUFFER_SIZE
+        save_state(state, tmp_path / "wide.qfs")
+        assert (tmp_path / "wide.qfs").read_text() == text
+        assert load_state(tmp_path / "wide.qfs") == parse_state(text) == state
 
     @pytest.mark.parametrize(
         "state", [build_cantor(7), build_cluster(14), SparseState(12, 40, 8, {(11,) * 40: Amplitude.one()})]
     )
     def test_save_state_writes_the_serialized_text(self, tmp_path, state):
-        # cantor-7 (295 KB) and cluster-14 (361 KB) span several chunks.
+        # cantor-7 (295 KB) and cluster-14 (361 KB) span many I/O buffers.
         save_state(state, tmp_path / "out.qfs")
         text = serialize_state(state)
         assert (tmp_path / "out.qfs").read_text() == text
@@ -370,8 +414,8 @@ class TestStreamedParity:
     @pytest.mark.parametrize("mutation", ["bad digit", "order"])
     def test_error_past_the_first_chunk_names_its_line(self, tmp_path, mutation):
         lines = serialize_state(build_cantor(7)).split("\n")
-        at = 1000  # in the third chunk
-        assert len("\n".join(lines[:at])) > 2 * fileio.CHUNK_CHARS
+        at = 1000  # past the first few I/O buffers
+        assert len("\n".join(lines[:at])) > 2 * io.DEFAULT_BUFFER_SIZE
         if mutation == "bad digit":
             lines[at] = "3" + lines[at][1:]
             message = f"line {at + 1}: digit 3 outside [0, 3)"
@@ -391,15 +435,14 @@ class TestStreamedParity:
         slots = [line for j in (1, 2) for line in (f"slot {j} 0 file:plus.qfs", f"slot {j} 1 predecessor")]
         text = "\n".join(["qfs-rule/1", "c 2", "s 2", "phase_order 8", "", *slots, "coeff 0,1 0", "coeff 1,0 4", ""])
         (tmp_path / "gem.rule").write_text(text)
-        with mock.patch.object(fileio, "CHUNK_CHARS", 7):
-            loaded = load_rule(tmp_path / "gem.rule")
+        loaded = load_rule(tmp_path / "gem.rule")
         assert loaded.slot_tables[0][0].state == plus
         assert serialize_rule(loaded) == serialize_rule(parse_rule(text, tmp_path)) == text
 
 
 class TestUndecodableBytes:
     # Decoding is streamed, so the byte position counts from the start of the
-    # 64 KiB chunk being decoded: 70000 - 65536 = 4464.
+    # 8 KiB block being decoded: 70000 - 8 * 8192 = 4464.
     def test_cli_exits_two_with_the_chunk_position(self, tmp_path, capsys):
         raw = serialize_state(build_cantor(7)).encode()
         path = tmp_path / "bad.qfs"
