@@ -221,7 +221,7 @@ def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalClif
     if q > LU_MAX_QUBITS:
         raise GuardExceededError(f"{q} qubits exceeds the search limit {LU_MAX_QUBITS}")
     for state in (a, b):
-        if abs(float(state.norm_squared()) - 1.0) > FIDELITY_TOL:
+        if state.norm_squared() != 1:
             raise ValueError("states must be normalized")
 
     from .clifford_search import first_match

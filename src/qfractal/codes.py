@@ -11,9 +11,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .construct import MAX_ENTRIES, MAX_QUDITS
-from .errors import CodeError, GuardExceededError
-from .states import Amplitude, SparseState, _Checked, superpose
+from .errors import CodeError
+from .states import Amplitude, SparseState, _Checked, capped_power, check_size, superpose
 
 
 # One octal digit is one block's three bits: their majority, and whether they differ.
@@ -85,18 +84,15 @@ def encode(state: SparseState, spec: CodeSpec) -> SparseState:
     """Concatenate ``spec.levels`` encoding passes over a qubit register."""
     if state.local_dim != 2:
         raise CodeError("encoding is defined for qubit registers")
-    # num_qudits >= 1 and arity >= 2: deep specs are refused before the power.
-    if spec.levels >= MAX_QUDITS.bit_length() or state.num_qudits * spec.block_arity**spec.levels > MAX_QUDITS:
-        raise GuardExceededError(f"encoded register would exceed {MAX_QUDITS} qubits")
     if spec.kind is CodeKind.BIT_FLIP:
         # Repetition keeps the number of entries, so one check covers all levels.
-        if len(state.entries) > MAX_ENTRIES:
-            raise GuardExceededError(f"encoded state exceeds {MAX_ENTRIES} entries")
+        qudits = state.num_qudits * capped_power(spec.block_arity, spec.levels)
+        check_size("encoded state", len(state.entries), qudits, 2)
         return _encode_repetition(state, spec.levels)
     current = state
     for _ in range(spec.levels):
-        if len(current.entries) << current.num_qudits > MAX_ENTRIES:
-            raise GuardExceededError(f"encoded state would exceed {MAX_ENTRIES} entries")
+        # Each key expands onto 2**Q basis strings.
+        check_size("encoded state", len(current.entries) << current.num_qudits, 2 * current.num_qudits, 2)
         current = _encode_bell(current)
     return current
 

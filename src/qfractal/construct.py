@@ -15,14 +15,11 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .errors import GuardExceededError, ScaleRuleError
-from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, _Checked, digit_bits, superpose
+from .errors import ScaleRuleError
+from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, _Checked, capped_power, check_size
+from .states import digit_bits, superpose
 
-# Constructors refuse outputs beyond these desk-scale ceilings.
-MAX_ENTRIES = 10**6
-MAX_QUDITS = 10**4
-
-# Numerical tolerance for slot orthonormality checks.
+# Numerical tolerance for slot orthogonality checks.
 ORTHO_TOL = 1e-9
 
 
@@ -175,7 +172,7 @@ class ScaleRule(_Checked, _ScaleRuleFields):
 
         Returns whether a cell equals ``prev``, and the orthonormality defects
         of each slot's exactly deduplicated vectors in scan order: ``(slot, i,
-        i)`` if vector ``i`` is not normalized, ``(slot, i, j)`` if vectors
+        i)`` if vector ``i``'s exact norm is not 1, ``(slot, i, j)`` if vectors
         ``i < j`` are not orthogonal, at tolerance ``ORTHO_TOL``.
         """
         slots: list[list[SparseState]] = [[] for _ in range(self.c)]
@@ -188,7 +185,7 @@ class ScaleRule(_Checked, _ScaleRuleFields):
             for slot, vectors in enumerate(slots)
             for i, u in enumerate(vectors)
             for j in range(i, len(vectors))
-            if abs(u.inner_product(vectors[j]) - (1.0 if i == j else 0.0)) > ORTHO_TOL
+            if (u.norm_squared() != 1 if i == j else abs(u.inner_product(vectors[j])) > ORTHO_TOL)
         ]
         return any(prev in vectors for vectors in slots), defects
 
@@ -214,8 +211,8 @@ def check_rule_against(prev: SparseState, rule: ScaleRule) -> None:
     """Raise :class:`ScaleRuleError` unless the rule is applicable to ``prev``.
 
     Checks slot resolution, predecessor presence (by exact state equality),
-    and pairwise slot orthonormality at tolerance ``ORTHO_TOL``; the first
-    defect raises.
+    exact slot normalization and pairwise orthogonality at tolerance
+    ``ORTHO_TOL``; the first defect raises.
     """
     found, defects = rule.slot_defects(prev)
     if not found:
@@ -236,13 +233,11 @@ def apply_scale_rule(prev: SparseState, rule: ScaleRule, *, validate: bool = Tru
     """
     if validate:
         check_rule_against(prev, rule)
-    if prev.num_qudits * rule.c > MAX_QUDITS:
-        raise GuardExceededError(f"output would exceed {MAX_QUDITS} qudits")
     records = list(rule.records(prev))
     # A tensor product has the product of its factors' entry counts, and the
     # sum of the records' products bounds the output.
-    if sum(math.prod(len(vector._packed) for vector in vectors) for vectors in records) > MAX_ENTRIES:
-        raise GuardExceededError(f"output would exceed {MAX_ENTRIES} entries")
+    entries = sum(math.prod(len(vector._packed) for vector in vectors) for vectors in records)
+    check_size("output", entries, prev.num_qudits * rule.c, prev.local_dim)
     products = [reduce(SparseState.tensor, vectors) for vectors in records]
     order = math.lcm(rule.phase_order, *(p.phase_order for p in products))
     step = order // rule.phase_order
@@ -289,10 +284,7 @@ def build_representative(c: int, s: int, n: int, local_dim: int) -> SparseState:
     params = FractalParams(c, s, n)
     if local_dim < max(2, s):
         raise ValueError(f"local_dim {local_dim} too small for s = {s}")
-    if c**n > MAX_QUDITS:
-        raise GuardExceededError(f"{c}**{n} qudits exceeds {MAX_QUDITS}")
-    if s**n > MAX_ENTRIES:
-        raise GuardExceededError(f"{s}**{n} entries exceeds {MAX_ENTRIES}")
+    check_size("output", capped_power(s, n), capped_power(c, n), local_dim)
     state = build_initial(local_dim)
     branch = Amplitude.inv_sqrt(s)
     bits = digit_bits(local_dim)
@@ -328,13 +320,8 @@ def build_gem_sequence(levels: int) -> tuple[SparseState, SparseState]:
     level-(k-1) siblings.  Returns (plus, minus)."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    if 2**levels > MAX_QUDITS:
-        raise GuardExceededError(f"2**{levels} qudits exceeds {MAX_QUDITS}")
     plus, minus = build_bell_pair(+1), build_bell_pair(-1)
-    for level in range(2, levels + 1):
-        # A step sums two tensors of the siblings, so this bounds its output.
-        if 2 * len(plus.entries) * len(minus.entries) > MAX_ENTRIES:
-            raise GuardExceededError(f"gem level {level} exceeds {MAX_ENTRIES} entries")
+    for _ in range(2, levels + 1):
         plus, minus = (
             apply_scale_rule(minus, gem_rule(plus, +1)),
             apply_scale_rule(minus, gem_rule(plus, -1)),
@@ -365,8 +352,7 @@ def build_bitflip_state(n: int, logical: int) -> SparseState:
         raise ValueError(f"logical digit must be 0 or 1, got {logical}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if 3**n > MAX_QUDITS:
-        raise GuardExceededError(f"3**{n} qudits exceeds {MAX_QUDITS}")
+    check_size("output", 1, capped_power(3, n), 2)
     key = logical * ((1 << 3**n) - 1)
     return SparseState._trusted(
         2, 3**n, DEFAULT_PHASE_ORDER, {key: Amplitude.one()}, Provenance("bitflip", 3, 1, n)
@@ -380,8 +366,9 @@ def build_cluster(n_qubits: int) -> SparseState:
     sign of string x is ``(-1)**#{a : x_a = 0 and x_(a+1) = 1}`` with no
     factor contributed past the end of the chain.
     """
-    if not 1 <= n_qubits <= 14:
-        raise GuardExceededError(f"cluster size {n_qubits} outside [1, 14]")
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    check_size("output", capped_power(2, n_qubits), n_qubits, 2)
     order = DEFAULT_PHASE_ORDER
     half = order // 2
     signs = (Amplitude(0, ((2, n_qubits),)), Amplitude(half, ((2, n_qubits),)))

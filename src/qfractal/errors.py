@@ -20,7 +20,7 @@ class AmplitudeOverflowError(QfsError):
 
 
 class GuardExceededError(QfsError):
-    """A desk-scale size ceiling (entries, qudits, dense dimension) was hit."""
+    """A desk-scale size ceiling (entries, qudits, key bits, dense dimension) was hit."""
 
 
 class ScaleRuleError(QfsError):

@@ -145,6 +145,12 @@ def _read_lines(handle: IO[str]) -> Iterator[str]:
     return (line.rstrip("\n") for line in handle)
 
 
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` read as a file's are, from UTF-8 bytes: not StringIO's 4-byte characters."""
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return _read_lines(io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass", newline=None))
+
+
 def _read_header(
     lines: Iterator[str], tag: str, required: tuple[str, ...], optional: tuple[str, ...]
 ) -> tuple[dict[str, tuple[str, int]], int]:
@@ -207,7 +213,7 @@ def serialize_state(state: SparseState) -> str:
 def parse_state(text: str) -> SparseState:
     """Parse a ``qfs/1`` document; any defect raises :class:`FormatError`
     naming the offending line."""
-    return _state_from_lines(_read_lines(io.StringIO(text, newline=None)))
+    return _state_from_lines(_text_lines(text))
 
 
 def _state_from_lines(lines: Iterator[str]) -> SparseState:
@@ -300,7 +306,7 @@ def _slot_from_text(text: str, base_dir: Path, lineno: int) -> SlotVector:
 def parse_rule(text: str, base_dir: str | Path = ".") -> ScaleRule:
     """Parse a ``qfs-rule/1`` document, loading ``file:`` slots relative to
     ``base_dir``."""
-    return _rule_from_lines(_read_lines(io.StringIO(text, newline=None)), Path(base_dir))
+    return _rule_from_lines(_text_lines(text), Path(base_dir))
 
 
 def _rule_from_lines(lines: Iterator[str], base: Path) -> ScaleRule:

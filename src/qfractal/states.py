@@ -69,6 +69,28 @@ def digit_bits(local_dim: int) -> int:
     return (local_dim - 1).bit_length()
 
 
+# Constructors refuse outputs past these ceilings; 2**33 key bits is 1 GiB.
+MAX_ENTRIES = 10**6
+MAX_QUDITS = 10**4
+MAX_KEY_BITS = 2**33
+
+
+def check_size(subject: str, entries: int, qudits: int, local_dim: int) -> None:
+    """Raise :class:`GuardExceededError` at the first qudit, entry or key-bit ceiling a state this size passes."""
+    bits = entries * qudits * digit_bits(local_dim)
+    ceilings = (qudits, MAX_QUDITS, "qudits"), (entries, MAX_ENTRIES, "entries"), (bits, MAX_KEY_BITS, "key bits")
+    for size, limit, unit in ceilings:
+        if size > limit:
+            raise GuardExceededError(f"{subject} would exceed {limit} {unit}")
+
+
+def capped_power(base: int, exponent: int) -> int:
+    """``min(base**exponent, MAX_KEY_BITS + 1)``, which every ceiling refuses.  As
+    ``base >= 2**(bit_length - 1)``, a deep exponent alone shows the power is past it."""
+    deep = exponent * (base.bit_length() - 1) > MAX_KEY_BITS.bit_length()
+    return MAX_KEY_BITS + 1 if deep else min(base**exponent, MAX_KEY_BITS + 1)
+
+
 # A packed key is its digit string read in base 2**bits.  format() writes
 # bases 2, 8 and 16, so for those field widths it writes the digit text.
 _FORMAT_CODES = {1: "b", 3: "o", 4: "x"}
@@ -533,8 +555,10 @@ class SparseState(_Frozen):
         dim = self.local_dim**self.num_qudits
         if dim > DENSE_VECTOR_LIMIT:
             raise GuardExceededError(f"dense dimension {dim} exceeds {DENSE_VECTOR_LIMIT}")
-        import numpy as np
-
+        try:
+            import numpy as np
+        except ImportError:
+            raise ImportError("to_dense needs numpy: pip install 'qfractal[dense]'") from None
         return np.array(self._dense(), dtype=complex)
 
     def _dense(self) -> list[complex]:
@@ -619,10 +643,7 @@ def _net(state: SparseState, key: int, amps: list[Amplitude]) -> Amplitude | Non
     if not left:
         return None
     if len(left) > 1:
-        raise AmplitudeOverflowError(
-            f"amplitudes at {state.entries._digits(key)} do not sum into the exact ring; "
-            "use the dense path for general sums"
-        )
+        raise AmplitudeOverflowError(f"amplitudes at {state.entries._digits(key)} do not sum into the exact ring")
     (mag_exponents, root), count = left[0]
     phase = root if count > 0 else root + half
     if abs(count) == 1:

@@ -226,6 +226,12 @@ class TestCliffordTable:
 
 
 class TestLocalCliffordSearch:
+    def test_norm_is_tested_exactly(self):
+        # A squared norm of 1 + 2**-40 is within FIDELITY_TOL of 1 as a float.
+        almost = SparseState(2, 2, 8, {(0, 0): Amplitude.one(), (0, 1): Amplitude(0, ((2, 40),))})
+        with pytest.raises(ValueError, match=r"^states must be normalized$"):
+            lu_equivalent_by_local_clifford(almost, almost)
+
     def test_identity_on_equal_states(self):
         plus, _ = build_gem_sequence(2)
         match = lu_equivalent_by_local_clifford(plus, plus)

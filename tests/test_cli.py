@@ -357,14 +357,41 @@ class TestErrorExits:
         assert not (tmp_path / "c.qfs").exists()
 
 
-class TestGemGuard:
-    def test_refused_before_the_step_allocates(self, tmp_path):
-        # Under a 1 GiB address-space cap, building the level-6 tensors first
-        # ends in "error: out of memory"; the guard must answer before that.
+class TestSizeGuard:
+    # Each family at its first refused size, and at an exponent whose power
+    # would take minutes or all memory to form.  Under a 1 GiB address-space
+    # cap every one must be refused by the guard, not end in "out of memory".
+    FIRST_REFUSED = {
+        "representative-qudits": (["--family", "representative", "--c", "2", "--s", "2", "--n", "14"], "10000 qudits"),
+        "representative-keys-wide": (
+            ["--family", "representative", "--c", "10000", "--s", "1000000", "--n", "1"],
+            "8589934592 key bits",
+        ),
+        "representative-keys-deep": (
+            ["--family", "representative", "--c", "100", "--s", "1000", "--n", "2"],
+            "8589934592 key bits",
+        ),
+        "cantor": (["--family", "cantor", "--n", "13"], "1000000 entries"),
+        "bitflip": (["--family", "bitflip", "--n", "9"], "10000 qudits"),
+        "cluster": (["--family", "cluster", "--qubits", "20"], "1000000 entries"),
+        "bellgem": (["--family", "bellgem", "--n", "6", "--sign", "+"], "1000000 entries"),
+    }
+    HUGE_EXPONENT = {
+        "representative": (
+            ["--family", "representative", "--c", "10", "--s", "2", "--n", "1000000000"],
+            "10000 qudits",
+        ),
+        "cantor": (["--family", "cantor", "--n", "1000000000"], "10000 qudits"),
+        "bitflip": (["--family", "bitflip", "--n", "1000000000"], "10000 qudits"),
+        "cluster": (["--family", "cluster", "--qubits", "1000000000"], "10000 qudits"),
+        "bellgem": (["--family", "bellgem", "--n", "1000000000", "--sign", "-"], "1000000 entries"),
+    }
+
+    @staticmethod
+    def run_capped(argv):
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-        argv = ["gen", "--family", "bellgem", "--n", "6", "--sign", "+", "-o", str(tmp_path / "g6.qfs")]
         start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "qfractal", *argv],
@@ -373,11 +400,46 @@ class TestGemGuard:
             timeout=60,
             preexec_fn=cap_memory,
         )
-        assert time.perf_counter() - start < 10
-        assert result.returncode == 3
-        assert result.stderr == "error: gem level 6 exceeds 1000000 entries\n"
-        assert result.stdout == ""
-        assert not (tmp_path / "g6.qfs").exists()
+        return result, time.perf_counter() - start
+
+    @pytest.mark.parametrize("flags, limit", list(FIRST_REFUSED.values()), ids=list(FIRST_REFUSED))
+    def test_first_refused_size(self, tmp_path, flags, limit):
+        result, _ = self.run_capped(["gen", *flags, "-o", str(tmp_path / "out.qfs")])
+        assert (result.returncode, result.stderr, result.stdout) == (3, f"error: output would exceed {limit}\n", "")
+        assert not (tmp_path / "out.qfs").exists()
+
+    @pytest.mark.parametrize("flags, limit", list(HUGE_EXPONENT.values()), ids=list(HUGE_EXPONENT))
+    def test_huge_exponent_refused_at_once(self, tmp_path, flags, limit):
+        result, seconds = self.run_capped(["gen", *flags, "-o", str(tmp_path / "out.qfs")])
+        assert seconds < 1
+        assert (result.returncode, result.stderr, result.stdout) == (3, f"error: output would exceed {limit}\n", "")
+
+    @pytest.mark.parametrize(
+        "spec, limit",
+        [
+            ("bitflip:9", "10000 qudits"),
+            ("bellpair:5", "1000000 entries"),
+            ("bitflip:1000000000", "10000 qudits"),
+            ("bellpair:1000000000", "1000000 entries"),
+        ],
+    )
+    def test_code_encode(self, tmp_path, spec, limit):
+        source = tmp_path / "one.qfs"
+        assert main(["gen", "--family", "bitflip", "--n", "0", "--logical", "1", "-o", str(source)]) == 0
+        argv = ["code", "encode", "--spec", spec, "--state", str(source), "-o", str(tmp_path / "out.qfs")]
+        result, seconds = self.run_capped(argv)
+        assert seconds < 1
+        stderr = f"error: encoded state would exceed {limit}\n"
+        assert (result.returncode, result.stderr, result.stdout) == (3, stderr, "")
+        assert not (tmp_path / "out.qfs").exists()
+
+    def test_the_sizes_below_are_built(self, tmp_path):
+        source = tmp_path / "one.qfs"
+        assert main(["gen", "--family", "bitflip", "--n", "0", "--logical", "1", "-o", str(source)]) == 0
+        for spec in ("bitflip:8", "bellpair:4"):
+            argv = ["code", "encode", "--spec", spec, "--state", str(source), "-o", str(tmp_path / "enc.qfs")]
+            assert main(argv) == 0
+        assert main(["gen", "--family", "bitflip", "--n", "8", "-o", str(tmp_path / "b8.qfs")]) == 0
 
 
 class TestCutGuard:
@@ -423,7 +485,7 @@ class TestCodeGuard:
     @pytest.mark.parametrize(
         "action, code, stderr",
         [
-            ("encode", 3, "error: encoded register would exceed 10000 qubits\n"),
+            ("encode", 3, "error: encoded state would exceed 10000 qudits\n"),
             ("decode", 2, "error: 1 qubits do not split into 3**100000000 blocks\n"),
         ],
         ids=["encode", "decode"],

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfractal.codes
+import qfractal.states
 from qfractal import (
     Amplitude,
     CodeError,
@@ -254,9 +255,9 @@ class TestErrorMessages:
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
     def test_encode_refuses_a_state_over_max_entries(self, monkeypatch, levels):
-        monkeypatch.setattr(qfractal.codes, "MAX_ENTRIES", 3)
+        monkeypatch.setattr(qfractal.states, "MAX_ENTRIES", 3)
         over = SparseState(2, 2, 8, {key: Amplitude.inv_sqrt(4) for key in ((0, 0), (0, 1), (1, 0), (1, 1))})
-        with pytest.raises(GuardExceededError, match=r"^encoded state exceeds 3 entries$"):
+        with pytest.raises(GuardExceededError, match=r"^encoded state would exceed 3 entries$"):
             encode(over, bitflip(levels))
         at_limit = SparseState(2, 2, 8, {key: Amplitude.inv_sqrt(3) for key in ((0, 0), (0, 1), (1, 1))})
         assert len(encode(at_limit, bitflip(levels)).entries) == 3
@@ -265,10 +266,11 @@ class TestErrorMessages:
         def refuse(*args):
             raise AssertionError("the encoding pass ran")
 
-        monkeypatch.setattr(qfractal.codes, "MAX_ENTRIES", 0)
+        cluster = build_cluster(2)
+        monkeypatch.setattr(qfractal.states, "MAX_ENTRIES", 0)
         monkeypatch.setattr(qfractal.codes, "_encode_repetition", refuse)
-        with pytest.raises(GuardExceededError, match=r"^encoded state exceeds 0 entries$"):
-            encode(build_cluster(2), bitflip(3))
+        with pytest.raises(GuardExceededError, match=r"^encoded state would exceed 0 entries$"):
+            encode(cluster, bitflip(3))
 
     def test_bell_guard_fires_before_each_encoding_pass(self, monkeypatch):
         passes = []
@@ -279,15 +281,15 @@ class TestErrorMessages:
 
         encode_bell = qfractal.codes._encode_bell
         monkeypatch.setattr(qfractal.codes, "_encode_bell", counted)
-        monkeypatch.setattr(qfractal.codes, "MAX_ENTRIES", 7)
+        monkeypatch.setattr(qfractal.states, "MAX_ENTRIES", 7)
         with pytest.raises(GuardExceededError, match=r"^encoded state would exceed 7 entries$"):
             encode(SparseState.basis_state(2, (0, 1, 1)), CodeSpec(CodeKind.BELL_PAIR, 1))
         assert passes == []
-        monkeypatch.setattr(qfractal.codes, "MAX_ENTRIES", 4)
+        monkeypatch.setattr(qfractal.states, "MAX_ENTRIES", 4)
         with pytest.raises(GuardExceededError, match=r"^encoded state would exceed 4 entries$"):
             encode(SparseState.basis_state(2, (0, 1)), CodeSpec(CodeKind.BELL_PAIR, 2))
         assert passes == [2]
 
     def test_encode_refuses_a_register_over_max_qudits(self):
-        with pytest.raises(GuardExceededError, match=r"^encoded register would exceed 10000 qubits$"):
+        with pytest.raises(GuardExceededError, match=r"^encoded state would exceed 10000 qudits$"):
             encode(build_cluster(2), bitflip(9))

@@ -136,6 +136,19 @@ class TestApplyScaleRule:
         with pytest.raises(ScaleRuleError):
             apply_scale_rule(plus, skewed)
 
+    def test_slot_normalization_is_exact(self):
+        # |1> + 2**-20 |2> is orthogonal to |0>, and its squared norm
+        # 1 + 2**-40 lies within ORTHO_TOL of 1.
+        almost = SparseState(3, 1, 8, {(1,): Amplitude.one(), (2,): Amplitude(0, ((2, 40),))})
+        rule = ScaleRule(
+            FractalParams(2, 2),
+            ({0: Predecessor(), 1: BasisSlot((1,))}, {0: BasisSlot((0,)), 1: NamedSlot(almost)}),
+            (Coefficient((0, 0)), Coefficient((1, 1))),
+        )
+        assert rule.slot_defects(build_initial(3)) == (True, [(1, 1, 1)])
+        with pytest.raises(ScaleRuleError, match=r"^slot 2 vector 1 is not normalized$"):
+            apply_scale_rule(build_initial(3), rule)
+
     def test_validation_can_be_skipped(self):
         rule = ScaleRule(
             FractalParams(2, 1),
@@ -315,7 +328,8 @@ class TestCluster:
             assert amp.squared_magnitude() == Fraction(1, 2**n)
 
     def test_size_guard(self):
-        with pytest.raises(GuardExceededError):
-            build_cluster(15)
-        with pytest.raises(GuardExceededError):
+        assert len(build_cluster(15).entries) == 2**15
+        with pytest.raises(GuardExceededError, match=r"^output would exceed 1000000 entries$"):
+            build_cluster(20)
+        with pytest.raises(ValueError, match=r"^n_qubits must be >= 1, got 0$"):
             build_cluster(0)

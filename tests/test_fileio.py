@@ -3,6 +3,7 @@
 import io
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -391,6 +392,23 @@ class TestStreamedParity:
             assert str(caught.value) == message
         assert main(["analyze", "--state", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_string_is_parsed_from_its_utf8_bytes(self):
+        # A StringIO of the text would hold four bytes a character.
+        text = serialize_state(build_cantor(8))
+        tracemalloc.start()
+        try:
+            state = parse_state(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state == build_cantor(8)
+        assert peak < 2 * len(text)
+
+    def test_a_lone_surrogate_reaches_the_line_check(self):
+        text = serialize_state(build_cantor(1)) + "\ud800 0 1\n"
+        with pytest.raises(FormatError, match=r"^line 13: malformed digit string '\\ud800'$"):
+            parse_state(text)
 
     def test_a_record_longer_than_the_io_buffer_round_trips(self, tmp_path):
         entries = {(11,) * 8000: Amplitude.inv_sqrt(2), (0,) * 7999 + (5,): Amplitude.inv_sqrt(2, phase_index=4)}

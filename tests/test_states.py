@@ -1,6 +1,7 @@
 """Exact amplitude ring and sparse-state primitives."""
 
 import itertools
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -18,7 +19,16 @@ from qfractal import (
 )
 from qfractal import states as states_module
 from qfractal.ranks import _prime_divisors, _prime_field
-from qfractal.states import EntriesView, digit_bits, digit_text, pack_digits, unpack_digits
+from qfractal.states import (
+    MAX_KEY_BITS,
+    EntriesView,
+    capped_power,
+    check_size,
+    digit_bits,
+    digit_text,
+    pack_digits,
+    unpack_digits,
+)
 
 
 def basis(local_dim, digits, order=8):
@@ -388,6 +398,44 @@ class TestDense:
         wide = SparseState(2, 15, 8, {})
         with pytest.raises(GuardExceededError):
             wide.to_dense()
+
+    def test_missing_numpy_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ImportError, match=r"^to_dense needs numpy: pip install 'qfractal\[dense\]'$"):
+            basis(2, (0,)).to_dense()
+
+
+class TestSizeGuard:
+    def test_each_ceiling_admits_its_limit(self):
+        check_size("output", 10**6, 1, 2)
+        check_size("output", 1, 10**4, 2)
+        # 2**19 entries on 2**13 qutrits, two bits a digit: 2**33 key bits.
+        check_size("output", 2**19, 2**13, 3)
+
+    @pytest.mark.parametrize(
+        "entries, qudits, local_dim, limit",
+        [
+            (1, 10**4 + 1, 2, "10000 qudits"),
+            (10**6 + 1, 1, 2, "1000000 entries"),
+            (2**19, 2**13, 5, "8589934592 key bits"),
+            (10**6 + 1, 10**4 + 1, 2, "10000 qudits"),
+            (10**6 + 1, 10**4, 2, "1000000 entries"),
+        ],
+    )
+    def test_names_the_first_ceiling_exceeded(self, entries, qudits, local_dim, limit):
+        with pytest.raises(GuardExceededError, match=f"^encoded state would exceed {limit}$"):
+            check_size("encoded state", entries, qudits, local_dim)
+
+    def test_capped_power_is_the_power_up_to_the_cap(self):
+        cap = MAX_KEY_BITS + 1
+        for base in [*range(1, 40), 2**17, 10**6, 2**40]:
+            for exponent in range(40):
+                assert capped_power(base, exponent) == min(base**exponent, cap), (base, exponent)
+
+    def test_capped_power_reads_deep_exponents_from_the_exponent(self):
+        # Forming any of these powers would take minutes or all memory.
+        assert capped_power(2, 10**18) == capped_power(3, 10**9) == capped_power(10**100, 10**9) == MAX_KEY_BITS + 1
+        assert capped_power(1, 10**18) == 1
 
 
 class TestSchmidtRank:

@@ -78,8 +78,7 @@ CASES = {
         "slot 1 vectors are not orthogonal",
         report(
             PRESENT + "slot_orthonormality: FAIL (slot 2 vectors not orthogonal)\n"
-            "reconstruction: FAIL (amplitudes at (0, 0) do not sum into the exact ring; "
-            "use the dense path for general sums)\n"
+            "reconstruction: FAIL (amplitudes at (0, 0) do not sum into the exact ring)\n"
         ),
     ),
     "unnormalized_named_slot": (
