@@ -10,13 +10,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .construct import ORTHO_TOL, FractalParams, ScaleRule, apply_scale_rule
+from .construct import FractalParams, ScaleRule, apply_scale_rule
 from .errors import AnalysisError, GuardExceededError, QfsError
 from .states import SparseState
-
-# Probabilities measured against rule-basis products snap to multiples of 1/s
-# within this tolerance; anything farther is reported as an error.
-SNAP_TOL = 1e-9
 
 # A candidate local-Clifford transform counts as a match above this fidelity.
 FIDELITY_TOL = 1e-9
@@ -74,7 +70,7 @@ def verify_scale_step(prev: SparseState, next_state: SparseState, rule: ScaleRul
                 "a referenced slot resolves to the predecessor" if found else "no slot matches the predecessor",
             )
         )
-        ortho_detail = f"pairwise within {ORTHO_TOL:g}"
+        ortho_detail = "pairwise within 1e-09"
         if defects:
             slot, i, j = defects[-1]
             ortho_detail = f"slot {slot + 1} " + ("vector not normalized" if i == j else "vectors not orthogonal")
@@ -105,16 +101,19 @@ def rule_basis_probabilities(
 ) -> list[Fraction]:
     """Outcome probabilities of ``state`` against the rule's product basis.
 
-    Each coefficient record defines one product vector; its probability must
-    land on a multiple of 1/s within ``SNAP_TOL`` and is returned exactly.
+    Each coefficient record defines one product vector; its squared overlap
+    with ``state`` must be k/s for an integer 0 <= k <= s, which is decided in
+    F_p (see :func:`~qfractal.ranks.squared_overlap`), and k/s is returned.
     """
+    from .ranks import squared_overlap
+
     s = rule.s
     probabilities: list[Fraction] = []
     for product in rule.products(prev):
-        p = abs(product.inner_product(state)) ** 2
-        k = round(p * s)
-        if k < 0 or k > s or abs(p - k / s) > SNAP_TOL:
-            raise AnalysisError(f"probability {p} is not a multiple of 1/{s}")
+        value, p = squared_overlap(product, state)
+        k = value * s % p
+        if k > s:
+            raise AnalysisError(f"probability {abs(product.inner_product(state)) ** 2} is not a multiple of 1/{s}")
         probabilities.append(Fraction(k, s))
     return probabilities
 

@@ -19,9 +19,6 @@ from .errors import ScaleRuleError
 from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, _Checked, capped_power, check_size
 from .states import digit_bits, superpose
 
-# Numerical tolerance for slot orthogonality checks.
-ORTHO_TOL = 1e-9
-
 
 class _FractalParamsFields(NamedTuple):
     c: int
@@ -97,7 +94,7 @@ class ScaleRule(_Checked, _ScaleRuleFields):
     """One recursion step: slot tables plus the nonzero coefficient records.
 
     The constructor copies each slot table into a dict and the records into a
-    tuple, and checks the counts and indices against ``params``."""
+    tuple, and checks R >= 1 and the counts and indices against ``params``."""
 
     __slots__ = ()
 
@@ -109,6 +106,8 @@ class ScaleRule(_Checked, _ScaleRuleFields):
         phase_order: int = DEFAULT_PHASE_ORDER,
     ) -> ScaleRule:
         c, s = params.c, params.s
+        if phase_order < 1:
+            raise ScaleRuleError(f"phase_order must be >= 1, got {phase_order}")
         if len(slot_tables) != c:
             raise ScaleRuleError(f"rule has {len(slot_tables)} slot tables, expected c = {c}")
         slot_tables = tuple(dict(t) for t in slot_tables)
@@ -173,8 +172,10 @@ class ScaleRule(_Checked, _ScaleRuleFields):
         Returns whether a cell equals ``prev``, and the orthonormality defects
         of each slot's exactly deduplicated vectors in scan order: ``(slot, i,
         i)`` if vector ``i``'s exact norm is not 1, ``(slot, i, j)`` if vectors
-        ``i < j`` are not orthogonal, at tolerance ``ORTHO_TOL``.
+        ``i < j`` have a nonzero squared overlap in F_p (:mod:`qfractal.ranks`).
         """
+        from .ranks import squared_overlap
+
         slots: list[list[SparseState]] = [[] for _ in range(self.c)]
         for slot, index in self.referenced_cells():
             vector = self.resolve(slot, index, prev)
@@ -185,7 +186,7 @@ class ScaleRule(_Checked, _ScaleRuleFields):
             for slot, vectors in enumerate(slots)
             for i, u in enumerate(vectors)
             for j in range(i, len(vectors))
-            if (u.norm_squared() != 1 if i == j else abs(u.inner_product(vectors[j])) > ORTHO_TOL)
+            if (u.norm_squared() != 1 if i == j else squared_overlap(u, vectors[j])[0])
         ]
         return any(prev in vectors for vectors in slots), defects
 
@@ -211,8 +212,8 @@ def check_rule_against(prev: SparseState, rule: ScaleRule) -> None:
     """Raise :class:`ScaleRuleError` unless the rule is applicable to ``prev``.
 
     Checks slot resolution, predecessor presence (by exact state equality),
-    exact slot normalization and pairwise orthogonality at tolerance
-    ``ORTHO_TOL``; the first defect raises.
+    exact slot normalization and pairwise orthogonality; the first defect
+    raises.
     """
     found, defects = rule.slot_defects(prev)
     if not found:
@@ -266,6 +267,7 @@ def representative_rule(c: int, s: int, step: int, local_dim: int) -> ScaleRule:
     params = FractalParams(c, s, step)
     if local_dim < s:
         raise ValueError(f"local_dim {local_dim} cannot index {s} coefficient branches")
+    check_size("output", capped_power(s, step + 1), capped_power(c, step + 1), local_dim)
     width = c**step
     first: dict[int, SlotVector] = {i: Predecessor() for i in range(s)}
     rest: list[dict[int, SlotVector]] = [

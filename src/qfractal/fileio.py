@@ -56,7 +56,7 @@ SVG_ROW_HEIGHT = 40
 SVG_ROW_GAP = 8
 SVG_PAD = 8
 
-# Bases are factored by trial division, so larger ones are refused first.
+# Ranks and overlaps in F_p sum q terms per odd prime base q, within a budget of 2**22.
 MAX_MAGNITUDE_BASE = 2**20
 
 _DIGITS = b"0123456789"

@@ -1,4 +1,4 @@
-"""Exact Schmidt ranks of a sparse state from one sweep over its packed keys.
+"""Exact Schmidt ranks and squared overlaps of sparse states, computed in F_p.
 
 The state enters F_p as one vector.  The rows of the cut-k coefficient matrix
 are the leading-digit slices of the rows at cut k - 1, so slicing each
@@ -13,21 +13,19 @@ One budget bounds the time a sweep may take: it is charged for the Gauss
 sums, for every cell sliced and for the cells each elimination step reads,
 and the sweep stops at the cut where it runs out.
 
-States import this module only when a rank is asked for, so the commands that
-take no cut do not compile it.
+A squared overlap |<u|v>|**2 maps through the same homomorphism.  The library
+imports this module only for a rank or an overlap, so the commands that need
+neither do not compile it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING
+from functools import lru_cache
 
-from .errors import GuardExceededError
-from .states import digit_bits
-
-if TYPE_CHECKING:
-    from .states import Amplitude, SparseState
+from .errors import DimensionMismatchError, GuardExceededError
+from .states import Amplitude, SparseState, _is_prime, _prime_factors, digit_bits
 
 # The sweep's budget in cells; one is about 0.25 us of pure Python, so a
 # refused sweep stops after about a second.
@@ -63,56 +61,37 @@ def sweep_ranks(state: SparseState, last_cut: int) -> list[int]:
     return ranks
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 41; these witnesses make it exact below 3.3 * 10**24."""
-    twos = ((n - 1) & (1 - n)).bit_length() - 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        x = pow(a, (n - 1) >> twos, n)
-        if x != 1 and n - 1 not in (pow(x, 2**j, n) for j in range(twos)):
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> set[int]:
-    """The primes dividing 1 <= n < 3.3 * 10**24: trial division below 2**10,
-    then Pollard's rho on what is left."""
-    primes = set()
-    for q in range(2, 2**10):
-        if n % q == 0:
-            primes.add(q)
-            while n % q == 0:
-                n //= q
-    composites = [n] if n > 1 else []
-    while composites:
-        m = composites.pop()
-        if _is_prime(m):
-            primes.add(m)
-            continue
-        for c in itertools.count(1):
-            x = y = 2
-            d = 1
-            while d == 1:
-                x = (x * x + c) % m
-                y = (y * y + c) % m
-                y = (y * y + c) % m
-                d = math.gcd(x - y, m)
-            if d != m:
-                composites += [d, m // d]
-                break
-    return primes
-
-
+@lru_cache(maxsize=None)
 def _prime_field(order: int) -> tuple[int, int]:
     """The least prime p = 1 mod ``order`` at or above 2**61, and an
     element of multiplicative order ``order`` in F_p."""
     p = -(-(2**61 - 1) // order) * order + 1
     while not _is_prime(p):
         p += order
-    primes = _prime_divisors(order)
     for g in itertools.count(2):
         w = pow(g, (p - 1) // order, p)
-        if all(pow(w, order // q, p) != 1 for q in primes):
+        if all(pow(w, order // q, p) != 1 for q, _ in _prime_factors(order)):
             return p, w
+
+
+def squared_overlap(u: SparseState, v: SparseState) -> tuple[int, int]:
+    """|<u|v>|**2 mod p, and p, under the homomorphism of :func:`_field_images`:
+    0 when the overlap is 0, and otherwise too only if the value lies in its
+    kernel.  Supports that do not meet give (0, 1), and build no field."""
+    if u.local_dim != v.local_dim or u.num_qudits != v.num_qudits:
+        raise DimensionMismatchError("inner product needs matching local_dim and num_qudits")
+    order = math.lcm(u.phase_order, v.phase_order)
+    a, b = u.promoted(order)._packed, v.promoted(order)._packed
+    shared = a.keys() & b.keys()
+    if not shared:
+        return 0, 1
+    amps = {amp for key in shared for amp in (a[key], b[key])}
+    # A magnitude is real, so conjugating an amplitude negates its phase.
+    conj = {amp: Amplitude._canonical(-amp.phase_index % order, amp.mag_exponents) for amp in amps}
+    _, p, images = _field_images(order, {*amps, *conj.values()})
+    inner = sum(images[conj[a[key]]] * images[b[key]] for key in shared)
+    outer = sum(images[a[key]] * images[conj[b[key]]] for key in shared)
+    return inner * outer % p, p
 
 
 def _field_images(phase_order: int, amps: set[Amplitude]) -> tuple[int, int, dict[Amplitude, int]]:

@@ -127,24 +127,42 @@ def unpack_digits(key: int, local_dim: int, num_qudits: int) -> BasisIndex:
     return tuple(int(text[i : i + bits], 2) for i in range(0, len(text), bits))
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 41; these witnesses make it exact below 3.3 * 10**24."""
+    twos = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, (n - 1) >> twos, n)
+        if x != 1 and n - 1 not in (pow(x, 2**j, n) for j in range(twos)):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 2 as ((prime, multiplicity), ...)."""
+    """Prime factorization of 2 <= n < 3.3 * 10**24 as ((prime, multiplicity), ...),
+    primes increasing: trial division below 2**10, then Pollard's rho on what is left."""
     if n < 2:
         raise ValueError(f"cannot factor {n}; base must be >= 2")
-    factors: list[tuple[int, int]] = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            count = 0
-            while n % p == 0:
-                n //= p
-                count += 1
-            factors.append((p, count))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return tuple(factors)
+    counts: Counter[int] = Counter()
+    for q in range(2, 2**10):
+        while n % q == 0:
+            counts[q] += 1
+            n //= q
+    composites = [n] if n > 1 else []
+    while composites:
+        m = composites.pop()
+        if _is_prime(m):
+            counts[m] += 1
+            continue
+        c, d = 0, m
+        while d == m:
+            c += 1
+            x, y, d = 2, 2, 1
+            while d == 1:
+                x, y = (x * x + c) % m, ((y * y + c) ** 2 + c) % m
+                d = math.gcd(x - y, m)
+        composites += [d, m // d]
+    return tuple(sorted(counts.items()))
 
 
 def _canonical_exponents(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

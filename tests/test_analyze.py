@@ -14,7 +14,14 @@ from qfractal import (
     Amplitude,
     AmplitudeOverflowError,
     AnalysisError,
+    BasisSlot,
+    Coefficient,
+    DimensionMismatchError,
+    FractalParams,
     GuardExceededError,
+    NamedSlot,
+    Predecessor,
+    ScaleRule,
     SparseState,
     build_bell_pair,
     build_bitflip_state,
@@ -133,6 +140,24 @@ class TestRuleBasisProbabilities:
                 build_cantor(n), representative_rule(2, 3, n - 1, 3), build_cantor(n - 1)
             )
             assert sum(probs) == 1
+
+    def test_probability_near_a_multiple_is_an_error(self):
+        # Against |0> (|0> +- |1>)/sqrt(2), sqrt(2/3)|00> + i 2**(-39/2)|01> has
+        # squared overlap 1/3 + 2**-40: within 1e-9 of 1/3, but not 1/3.
+        plus = SparseState(3, 1, 8, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2)})
+        minus = SparseState(3, 1, 8, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2, 4)})
+        rule = ScaleRule(
+            FractalParams(2, 3),
+            ({i: Predecessor() for i in range(3)}, {0: NamedSlot(plus), 1: NamedSlot(minus), 2: BasisSlot((2,))}),
+            tuple(Coefficient((i, i)) for i in range(3)),
+        )
+        state = SparseState(3, 2, 8, {(0, 0): Amplitude(0, ((2, -1), (3, 1))), (0, 1): Amplitude(2, ((2, 39),))})
+        with pytest.raises(AnalysisError, match=r"^probability 0\.33333333333\d+ is not a multiple of 1/3$"):
+            rule_basis_probabilities(state, rule, build_cantor(0))
+
+    def test_state_of_another_shape_is_refused(self):
+        with pytest.raises(DimensionMismatchError):
+            rule_basis_probabilities(build_cantor(2), representative_rule(2, 3, 0, 3), build_cantor(0))
 
     def test_unsnappable_probability_is_an_error(self):
         half = Amplitude.inv_sqrt(2)

@@ -68,6 +68,12 @@ class TestScaleRuleType:
         with pytest.raises(ScaleRuleError):
             ScaleRule(params, tables, (Coefficient((0, 0)), Coefficient((0, 0))))
 
+    @pytest.mark.parametrize("order", [0, -8])
+    def test_phase_order_must_be_positive(self, order):
+        tables = ({0: Predecessor()}, {0: BasisSlot((0,))})
+        with pytest.raises(ScaleRuleError, match=rf"^phase_order must be >= 1, got {order}$"):
+            ScaleRule(FractalParams(2, 1), tables, (Coefficient((0, 0)),), order)
+
     def test_table_count_must_equal_c(self):
         with pytest.raises(ScaleRuleError):
             ScaleRule(FractalParams(2, 1), ({0: Predecessor()},), (Coefficient((0, 0)),))
@@ -138,7 +144,7 @@ class TestApplyScaleRule:
 
     def test_slot_normalization_is_exact(self):
         # |1> + 2**-20 |2> is orthogonal to |0>, and its squared norm
-        # 1 + 2**-40 lies within ORTHO_TOL of 1.
+        # 1 + 2**-40 lies within 1e-9 of 1.
         almost = SparseState(3, 1, 8, {(1,): Amplitude.one(), (2,): Amplitude(0, ((2, 40),))})
         rule = ScaleRule(
             FractalParams(2, 2),
@@ -148,6 +154,20 @@ class TestApplyScaleRule:
         assert rule.slot_defects(build_initial(3)) == (True, [(1, 1, 1)])
         with pytest.raises(ScaleRuleError, match=r"^slot 2 vector 1 is not normalized$"):
             apply_scale_rule(build_initial(3), rule)
+
+    def test_slot_check_refuses_a_root_order_past_the_prime_search(self):
+        # <u|v> = (1 - zeta)/2 for a root zeta of order 2**65: the slot check
+        # meets the same refusal as a Schmidt rank of these amplitudes.
+        order = 2**65
+        u = SparseState(2, 1, order, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2)})
+        v = SparseState(2, 1, order, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2, order // 2 + 1)})
+        rule = ScaleRule(
+            FractalParams(2, 2),
+            ({0: Predecessor(), 1: BasisSlot((1,))}, {0: NamedSlot(u), 1: NamedSlot(v)}),
+            (Coefficient((0, 0)), Coefficient((1, 1))),
+        )
+        with pytest.raises(GuardExceededError, match=r"^root order 36893488147419103232 exceeds 18446744073709551616$"):
+            apply_scale_rule(build_initial(2), rule)
 
     def test_validation_can_be_skipped(self):
         rule = ScaleRule(
@@ -200,6 +220,14 @@ class TestRepresentative:
             build_representative(2, 2, 14, local_dim=2)
         with pytest.raises(GuardExceededError):
             build_representative(2, 3, 13, local_dim=3)
+
+    def test_rule_is_priced_before_its_slots_are_built(self):
+        # The step from scale 40 has 2**41 qudits; its basis strings alone
+        # would hold 2**40 digits each.
+        with pytest.raises(GuardExceededError, match=r"^output would exceed 10000 qudits$"):
+            representative_rule(2, 2, 40, 2)
+        with pytest.raises(GuardExceededError, match=r"^output would exceed 1000000 entries$"):
+            representative_rule(2, 1000, 2, 1000)
 
     def test_initial_state_validation(self):
         with pytest.raises(ValueError, match=r"^local_dim must be >= 2, got 1$"):

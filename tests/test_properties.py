@@ -35,6 +35,7 @@ from qfractal import (
     serialize_state,
     superpose,
 )
+from qfractal.ranks import squared_overlap
 from qfractal.states import DENSE_VECTOR_LIMIT
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -301,6 +302,37 @@ def test_rule_basis_probabilities(data):
     expected = [abs(np.vdot(product, state.to_dense())) ** 2 for product in dense_products(prev, rule)]
     np.testing.assert_allclose([float(p) for p in probabilities], expected, atol=1e-12)
     assert all(p * s in (0, 1) for p in probabilities)
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Two ring states of one shape; half the time the second is built
+    orthogonal to the first on two of its keys, with a further entry off its
+    support."""
+    u = draw(states(local_dim=draw(st.sampled_from((2, 3))), max_qudits=2, magnitudes=RADICAL_MAGNITUDES))
+    v = draw(states(u.local_dim, u.num_qudits, magnitudes=RADICAL_MAGNITUDES))
+    if len(u.entries) < 2 or draw(st.booleans()):
+        return u, v
+    j, k = draw(st.lists(st.sampled_from(sorted(u.entries)), min_size=2, max_size=2, unique=True))
+    r = u.phase_order
+    # <u|w> = conj(u_j) conj(u_k) - conj(u_k) conj(u_j) = 0.
+    entries = {j: Amplitude(-u.entries[k].phase_index, u.entries[k].mag_exponents)}
+    entries[k] = Amplitude(r // 2 - u.entries[j].phase_index, u.entries[j].mag_exponents)
+    entries.update((key, amp) for key, amp in v.entries.items() if key not in u.entries)
+    return u, SparseState(u.local_dim, u.num_qudits, r, entries)
+
+
+@SETTINGS
+@given(overlapping_pairs())
+def test_squared_overlap_is_zero_exactly_when_the_inner_product_is(pair):
+    u, v = pair
+    value, p = squared_overlap(u, v)
+    assert 0 <= value < p
+    assert (value == 0) == (abs(np.vdot(u.to_dense(), v.to_dense())) < 1e-9)
+    # <u|u>**2 is the exact squared norm squared, a rational that maps into F_p.
+    value, p = squared_overlap(u, u)
+    square = u.norm_squared() ** 2
+    assert value == square.numerator * pow(square.denominator, -1, p) % p
 
 
 RANK_CUTOFF = 1e-9

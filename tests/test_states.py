@@ -1,6 +1,7 @@
 """Exact amplitude ring and sparse-state primitives."""
 
 import itertools
+import math
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
@@ -18,10 +19,11 @@ from qfractal import (
     superpose,
 )
 from qfractal import states as states_module
-from qfractal.ranks import _prime_divisors, _prime_field
+from qfractal.ranks import _prime_field
 from qfractal.states import (
     MAX_KEY_BITS,
     EntriesView,
+    _prime_factors,
     capped_power,
     check_size,
     digit_bits,
@@ -488,7 +490,9 @@ class TestSchmidtRank:
         ],
     )
     def test_prime_field_has_a_root_of_the_full_order(self, order, primes):
-        assert _prime_divisors(order) == primes
+        factors = _prime_factors(order)
+        assert {q for q, _ in factors} == primes
+        assert math.prod(q**m for q, m in factors) == order
         p, w = _prime_field(order)
         assert p >= 2**61 and p % order == 1
         assert pow(w, order, p) == 1

@@ -1,4 +1,5 @@
-"""Golden outputs of the step checks on rules that fail them.
+"""Golden outputs of the step checks on rules that fail them, and on one
+whose slots are orthogonal only through sqrt 2 = zeta_8 + 1/zeta_8.
 
 `check_rule_against` raises on the first defect it meets, and `qfs
 verify-step` prints every check, naming the last orthonormality defect.  The
@@ -6,7 +7,8 @@ expected texts are those the checks printed while each ran its own loop over
 the slot cells; they pin which defect and which unresolved cell each report
 names.  A ``basis:`` slot whose digits fall outside the predecessor's
 ``[0, N)`` is reported like one of the wrong length; a negative digit is
-refused when the rule file is parsed.
+refused when the rule file is parsed.  Orthogonality is decided exactly, so a
+slot pair whose inner product is 2.9e-12 is a defect.
 """
 
 import pytest
@@ -29,8 +31,29 @@ PLUS = SparseState(2, 1, 8, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sq
 QUTRIT_ZERO = SparseState.basis_state(3, (0,))
 # |1> + |2>, squared norm 2.
 UNNORMALIZED = SparseState(3, 1, 8, {(1,): Amplitude.one(), (2,): Amplitude.one()})
+# (|0> + |1>)/sqrt(2) and (|0> - zeta|1>)/sqrt(2) for zeta of order 2**40:
+# their inner product (1 - zeta)/2 has modulus 2.9e-12.
+R40 = 2**40
+NEAR_U = SparseState(2, 1, R40, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2)})
+NEAR_V = SparseState(2, 1, R40, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2, R40 // 2 + 1)})
+# (|0> + |1> + |2> + |3>)/2 and (zeta_8|0> + zeta_8**7|1>)/2 - |2>/sqrt(2):
+# orthogonal, as (zeta_8 + zeta_8**7)/4 = sqrt(2)/4.
+QUARTER = Amplitude(0, ((2, 2),))
+ROOT2_U = SparseState(4, 1, 8, {(j,): QUARTER for j in range(4)})
+ROOT2_V = SparseState(
+    4, 1, 8, {(0,): QUARTER.shifted(1, 8), (1,): QUARTER.shifted(7, 8), (2,): Amplitude(4, ((2, 1),))}
+)
+SLOT_FILES = {
+    "plus.qfs": PLUS,
+    "unnormalized.qfs": UNNORMALIZED,
+    "near_u.qfs": NEAR_U,
+    "near_v.qfs": NEAR_V,
+    "root2_u.qfs": ROOT2_U,
+    "root2_v.qfs": ROOT2_V,
+}
 
 HALF = Amplitude.inv_sqrt(2)
+EIGHTH = Amplitude(0, ((2, 3),))
 HEAD = (
     "coefficient_count: pass (2 records, s = 2)\n"
     "coefficient_magnitudes: pass (each record carries squared magnitude 1/2, total 2/2)\n"
@@ -79,6 +102,42 @@ CASES = {
         report(
             PRESENT + "slot_orthonormality: FAIL (slot 2 vectors not orthogonal)\n"
             "reconstruction: FAIL (amplitudes at (0, 0) do not sum into the exact ring)\n"
+        ),
+    ),
+    "nearly_orthogonal_slots": (
+        ZERO,
+        ({0: Predecessor(), 1: BasisSlot((1,))}, {0: NamedSlot(NEAR_U), 1: NamedSlot(NEAR_V)}),
+        ((0, 0), (1, 1)),
+        "slot 1 0 predecessor\nslot 1 1 basis:1\nslot 2 0 file:near_u.qfs\nslot 2 1 file:near_v.qfs\n",
+        SparseState(
+            2, 2, R40, {(0, 0): QUARTER, (0, 1): QUARTER, (1, 0): QUARTER, (1, 1): QUARTER.shifted(R40 // 2 + 1, R40)}
+        ),
+        "slot 2 vectors are not orthogonal",
+        report(
+            PRESENT + "slot_orthonormality: FAIL (slot 2 vectors not orthogonal)\n"
+            "reconstruction: pass (rule output equals the target exactly)\n"
+        ),
+    ),
+    "orthogonal_through_sqrt2": (
+        SparseState.basis_state(4, (0,)),
+        ({0: Predecessor(), 1: BasisSlot((1,))}, {0: NamedSlot(ROOT2_U), 1: NamedSlot(ROOT2_V)}),
+        ((0, 0), (1, 1)),
+        "slot 1 0 predecessor\nslot 1 1 basis:1\nslot 2 0 file:root2_u.qfs\nslot 2 1 file:root2_v.qfs\n",
+        SparseState(
+            4, 2, 8,
+            {
+                **{(0, j): EIGHTH for j in range(4)},
+                (1, 0): EIGHTH.shifted(1, 8),
+                (1, 1): EIGHTH.shifted(7, 8),
+                (1, 2): Amplitude(4, ((2, 2),)),
+            },
+        ),
+        None,
+        (
+            0,
+            HEAD + PRESENT + ORTHONORMAL + "reconstruction: pass (rule output equals the target exactly)\n"
+            "norm: pass (target norm squared 1)\nextracted_s: 2\nvalid: yes\n",
+            "",
         ),
     ),
     "unnormalized_named_slot": (
@@ -160,8 +219,8 @@ def test_verify_step_stdout(name, tmp_path, capsys):
     prev, _, indices, slot_lines, target, _, expected = CASES[name]
     save_state(prev, tmp_path / "prev.qfs")
     save_state(target, tmp_path / "next.qfs")
-    save_state(PLUS, tmp_path / "plus.qfs")
-    save_state(UNNORMALIZED, tmp_path / "unnormalized.qfs")
+    for file_name, state in SLOT_FILES.items():
+        save_state(state, tmp_path / file_name)
     coeff_lines = "".join(f"coeff {a},{b} 0\n" for a, b in indices)
     (tmp_path / "step.rule").write_text("qfs-rule/1\nc 2\ns 2\nphase_order 8\n\n" + slot_lines + coeff_lines)
     argv = ["verify-step", "--rule", str(tmp_path / "step.rule")]
