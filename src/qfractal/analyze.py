@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .construct import FractalParams, ScaleRule, apply_scale_rule
+from .construct import NO_PREDECESSOR, FractalParams, ScaleRule, apply_scale_rule, check_rule_against
 from .errors import AnalysisError, GuardExceededError, QfsError
 from .states import SparseState
 
@@ -48,8 +48,10 @@ def verify_scale_step(prev: SparseState, next_state: SparseState, rule: ScaleRul
     predecessor presence, slot orthonormality, exact reconstruction, and unit
     norm of the target.  The first two hold by construction, because a
     :class:`ScaleRule` has exactly ``s`` records and each weighs
-    ``1/sqrt(s)``.  A failing orthonormality check names the last defect in
-    scan order.  The scaling factor is extracted only when all pass.
+    ``1/sqrt(s)``.  A failing orthonormality check names the last of
+    :meth:`ScaleRule.slot_defects`, in the words :func:`check_rule_against`
+    raises for the first.  The scaling factor is extracted only when all
+    pass.
     """
     s = rule.s
     checks = [
@@ -58,36 +60,27 @@ def verify_scale_step(prev: SparseState, next_state: SparseState, rule: ScaleRul
     ]
 
     try:
-        found, defects = rule.slot_defects(prev)
+        cells = rule.cells(prev)
     except QfsError as exc:
-        checks.append(CheckResult("predecessor_present", False, str(exc)))
-        checks.append(CheckResult("slot_orthonormality", False, str(exc)))
+        checks += [CheckResult(name, False, str(exc)) for name in ("predecessor_present", "slot_orthonormality")]
     else:
-        checks.append(
-            CheckResult(
-                "predecessor_present",
-                found,
-                "a referenced slot resolves to the predecessor" if found else "no slot matches the predecessor",
-            )
-        )
-        ortho_detail = "pairwise within 1e-09"
-        if defects:
-            slot, i, j = defects[-1]
-            ortho_detail = f"slot {slot + 1} " + ("vector not normalized" if i == j else "vectors not orthogonal")
+        found = any(prev in table.values() for table in cells)
+        present = "a referenced slot resolves to the predecessor" if found else NO_PREDECESSOR
+        checks.append(CheckResult("predecessor_present", found, present))
+        try:
+            defects = rule.slot_defects(cells)
+        except QfsError as exc:
+            defects = [str(exc)]
+        ortho_detail = defects[-1] if defects else "pairwise within 1e-09"
         checks.append(CheckResult("slot_orthonormality", not defects, ortho_detail))
 
     try:
-        rebuilt = apply_scale_rule(prev, rule, validate=False)
-        match = rebuilt == next_state
-        checks.append(
-            CheckResult(
-                "reconstruction",
-                match,
-                "rule output equals the target exactly" if match else "rule output differs from the target",
-            )
-        )
+        match = apply_scale_rule(prev, rule, validate=False) == next_state
     except QfsError as exc:
         checks.append(CheckResult("reconstruction", False, str(exc)))
+    else:
+        detail = "rule output equals the target exactly" if match else "rule output differs from the target"
+        checks.append(CheckResult("reconstruction", match, detail))
 
     norm = next_state.norm_squared()
     checks.append(CheckResult("norm", norm == 1, f"target norm squared {norm}"))
@@ -101,12 +94,14 @@ def rule_basis_probabilities(
 ) -> list[Fraction]:
     """Outcome probabilities of ``state`` against the rule's product basis.
 
-    Each coefficient record defines one product vector; its squared overlap
-    with ``state`` must be k/s for an integer 0 <= k <= s, which is decided in
-    F_p (see :func:`~qfractal.ranks.squared_overlap`), and k/s is returned.
+    The rule is checked against ``prev`` first.  Each coefficient record
+    defines one product vector; its squared overlap with ``state`` must be k/s
+    for an integer 0 <= k <= s, which is decided in F_p (see
+    :func:`~qfractal.ranks.squared_overlap`), and k/s is returned.
     """
     from .ranks import squared_overlap
 
+    check_rule_against(prev, rule)
     s = rule.s
     probabilities: list[Fraction] = []
     for product in rule.products(prev):

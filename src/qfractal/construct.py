@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import ScaleRuleError
 from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, _Checked, capped_power, check_size
@@ -133,14 +133,6 @@ class ScaleRule(_Checked, _ScaleRuleFields):
     def s(self) -> int:
         return self.params.s
 
-    def referenced_cells(self) -> tuple[tuple[int, int], ...]:
-        """(slot, index) pairs used by at least one coefficient, ordered."""
-        cells: list[tuple[int, int]] = []
-        for slot in range(self.c):
-            for index in sorted({coeff.indices[slot] for coeff in self.coefficients}):
-                cells.append((slot, index))
-        return tuple(cells)
-
     def resolve(self, slot: int, index: int, prev: SparseState) -> SparseState:
         """Resolve one slot-table cell against the predecessor state."""
         table = self.slot_tables[slot]
@@ -166,63 +158,76 @@ class ScaleRule(_Checked, _ScaleRuleFields):
             )
         return resolved
 
-    def slot_defects(self, prev: SparseState) -> tuple[bool, list[tuple[int, int, int]]]:
-        """Resolve each referenced cell once, slot-major; the first bad cell raises.
+    def cells(self, prev: SparseState) -> tuple[dict[int, SparseState], ...]:
+        """Each referenced ``(slot, index)`` cell resolved once against
+        ``prev``, slot by slot in index order; the first bad cell raises."""
+        return tuple(
+            {index: self.resolve(slot, index, prev) for index in sorted({r.indices[slot] for r in self.coefficients})}
+            for slot in range(self.c)
+        )
 
-        Returns whether a cell equals ``prev``, and the orthonormality defects
-        of each slot's exactly deduplicated vectors in scan order: ``(slot, i,
-        i)`` if vector ``i``'s exact norm is not 1, ``(slot, i, j)`` if vectors
-        ``i < j`` have a nonzero squared overlap in F_p (:mod:`qfractal.ranks`).
+    def slot_defects(self, cells: tuple[dict[int, SparseState], ...]) -> list[str]:
+        """The orthonormality defects of resolved ``cells``, in scan order.
+
+        Per slot, its exactly deduplicated vectors in index order: one whose
+        exact norm is not 1, then each later one with a nonzero squared
+        overlap in F_p (:mod:`qfractal.ranks`).  Last, each record that picks
+        the same vector in every slot as an earlier record.
         """
         from .ranks import squared_overlap
 
-        slots: list[list[SparseState]] = [[] for _ in range(self.c)]
-        for slot, index in self.referenced_cells():
-            vector = self.resolve(slot, index, prev)
-            if vector not in slots[slot]:
-                slots[slot].append(vector)
-        defects = [
-            (slot, i, j)
-            for slot, vectors in enumerate(slots)
-            for i, u in enumerate(vectors)
-            for j in range(i, len(vectors))
-            if (u.norm_squared() != 1 if i == j else squared_overlap(u, vectors[j])[0])
-        ]
-        return any(prev in vectors for vectors in slots), defects
+        defects: list[str] = []
+        # Per slot: each index's position among the slot's distinct vectors.
+        positions: list[dict[int, int]] = []
+        for slot, table in enumerate(cells, 1):
+            vectors: list[SparseState] = []
+            position: dict[int, int] = {}
+            for index, vector in table.items():
+                try:
+                    position[index] = vectors.index(vector)
+                except ValueError:
+                    position[index] = len(vectors)
+                    vectors.append(vector)
+            positions.append(position)
+            for i, u in enumerate(vectors):
+                if u.norm_squared() != 1:
+                    defects.append(f"slot {slot} vector not normalized")
+                defects += [f"slot {slot} vectors not orthogonal" for v in vectors[i + 1 :] if squared_overlap(u, v)[0]]
+        first: dict[tuple[int, ...], int] = {}
+        for k, coeff in enumerate(self.coefficients):
+            choice = tuple(map(dict.__getitem__, positions, coeff.indices))
+            earlier = first.setdefault(choice, k)
+            if earlier != k:
+                defects.append(f"records {earlier} and {k} build the same product")
+        return defects
 
-    def records(self, prev: SparseState) -> Iterator[tuple[SparseState, ...]]:
-        """Each record's resolved slot vectors, in coefficient order.  Each
-        cell resolves once, when a record first needs it, so the first bad
-        cell in coefficient order raises."""
-        cells: dict[tuple[int, int], SparseState] = {}
-        for coeff in self.coefficients:
-            record = tuple(enumerate(coeff.indices))
-            for cell in record:
-                if cell not in cells:
-                    cells[cell] = self.resolve(*cell, prev)
-            yield tuple(map(cells.__getitem__, record))
+    def products(self, prev: SparseState) -> list[SparseState]:
+        """The ``s`` slot products in coefficient order, each the tensor
+        product of its own record's cells.  Their entries, which bound the
+        step's output, are priced before any product is built."""
+        cells = self.cells(prev)
+        records = [[cells[slot][index] for slot, index in enumerate(coeff.indices)] for coeff in self.coefficients]
+        # A tensor product has the product of its factors' entry counts.
+        entries = sum(math.prod(len(vector._packed) for vector in vectors) for vectors in records)
+        check_size("output", entries, prev.num_qudits * self.c, prev.local_dim)
+        return [reduce(SparseState.tensor, vectors) for vectors in records]
 
-    def products(self, prev: SparseState) -> Iterator[SparseState]:
-        """The ``s`` slot products in coefficient order, built as they are
-        iterated."""
-        return (reduce(SparseState.tensor, vectors) for vectors in self.records(prev))
+
+NO_PREDECESSOR = "no slot matches the predecessor"
 
 
 def check_rule_against(prev: SparseState, rule: ScaleRule) -> None:
     """Raise :class:`ScaleRuleError` unless the rule is applicable to ``prev``.
 
-    Checks slot resolution, predecessor presence (by exact state equality),
-    exact slot normalization and pairwise orthogonality; the first defect
-    raises.
+    Checks slot resolution, predecessor presence (by exact state equality)
+    and :meth:`ScaleRule.slot_defects`; the first defect raises.
     """
-    found, defects = rule.slot_defects(prev)
-    if not found:
-        raise ScaleRuleError("no referenced slot resolves to the predecessor state")
+    cells = rule.cells(prev)
+    if not any(prev in table.values() for table in cells):
+        raise ScaleRuleError(NO_PREDECESSOR)
+    defects = rule.slot_defects(cells)
     if defects:
-        slot, i, j = defects[0]
-        if i == j:
-            raise ScaleRuleError(f"slot {slot + 1} vector {i} is not normalized")
-        raise ScaleRuleError(f"slot {slot + 1} vectors are not orthogonal")
+        raise ScaleRuleError(defects[0])
 
 
 def apply_scale_rule(prev: SparseState, rule: ScaleRule, *, validate: bool = True) -> SparseState:
@@ -234,12 +239,7 @@ def apply_scale_rule(prev: SparseState, rule: ScaleRule, *, validate: bool = Tru
     """
     if validate:
         check_rule_against(prev, rule)
-    records = list(rule.records(prev))
-    # A tensor product has the product of its factors' entry counts, and the
-    # sum of the records' products bounds the output.
-    entries = sum(math.prod(len(vector._packed) for vector in vectors) for vectors in records)
-    check_size("output", entries, prev.num_qudits * rule.c, prev.local_dim)
-    products = [reduce(SparseState.tensor, vectors) for vectors in records]
+    products = rule.products(prev)
     order = math.lcm(rule.phase_order, *(p.phase_order for p in products))
     step = order // rule.phase_order
     terms: list[tuple[int, SparseState]] = []
@@ -324,9 +324,11 @@ def build_gem_sequence(levels: int) -> tuple[SparseState, SparseState]:
         raise ValueError(f"levels must be >= 1, got {levels}")
     plus, minus = build_bell_pair(+1), build_bell_pair(-1)
     for _ in range(2, levels + 1):
+        # Each rule is built from the siblings the last level returned, so
+        # it holds by construction; the exact output norm is still checked.
         plus, minus = (
-            apply_scale_rule(minus, gem_rule(plus, +1)),
-            apply_scale_rule(minus, gem_rule(plus, -1)),
+            apply_scale_rule(minus, gem_rule(plus, +1), validate=False),
+            apply_scale_rule(minus, gem_rule(plus, -1), validate=False),
         )
     return plus, minus
 

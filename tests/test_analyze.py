@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qfractal.states
 from qfractal import (
     Amplitude,
     AmplitudeOverflowError,
@@ -22,6 +23,7 @@ from qfractal import (
     NamedSlot,
     Predecessor,
     ScaleRule,
+    ScaleRuleError,
     SparseState,
     build_bell_pair,
     build_bitflip_state,
@@ -133,6 +135,28 @@ class TestRuleBasisProbabilities:
             Fraction(1, 2),
             Fraction(1, 2),
         ]
+
+    def test_the_rule_is_checked_first(self):
+        # Records 0 and 1 (and 2 and 3) build the same product, so unchecked
+        # the probabilities would read [1, 1, 0, 0].
+        rule = ScaleRule(
+            FractalParams(2, 4),
+            ({i: Predecessor() for i in range(4)}, {0: BasisSlot((0,)), 1: BasisSlot((1,))}),
+            (Coefficient((0, 0)), Coefficient((1, 0)), Coefficient((2, 1)), Coefficient((3, 1), 4)),
+        )
+        with pytest.raises(ScaleRuleError, match=r"^records 0 and 1 build the same product$"):
+            rule_basis_probabilities(SparseState.basis_state(2, (0, 0)), rule, build_initial(2))
+
+    def test_products_are_priced_before_any_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a product was built")
+
+        state, rule, prev = build_cantor(2), representative_rule(2, 3, 1, 3), build_cantor(1)
+        # The three products hold 3 entries each.
+        monkeypatch.setattr(qfractal.states, "MAX_ENTRIES", 8)
+        monkeypatch.setattr(SparseState, "tensor", refuse)
+        with pytest.raises(GuardExceededError, match=r"^output would exceed 8 entries$"):
+            rule_basis_probabilities(state, rule, prev)
 
     def test_snapped_values_sum_to_one(self):
         for n in (1, 2, 3):

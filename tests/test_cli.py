@@ -532,34 +532,59 @@ class TestColdStart:
         return json.loads(result.stdout.splitlines()[-1])
 
     def test_no_command_loads_numpy(self, tmp_path):
-        names = ("c2", "c3", "rep", "gem", "bit", "cl", "enc", "err", "cl5", "zero5")
-        files = {name: str(tmp_path / f"{name}.qfs") for name in names}
-        rule = tmp_path / "step.rule"
-        save_rule(representative_rule(2, 3, 2, 3), rule)
-        commands = [
-            ["gen", "--family", "cantor", "--n", "2", "-o", files["c2"]],
-            ["gen", "--family", "cantor", "--n", "3", "-o", files["c3"]],
-            ["gen", "--family", "representative", "--c", "3", "--s", "2", "--n", "2", "-o", files["rep"]],
-            ["gen", "--family", "bellgem", "--n", "3", "--sign", "-", "-o", files["gem"]],
-            ["gen", "--family", "bitflip", "--n", "1", "-o", files["bit"]],
-            ["gen", "--family", "cluster", "--qubits", "3", "-o", files["cl"]],
-            ["gen", "--family", "cluster", "--qubits", "5", "-o", files["cl5"]],
-            ["dim", "--c", "2", "--s", "3"],
-            ["verify-step", "--prev", files["c2"], "--next", files["c3"], "--rule", str(rule)],
-            ["scaling", "--states", files["c2"], files["c3"]],
-            ["analyze", "--state", files["c3"]],
-            ["analyze", "--state", files["c3"], "--cut", "1"],
-            ["code", "encode", "--spec", "bitflip:2", "--state", files["cl"], "-o", files["enc"]],
-            ["code", "inject", "--spec", "bitflip:2", "--state", files["enc"], "--errors", "0,10", "-o", files["err"]],
-            ["code", "decode", "--spec", "bitflip:2", "--state", files["err"]],
-            ["code", "roundtrip", "--spec", "bitflip:1", "--state", files["cl"], "--errors", "4"],
-            ["viz", "--state", files["c2"], "--ascii"],
-            ["lucheck", "--a", files["cl5"], "--b", files["cl5"]],
-            ["lucheck", "--a", files["cl5"], "--b", files["zero5"]],
-        ]
-        save_state(SparseState.basis_state(2, (0,) * 5), files["zero5"])
+        commands = command_corpus(tmp_path)
         report = self.run_child(commands)
         # Everything succeeds but the last lucheck, a miss.
         assert [code for _, code, _ in report] == [0] * len(commands) + [1]
         assert [name for name, _, loaded in report if loaded] == []
 
+
+def command_corpus(tmp_path):
+    """One or more commands of each subcommand, reading and writing files in
+    ``tmp_path``: every ``gen`` family, ``dim``, ``verify-step``,
+    ``scaling``, ``analyze`` with and without a cut, the four ``code``
+    actions, ``viz`` in both modes, and a ``lucheck`` hit and miss (last)."""
+    names = ("c2", "c3", "rep", "gem", "bit", "cl", "enc", "err", "dec", "cl5", "zero5")
+    files = {name: str(tmp_path / f"{name}.qfs") for name in names}
+    rule = tmp_path / "step.rule"
+    save_rule(representative_rule(2, 3, 2, 3), rule)
+    save_state(SparseState.basis_state(2, (0,) * 5), files["zero5"])
+    return [
+        ["gen", "--family", "cantor", "--n", "2", "-o", files["c2"]],
+        ["gen", "--family", "cantor", "--n", "3", "-o", files["c3"]],
+        ["gen", "--family", "representative", "--c", "3", "--s", "2", "--n", "2", "-o", files["rep"]],
+        ["gen", "--family", "bellgem", "--n", "3", "--sign", "-", "-o", files["gem"]],
+        ["gen", "--family", "bitflip", "--n", "1", "-o", files["bit"]],
+        ["gen", "--family", "cluster", "--qubits", "3", "-o", files["cl"]],
+        ["gen", "--family", "cluster", "--qubits", "5", "-o", files["cl5"]],
+        ["dim", "--c", "2", "--s", "3"],
+        ["verify-step", "--prev", files["c2"], "--next", files["c3"], "--rule", str(rule)],
+        ["scaling", "--states", files["c2"], files["c3"]],
+        ["analyze", "--state", files["c3"]],
+        ["analyze", "--state", files["c3"], "--cut", "1"],
+        ["code", "encode", "--spec", "bitflip:2", "--state", files["cl"], "-o", files["enc"]],
+        ["code", "inject", "--spec", "bitflip:2", "--state", files["enc"], "--errors", "0,10", "-o", files["err"]],
+        ["code", "decode", "--spec", "bitflip:2", "--state", files["err"], "-o", files["dec"]],
+        ["code", "roundtrip", "--spec", "bitflip:1", "--state", files["cl"], "--errors", "4"],
+        ["viz", "--state", files["c2"], "--ascii"],
+        ["viz", "--state", files["c2"], "--state", files["c3"], "--svg", str(tmp_path / "support.svg")],
+        ["lucheck", "--a", files["cl5"], "--b", files["cl5"]],
+        ["lucheck", "--a", files["cl5"], "--b", files["zero5"]],
+    ]
+
+
+def test_commands_answer_alike_without_numpy(tmp_path, capsys, monkeypatch):
+    """The corpus run in process, then again with numpy unimportable, gives
+    the same exit codes, stdout, stderr and written bytes."""
+
+    def transcript(directory):
+        directory.mkdir()
+        runs = [run(capsys, *argv) for argv in command_corpus(directory)]
+        return runs, {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    with_numpy = transcript(tmp_path / "with")
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    without_numpy = transcript(tmp_path / "without")
+    assert without_numpy == with_numpy
+    codes = [code for code, _, _ in with_numpy[0]]
+    assert codes == [0] * (len(codes) - 1) + [1]

@@ -151,8 +151,8 @@ class TestApplyScaleRule:
             ({0: Predecessor(), 1: BasisSlot((1,))}, {0: BasisSlot((0,)), 1: NamedSlot(almost)}),
             (Coefficient((0, 0)), Coefficient((1, 1))),
         )
-        assert rule.slot_defects(build_initial(3)) == (True, [(1, 1, 1)])
-        with pytest.raises(ScaleRuleError, match=r"^slot 2 vector 1 is not normalized$"):
+        assert rule.slot_defects(rule.cells(build_initial(3))) == ["slot 2 vector not normalized"]
+        with pytest.raises(ScaleRuleError, match=r"^slot 2 vector not normalized$"):
             apply_scale_rule(build_initial(3), rule)
 
     def test_slot_check_refuses_a_root_order_past_the_prime_search(self):
@@ -275,7 +275,8 @@ class TestGems:
 
     def test_step_rejects_bad_inputs(self):
         plus, minus = build_bell_pair(+1), build_bell_pair(-1)
-        with pytest.raises(ScaleRuleError, match="output is not normalized"):
+        # Both slots resolve to plus alone, so the two records build one product.
+        with pytest.raises(ScaleRuleError, match=r"^records 0 and 1 build the same product$"):
             apply_scale_rule(plus, gem_rule(plus, +1))
         with pytest.raises(ScaleRuleError, match="expected 4 of 2"):
             apply_scale_rule(minus.tensor(minus), gem_rule(plus, +1))

@@ -1,19 +1,21 @@
 """Golden outputs of the step checks on rules that fail them, and on one
 whose slots are orthogonal only through sqrt 2 = zeta_8 + 1/zeta_8.
 
-`check_rule_against` raises on the first defect it meets, and `qfs
-verify-step` prints every check, naming the last orthonormality defect.  The
-expected texts are those the checks printed while each ran its own loop over
-the slot cells; they pin which defect and which unresolved cell each report
-names.  A ``basis:`` slot whose digits fall outside the predecessor's
-``[0, N)`` is reported like one of the wrong length; a negative digit is
-refused when the rule file is parsed.  Orthogonality is decided exactly, so a
-slot pair whose inner product is 2.9e-12 is a defect.
+Both reports read one resolution of the rule's cells, slot by slot in index
+order, and word a defect in one text: `check_rule_against` raises the first
+defect, and `qfs verify-step` prints every check, naming the last
+orthonormality defect.  A cell that does not resolve is the first bad cell
+in that order on every failing line.  A ``basis:`` slot whose digits fall
+outside the predecessor's ``[0, N)`` is reported like one of the wrong
+length; a negative digit is refused when the rule file is parsed.
+Orthogonality is decided exactly, so a slot pair whose inner product is
+2.9e-12 is a defect, and two records that pick the same vector in every slot
+are one.
 """
 
 import pytest
 
-from qfractal import Amplitude, SparseState, save_state
+from qfractal import Amplitude, SparseState, apply_scale_rule, save_state
 from qfractal.cli import main
 from qfractal.construct import (
     BasisSlot,
@@ -24,7 +26,7 @@ from qfractal.construct import (
     ScaleRule,
     check_rule_against,
 )
-from qfractal.errors import ScaleRuleError
+from qfractal.errors import GuardExceededError, ScaleRuleError
 
 ZERO = SparseState.basis_state(2, (0,))
 PLUS = SparseState(2, 1, 8, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2)})
@@ -43,6 +45,10 @@ ROOT2_U = SparseState(4, 1, 8, {(j,): QUARTER for j in range(4)})
 ROOT2_V = SparseState(
     4, 1, 8, {(0,): QUARTER.shifted(1, 8), (1,): QUARTER.shifted(7, 8), (2,): Amplitude(4, ((2, 1),))}
 )
+# The NEAR pair at order 2**65, past the prime search of the F_p overlap.
+R65 = 2**65
+FAR_U = SparseState(2, 1, R65, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2)})
+FAR_V = SparseState(2, 1, R65, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2, R65 // 2 + 1)})
 SLOT_FILES = {
     "plus.qfs": PLUS,
     "unnormalized.qfs": UNNORMALIZED,
@@ -50,24 +56,29 @@ SLOT_FILES = {
     "near_v.qfs": NEAR_V,
     "root2_u.qfs": ROOT2_U,
     "root2_v.qfs": ROOT2_V,
+    "far_u.qfs": FAR_U,
+    "far_v.qfs": FAR_V,
 }
 
 HALF = Amplitude.inv_sqrt(2)
 EIGHTH = Amplitude(0, ((2, 3),))
-HEAD = (
-    "coefficient_count: pass (2 records, s = 2)\n"
-    "coefficient_magnitudes: pass (each record carries squared magnitude 1/2, total 2/2)\n"
-)
 PRESENT = "predecessor_present: pass (a referenced slot resolves to the predecessor)\n"
 ORTHONORMAL = "slot_orthonormality: pass (pairwise within 1e-09)\n"
 INVALID = "norm: pass (target norm squared 1)\nextracted_s: -\nvalid: no\n"
 
 
+def head(s):
+    """verify-step's two record lines for ``s`` records."""
+    return (
+        f"coefficient_count: pass ({s} records, s = {s})\n"
+        f"coefficient_magnitudes: pass (each record carries squared magnitude 1/{s}, total {s}/{s})\n"
+    )
 
-def report(lines):
+
+def report(lines, s=2):
     """verify-step's exit code and output for a report whose check lines
-    between HEAD and INVALID are ``lines``."""
-    return 1, HEAD + lines + INVALID, ""
+    between the two record lines and INVALID are ``lines``."""
+    return 1, head(s) + lines + INVALID, ""
 
 
 def refused(message):
@@ -76,8 +87,9 @@ def refused(message):
     return 2, "", f"error: {message}\n"
 
 
-# name: (prev, slot tables, coefficient indices, rule file slot lines, target,
-#        check_rule_against message or None, verify-step exit code, stdout and stderr)
+# name: (prev, slot tables, records as (index, index[, phase index]), rule file
+#        slot lines, target, check_rule_against message or None, verify-step
+#        exit code, stdout and stderr)
 CASES = {
     "unresolved_cells": (
         ZERO,
@@ -89,7 +101,7 @@ CASES = {
         report(
             "predecessor_present: FAIL (slot 1 has no entry for index 1)\n"
             "slot_orthonormality: FAIL (slot 1 has no entry for index 1)\n"
-            "reconstruction: FAIL (slot 2 has no entry for index 1)\n"
+            "reconstruction: FAIL (slot 1 has no entry for index 1)\n"
         ),
     ),
     "two_slots_not_orthogonal": (
@@ -98,7 +110,7 @@ CASES = {
         ((0, 0), (1, 1)),
         "slot 1 0 predecessor\nslot 1 1 file:plus.qfs\nslot 2 0 basis:0\nslot 2 1 file:plus.qfs\n",
         SparseState.basis_state(2, (0, 1)),
-        "slot 1 vectors are not orthogonal",
+        "slot 1 vectors not orthogonal",
         report(
             PRESENT + "slot_orthonormality: FAIL (slot 2 vectors not orthogonal)\n"
             "reconstruction: FAIL (amplitudes at (0, 0) do not sum into the exact ring)\n"
@@ -112,7 +124,7 @@ CASES = {
         SparseState(
             2, 2, R40, {(0, 0): QUARTER, (0, 1): QUARTER, (1, 0): QUARTER, (1, 1): QUARTER.shifted(R40 // 2 + 1, R40)}
         ),
-        "slot 2 vectors are not orthogonal",
+        "slot 2 vectors not orthogonal",
         report(
             PRESENT + "slot_orthonormality: FAIL (slot 2 vectors not orthogonal)\n"
             "reconstruction: pass (rule output equals the target exactly)\n"
@@ -135,7 +147,7 @@ CASES = {
         None,
         (
             0,
-            HEAD + PRESENT + ORTHONORMAL + "reconstruction: pass (rule output equals the target exactly)\n"
+            head(2) + PRESENT + ORTHONORMAL + "reconstruction: pass (rule output equals the target exactly)\n"
             "norm: pass (target norm squared 1)\nextracted_s: 2\nvalid: yes\n",
             "",
         ),
@@ -146,7 +158,7 @@ CASES = {
         ((0, 0), (1, 1)),
         "slot 1 0 predecessor\nslot 1 1 basis:1\nslot 2 0 basis:0\nslot 2 1 file:unnormalized.qfs\n",
         SparseState.basis_state(3, (0, 0)),
-        "slot 2 vector 1 is not normalized",
+        "slot 2 vector not normalized",
         report(
             PRESENT + "slot_orthonormality: FAIL (slot 2 vector not normalized)\n"
             "reconstruction: FAIL (scale rule output is not normalized; slot products must be orthonormal)\n"
@@ -180,10 +192,25 @@ CASES = {
         ((0, 0), (0, 1)),
         "slot 1 0 basis:1\nslot 2 0 basis:1\nslot 2 1 basis:2\n",
         SparseState(3, 2, 8, {(1, 1): HALF, (1, 2): HALF}),
-        "no referenced slot resolves to the predecessor state",
+        "no slot matches the predecessor",
         report(
             "predecessor_present: FAIL (no slot matches the predecessor)\n" + ORTHONORMAL
             + "reconstruction: pass (rule output equals the target exactly)\n"
+        ),
+    ),
+    # Records 0 and 1 (and 2 and 3) build prev (x) |0> (and prev (x) |1>): the
+    # sum is prev (x) |0>, of norm 1, yet s = 4 counts two distinct branches.
+    "same_product": (
+        ZERO,
+        ({i: Predecessor() for i in range(4)}, {0: BasisSlot((0,)), 1: BasisSlot((1,))}),
+        ((0, 0), (1, 0), (2, 1), (3, 1, 4)),
+        "".join(f"slot 1 {i} predecessor\n" for i in range(4)) + "slot 2 0 basis:0\nslot 2 1 basis:1\n",
+        SparseState.basis_state(2, (0, 0)),
+        "records 0 and 1 build the same product",
+        report(
+            PRESENT + "slot_orthonormality: FAIL (records 2 and 3 build the same product)\n"
+            "reconstruction: pass (rule output equals the target exactly)\n",
+            s=4,
         ),
     ),
     "reconstruction_mismatch": (
@@ -198,14 +225,32 @@ CASES = {
 }
 
 
-def rule_of(tables, indices):
-    return ScaleRule(FractalParams(2, 2), tables, tuple(Coefficient(i) for i in indices))
+def rule_of(tables, records):
+    coefficients = tuple(Coefficient((a, b), *phase) for a, b, *phase in records)
+    return ScaleRule(FractalParams(2, len(records)), tables, coefficients)
+
+
+def verify_step(tmp_path, capsys, prev, records, slot_lines, target):
+    """Exit code, stdout and stderr of `qfs verify-step` from ``prev`` to
+    ``target`` by the rule file of ``slot_lines`` and ``records``."""
+    save_state(prev, tmp_path / "prev.qfs")
+    save_state(target, tmp_path / "next.qfs")
+    for file_name, state in SLOT_FILES.items():
+        save_state(state, tmp_path / file_name)
+    coeff_lines = "".join(f"coeff {a},{b} {phase[0] if phase else 0}\n" for a, b, *phase in records)
+    header = f"qfs-rule/1\nc 2\ns {len(records)}\nphase_order 8\n\n"
+    (tmp_path / "step.rule").write_text(header + slot_lines + coeff_lines)
+    argv = ["verify-step", "--rule", str(tmp_path / "step.rule")]
+    argv += ["--prev", str(tmp_path / "prev.qfs"), "--next", str(tmp_path / "next.qfs")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_check_rule_against_names_the_first_defect(name):
-    prev, tables, indices, _, _, message, _ = CASES[name]
-    rule = rule_of(tables, indices)
+    prev, tables, records, _, _, message, _ = CASES[name]
+    rule = rule_of(tables, records)
     if message is None:
         assert check_rule_against(prev, rule) is None
     else:
@@ -216,18 +261,24 @@ def test_check_rule_against_names_the_first_defect(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_verify_step_stdout(name, tmp_path, capsys):
-    prev, _, indices, slot_lines, target, _, expected = CASES[name]
-    save_state(prev, tmp_path / "prev.qfs")
-    save_state(target, tmp_path / "next.qfs")
-    for file_name, state in SLOT_FILES.items():
-        save_state(state, tmp_path / file_name)
-    coeff_lines = "".join(f"coeff {a},{b} 0\n" for a, b in indices)
-    (tmp_path / "step.rule").write_text("qfs-rule/1\nc 2\ns 2\nphase_order 8\n\n" + slot_lines + coeff_lines)
-    argv = ["verify-step", "--rule", str(tmp_path / "step.rule")]
-    argv += ["--prev", str(tmp_path / "prev.qfs"), "--next", str(tmp_path / "next.qfs")]
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == expected
+    prev, _, records, slot_lines, target, _, expected = CASES[name]
+    assert verify_step(tmp_path, capsys, prev, records, slot_lines, target) == expected
+
+
+def test_a_refused_overlap_fails_only_slot_orthonormality(tmp_path, capsys):
+    # The slot cells resolve and one of them is the predecessor; only the
+    # F_p overlap of the slot-2 pair is refused.
+    tables = ({0: Predecessor(), 1: BasisSlot((1,))}, {0: NamedSlot(FAR_U), 1: NamedSlot(FAR_V)})
+    rule = rule_of(tables, ((0, 0), (1, 1)))
+    refusal = "root order 36893488147419103232 exceeds 18446744073709551616"
+    with pytest.raises(GuardExceededError, match=f"^{refusal}$"):
+        check_rule_against(ZERO, rule)
+    target = apply_scale_rule(ZERO, rule, validate=False)
+    slot_lines = "slot 1 0 predecessor\nslot 1 1 basis:1\nslot 2 0 file:far_u.qfs\nslot 2 1 file:far_v.qfs\n"
+    assert verify_step(tmp_path, capsys, ZERO, ((0, 0), (1, 1)), slot_lines, target) == report(
+        PRESENT + f"slot_orthonormality: FAIL ({refusal})\n"
+        "reconstruction: pass (rule output equals the target exactly)\n"
+    )
 
 
 @pytest.mark.parametrize("digit", [-1, 2])
