@@ -170,9 +170,10 @@ class ScaleRule(_Checked, _ScaleRuleFields):
         """The orthonormality defects of resolved ``cells``, in scan order.
 
         Per slot, its exactly deduplicated vectors in index order: one whose
-        exact norm is not 1, then each later one with a nonzero squared
-        overlap in F_p (:mod:`qfractal.ranks`).  Last, each record that picks
-        the same vector in every slot as an earlier record.
+        exact norm is not 1, then each later one whose support meets it
+        with a nonzero squared overlap in F_p (:mod:`qfractal.ranks`).
+        Last, each record that picks the same vector in every slot as an
+        earlier record.
         """
         from .ranks import squared_overlap
 
@@ -182,17 +183,36 @@ class ScaleRule(_Checked, _ScaleRuleFields):
         for slot, table in enumerate(cells, 1):
             vectors: list[SparseState] = []
             position: dict[int, int] = {}
+            # Exactly equal vectors share their size and least key.
+            buckets: dict[tuple[int, int], list[int]] = {}
             for index, vector in table.items():
-                try:
-                    position[index] = vectors.index(vector)
-                except ValueError:
-                    position[index] = len(vectors)
+                bucket = buckets.setdefault((len(vector._packed), min(vector._packed, default=0)), [])
+                equal = (i for i in bucket if vectors[i] is vector or vectors[i] == vector)
+                position[index] = next(equal, len(vectors))
+                if position[index] == len(vectors):
+                    bucket.append(len(vectors))
                     vectors.append(vector)
             positions.append(position)
+            # For each vector, the later ones whose supports meet its own, found
+            # through each key's first holder and the vectors that share it;
+            # supports that do not meet are orthogonal.
+            meets: list[set[int]] = [set() for _ in vectors]
+            holder: dict[int, int] = {}
+            sharers: dict[int, list[int]] = {}
+            for j, vector in enumerate(vectors):
+                shared = vector._packed.keys() & holder.keys()
+                for key in shared:
+                    for i in sharers.setdefault(key, [holder[key]]):
+                        meets[i].add(j)
+                    sharers[key].append(j)
+                if j + 1 < len(vectors):  # no later vector reads the last one's keys
+                    holder.update(dict.fromkeys(vector._packed.keys() - shared, j))
             for i, u in enumerate(vectors):
                 if u.norm_squared() != 1:
                     defects.append(f"slot {slot} vector not normalized")
-                defects += [f"slot {slot} vectors not orthogonal" for v in vectors[i + 1 :] if squared_overlap(u, v)[0]]
+                defects += [
+                    f"slot {slot} vectors not orthogonal" for j in meets[i] if squared_overlap(u, vectors[j])[0]
+                ]
         first: dict[tuple[int, ...], int] = {}
         for k, coeff in enumerate(self.coefficients):
             choice = tuple(map(dict.__getitem__, positions, coeff.indices))

@@ -3,19 +3,26 @@
 The state enters F_p as one vector.  The rows of the cut-k coefficient matrix
 are the leading-digit slices of the rows at cut k - 1, so slicing each
 echelon row of cut k - 1 and eliminating the slices gives an echelon basis of
-the cut-k row space; its size is the rank at cut k.  Amplitudes map into F_p
-through one ring homomorphism (:func:`_field_images`).  The rank over F_p
-never exceeds the true rank r, and equals it unless every nonzero r-by-r
-minor lies in the kernel: a prime ideal over the one p >= 2**61 chosen from R
-and the magnitude bases.
+the cut-k row space; its size is the rank at cut k.  A set of cuts is
+answered by one such sweep, from the right end over the trailing digits when
+that end is nearer the furthest cut.  Amplitudes map into F_p through one
+ring homomorphism (:func:`_field_images`).  The rank over F_p never exceeds
+the true rank r, and equals it unless every nonzero r-by-r minor lies in the
+kernel: a prime ideal over the one p >= 2**61 chosen from R and the
+magnitude bases.
+
+A row is a dict from column to value, except where :mod:`qfractal.lanes`
+packs it into one int: when the support is all N**Q strings and the field
+lets 128-bit lanes hold its products.  Both forms give the same ranks.
 
 One budget bounds the time a sweep may take: it is charged for the Gauss
-sums, for every cell sliced and for the cells each elimination step reads,
-and the sweep stops at the cut where it runs out.
+sums, for every cell sliced and for the cells each elimination step reads
+(packed rows for their lanes, at a measured rate), and the sweep stops at
+the cut where it runs out.
 
 A squared overlap |<u|v>|**2 maps through the same homomorphism.  The library
-imports this module only for a rank or an overlap, so the commands that need
-neither do not compile it.
+imports this module only for a rank or an overlap, and the packed rows only
+for a full support, so the commands that need neither do not compile them.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import math
 from functools import lru_cache
 
 from .errors import DimensionMismatchError, GuardExceededError
-from .states import Amplitude, SparseState, _is_prime, _prime_factors, digit_bits
+from .states import Amplitude, SparseState, _is_prime, _prime_factors, capped_power, digit_bits
 
 # The sweep's budget in cells; one is about 0.25 us of pure Python, so a
 # refused sweep stops after about a second.
@@ -34,28 +41,56 @@ SCHMIDT_WORK_LIMIT = 2**22
 ROOT_ORDER_LIMIT = 2**64
 
 
-def sweep_ranks(state: SparseState, last_cut: int) -> list[int]:
-    """The Schmidt ranks of ``state`` at cuts 0, 1, ..., ``last_cut``; the
-    caller has checked that those cuts exist."""
-    left, modulus, rows = SCHMIDT_WORK_LIMIT, 0, []
-    if state._packed and last_cut:
-        left, modulus, images = _field_images(state.phase_order, set(state._packed.values()))
-        rows = [{key: images[amp] for key, amp in state._packed.items()}]
-    ranks = [len(rows)]
-    bits = digit_bits(state.local_dim)
-    for cut in range(1, last_cut + 1):
-        shift = bits * (state.num_qudits - cut)
+def sweep_ranks(state: SparseState, cuts: tuple[int, ...]) -> dict[int, int]:
+    """The Schmidt rank of ``state`` at each of ``cuts``, which the caller has
+    checked exist, from one sweep: from the right end when it is nearer the
+    furthest cut, else from the left."""
+    q = state.num_qudits
+    right = q - min(cuts) < max(cuts)
+    steps = q - min(cuts) if right else max(cuts)
+    ranks = [0] * (steps + 1)
+    if state._packed:
+        left, p, images = _field_images(state.phase_order, set(state._packed.values()))
+        sweep = _dict_sweep
+        if len(state._packed) == capped_power(state.local_dim, q):
+            from . import lanes
+
+            if lanes.lane_folds(p):
+                sweep = lanes.packed_sweep
+        ranks = sweep(state, images, p, right, steps, left)
+    return {cut: ranks[q - cut if right else cut] for cut in cuts}
+
+
+def _refused(state: SparseState, right: bool, step: int) -> GuardExceededError:
+    cut = state.num_qudits - step if right else step
+    return GuardExceededError(f"cut {cut}: sweep work exceeds {SCHMIDT_WORK_LIMIT}")
+
+
+def _dict_sweep(
+    state: SparseState, images: dict[Amplitude, int], p: int, right: bool, steps: int, left: int
+) -> list[int]:
+    """The sweep with each row a dict from column to value, for any support;
+    from the right, a row is sliced by its last digit."""
+    bits, q = digit_bits(state.local_dim), state.num_qudits
+    digit = (1 << bits) - 1
+    rows, ranks = [{key: images[amp] for key, amp in state._packed.items()}], [1]
+    for step in range(1, steps + 1):
+        shift = bits * (q - step)
         mask = (1 << shift) - 1
         pivots: dict[int, dict[int, int]] = {}
         for row in rows:
             left -= len(row)
             pieces: dict[int, dict[int, int]] = {}
-            for col, value in row.items():
-                pieces.setdefault(col >> shift, {})[col & mask] = value
+            if right:
+                for col, value in row.items():
+                    pieces.setdefault(col & digit, {})[col >> bits] = value
+            else:
+                for col, value in row.items():
+                    pieces.setdefault(col >> shift, {})[col & mask] = value
             for piece in pieces.values():
-                left -= _eliminate(piece, pivots, modulus, left)
+                left -= _eliminate(piece, pivots, p, left)
             if left < 0:
-                raise GuardExceededError(f"cut {cut}: sweep work exceeds {SCHMIDT_WORK_LIMIT}")
+                raise _refused(state, right, step)
         rows = list(pivots.values())
         ranks.append(len(rows))
     return ranks

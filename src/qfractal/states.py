@@ -597,15 +597,17 @@ class SparseState(_Frozen):
         return self._cut_ranks((cut,))[0][1]
 
     def _cut_ranks(self, cuts: Iterable[int]) -> tuple[tuple[int, int], ...]:
-        """(cut, Schmidt rank) for each cut, in order, from one sweep up to
-        the largest cut (see :mod:`qfractal.ranks`)."""
+        """(cut, Schmidt rank) for each cut, in order, from one sweep (see
+        :mod:`qfractal.ranks`)."""
         cuts = tuple(cuts)
         for cut in cuts:
             if not 0 < cut < self.num_qudits:
                 raise ValueError(f"cut must satisfy 0 < cut < {self.num_qudits}, got {cut}")
+        if not cuts:
+            return ()
         from .ranks import sweep_ranks
 
-        ranks = sweep_ranks(self, max(cuts, default=0))
+        ranks = sweep_ranks(self, cuts)
         return tuple((cut, ranks[cut]) for cut in cuts)
 
     def __eq__(self, other: object) -> bool:

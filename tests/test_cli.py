@@ -461,9 +461,11 @@ class TestCutGuard:
         assert result.stdout.endswith("schmidt_rank[11] 2048\nschmidt_rank[12] 4096\n")
 
     def test_dense_cut_refused_within_its_budget(self, tmp_path):
-        # The 256 x 256 Fourier matrix: eliminating its rows reads about 1.1e7 cells.
-        entries = {(a, b): Amplitude(a * b % 256, ((2, 16),)) for a in range(256) for b in range(256)}
-        state = SparseState(256, 2, 256, entries)
+        # The 450 x 450 Fourier matrix, the smallest even size whose packed
+        # elimination is charged past the budget (448 x 448 fits).
+        amps = [Amplitude(k, ((450, 2),)) for k in range(450)]
+        entries = {(a, b): amps[a * b % 450] for a in range(450) for b in range(450)}
+        state = SparseState(450, 2, 450, entries)
         source = tmp_path / "fourier.qfs"
         save_state(state, source)
         start = time.perf_counter()
@@ -476,7 +478,7 @@ class TestCutGuard:
         assert time.perf_counter() - start < 10
         assert result.returncode == 3
         assert result.stderr == "error: cut 1: sweep work exceeds 4194304\n"
-        assert result.stdout.endswith("support 65536\nuniform_probability 1/65536\n")
+        assert result.stdout.endswith("support 202500\nuniform_probability 1/202500\n")
 
 
 class TestCodeGuard:

@@ -8,6 +8,7 @@ done on the dense numpy vector.
 
 import cmath
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from qfractal import (
     serialize_state,
     superpose,
 )
-from qfractal.ranks import squared_overlap
+from qfractal.lanes import packed_sweep
+from qfractal.ranks import _dict_sweep, _field_images, squared_overlap
 from qfractal.states import DENSE_VECTOR_LIMIT
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -338,6 +340,24 @@ def test_squared_overlap_is_zero_exactly_when_the_inner_product_is(pair):
 RANK_CUTOFF = 1e-9
 
 
+def svd_ranks(state):
+    """The numerical rank of the coefficient matrix at each cut 1, ..., Q - 1."""
+    dense = state.to_dense()
+    ranks = []
+    for cut in range(1, state.num_qudits):
+        singular = np.linalg.svd(dense.reshape(state.local_dim**cut, -1), compute_uv=False)
+        ranks.append(int(np.count_nonzero(singular > RANK_CUTOFF * singular[0])) if singular[0] > 0 else 0)
+    return ranks
+
+
+def swept_ranks(sweep, state, right):
+    """The ranks at cuts 1, ..., Q - 1 from one ``sweep`` from either end, in
+    the field :func:`sweep_ranks` picks."""
+    left, p, images = _field_images(state.phase_order, set(state._packed.values()))
+    ranks = sweep(state, images, p, right, state.num_qudits - 1, left)
+    return ranks[:0:-1] if right else ranks[1:]
+
+
 @SETTINGS
 @given(st.data())
 def test_schmidt_rank(data):
@@ -347,11 +367,44 @@ def test_schmidt_rank(data):
     # embedding supplies zeta_8 and zeta_12 beyond R.
     order = data.draw(st.sampled_from((2, 4, 8, 12, 24)))
     state = data.draw(states(phase_order=order, magnitudes=RADICAL_MAGNITUDES))
-    dense = state.to_dense()
-    for cut in range(1, state.num_qudits):
-        singular = np.linalg.svd(dense.reshape(state.local_dim**cut, -1), compute_uv=False)
-        expected = int(np.count_nonzero(singular > RANK_CUTOFF * singular[0])) if singular[0] > 0 else 0
-        assert state.schmidt_rank(cut) == expected
+    expected = svd_ranks(state)
+    assert [state.schmidt_rank(cut) for cut in range(1, state.num_qudits)] == expected
+    assert swept_ranks(_dict_sweep, state, False) == swept_ranks(_dict_sweep, state, True) == expected
+
+
+@st.composite
+def full_support_states(draw):
+    """All N**Q <= 4096 basis strings.  Half the time the phase of string x is
+    a quadratic form in its digits, with couplings sparse enough to leave
+    some cuts of low rank, and its magnitude depends on x's first digit;
+    otherwise both are drawn at random for each string."""
+    n = draw(st.sampled_from(LOCAL_DIMS))
+    q = draw(st.integers(2, max(q for q in range(2, 13) if n**q <= 4096)))
+    r = draw(st.sampled_from((2, 4, 8, 12, 24)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    structured = draw(st.booleans())
+    density = draw(st.sampled_from((0.0, 0.05, 0.2, 1.0)))
+    couplings = [(a, b, rng.randrange(r)) for a in range(q) for b in range(a, q) if rng.random() < density]
+    magnitudes = [rng.choice(RADICAL_MAGNITUDES) for _ in range(n)]
+    entries = {}
+    for digits in itertools.product(range(n), repeat=q):
+        if structured:
+            phase = sum(c * digits[a] * digits[b] for a, b, c in couplings)
+            entries[digits] = Amplitude(phase % r, magnitudes[digits[0]])
+        else:
+            entries[digits] = Amplitude(rng.randrange(r), rng.choice(RADICAL_MAGNITUDES))
+    return SparseState(n, q, r, entries)
+
+
+@SETTINGS
+@given(full_support_states())
+def test_packed_sweep_ranks(state):
+    # Every cut from either end: the packed rows, the dict rows of the same
+    # field images, and the dense SVD agree.
+    expected = svd_ranks(state)
+    assert swept_ranks(packed_sweep, state, False) == swept_ranks(packed_sweep, state, True) == expected
+    assert swept_ranks(_dict_sweep, state, False) == swept_ranks(_dict_sweep, state, True) == expected
+    assert [rank for _, rank in state._cut_ranks(range(1, state.num_qudits))] == expected
 
 
 def test_public_constructor_still_validates_keys():

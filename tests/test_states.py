@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
@@ -19,7 +20,8 @@ from qfractal import (
     superpose,
 )
 from qfractal import states as states_module
-from qfractal.ranks import _prime_field
+from qfractal.lanes import lane_folds, packed_sweep
+from qfractal.ranks import _dict_sweep, _field_images, _prime_field
 from qfractal.states import (
     MAX_KEY_BITS,
     EntriesView,
@@ -50,7 +52,13 @@ def maximally_entangled(m):
 
 def fourier(n):
     """The n x n discrete Fourier transform as a state on two qudits of dimension n."""
-    return SparseState(n, 2, n, {(a, b): Amplitude(a * b % n, ((n, 2),)) for a in range(n) for b in range(n)})
+    amps = [Amplitude(k, ((n, 2),)) for k in range(n)]
+    return SparseState(n, 2, n, {(a, b): amps[a * b % n] for a in range(n) for b in range(n)})
+
+
+def field_prime(state):
+    """The p of the field that ranks ``state``."""
+    return _field_images(state.phase_order, set(state._packed.values()))[1]
 
 
 def bell(sign):
@@ -465,16 +473,63 @@ class TestSchmidtRank:
         # 4096 x 4096 cut costs no more than its 4096 cells.
         assert maximally_entangled(12)._cut_ranks((11, 12)) == ((11, 2**11), (12, 2**12))
         assert fourier(64).schmidt_rank(1) == 64
-        # Eliminating 256 dense slices of 256 cells reads about 1.1e7 cells.
+        # The smallest even n whose packed elimination is charged past the
+        # budget; fourier(448) fits.
         with pytest.raises(GuardExceededError, match=r"^cut 1: sweep work exceeds 4194304$"):
-            fourier(256).schmidt_rank(1)
+            fourier(450).schmidt_rank(1)
+
+    @pytest.mark.parametrize("n", [128, 200, 256])
+    def test_dense_fourier_cut_has_full_rank(self, n):
+        # All n**2 strings, so the packed sweep: the last piece meets n - 1
+        # pivot rows, more multiply-adds than a lane holds between folds.
+        state = fourier(n)
+        assert lane_folds(field_prime(state)) is not None
+        assert state.schmidt_rank(1) == n
+
+    def test_packed_rows_match_dict_rows_over_long_reductions(self):
+        # 100 x 100 matrices over F_p, one amplitude per cell so that any
+        # image can be given to each.  Rows 0..98 of the first are 1 on the
+        # diagonal and -1 right of it, and row 99 is their sum: reducing it
+        # adds (p - 1)**2 to each lane 99 times, three times what a lane
+        # holds between folds, and must end at exactly zero.  The second is
+        # a random product of rank 33.
+        n, p = 100, _prime_field(8)[0]
+        ladder = [[(j == i) - (j > i) for j in range(n)] for i in range(n - 1)]
+        ladder.append([sum(column) for column in zip(*ladder)])
+        rng = random.Random(1)
+        left = [[rng.randrange(p) for _ in range(33)] for _ in range(n)]
+        right = [[rng.randrange(p) for _ in range(n)] for _ in range(33)]
+        product = [[sum(a * b for a, b in zip(row, column)) for column in zip(*right)] for row in left]
+        state = SparseState(n, 2, 2 * n * n, {(a, b): Amplitude(2 * (a * n + b)) for a in range(n) for b in range(n)})
+        for matrix, rank in ((ladder, n - 1), (product, 33)):
+            images = {Amplitude(2 * (a * n + b)): matrix[a][b] % p for a in range(n) for b in range(n)}
+            for sweep in (packed_sweep, _dict_sweep):
+                for from_right in (False, True):
+                    assert sweep(state, images, p, from_right, 1, 2**30) == [1, rank]
+
+    def test_full_support_outside_the_lane_fields(self):
+        # Phases of order 2**64 need p > 2**64, whose products no 128-bit
+        # lane holds, so this full support takes the dict sweep.  Phase
+        # 2**6 * (x0 + 3 * x3) is a product; (R / 2) * x1 * x2 is a CZ
+        # between qubits 1 and 2.
+        order = 2**70
+        amp = Amplitude(0, ((2, 4),))
+        entries = {
+            x: amp.shifted(2**6 * (x[0] + 3 * x[3]) + order // 2 * x[1] * x[2], order)
+            for x in itertools.product((0, 1), repeat=4)
+        }
+        state = SparseState(2, 4, order, entries)
+        assert lane_folds(field_prime(state)) is None
+        assert state._cut_ranks((1, 2, 3)) == ((1, 1), (2, 2), (3, 1))
 
     def test_slicing_is_charged(self):
-        # A product of |0...0> on 1088 qubits and 4096 strings on the last 12:
-        # rank 1 everywhere, but every cut slices one row of 4096 cells.
+        # 4096 strings on 12 qubits between |0...0> on 1088 qubits each side:
+        # rank 1 everywhere, but every cut slices one row of 4096 cells, and
+        # cut 1025 is nearer the left end, so the sweep takes 1025 steps.
         amp = Amplitude(0, ((2, 12),))
-        tail = SparseState(2, 12, 2, {digits: amp for digits in itertools.product((0, 1), repeat=12)})
-        state = basis(2, (0,) * 1088, order=2).tensor(tail)
+        middle = SparseState(2, 12, 2, {digits: amp for digits in itertools.product((0, 1), repeat=12)})
+        zeros = basis(2, (0,) * 1088, order=2)
+        state = zeros.tensor(middle).tensor(zeros)
         assert state._cut_ranks((1, 1024)) == ((1, 1), (1024, 1))
         with pytest.raises(GuardExceededError, match=r"^cut 1025: sweep work exceeds 4194304$"):
             state.schmidt_rank(1025)
