@@ -175,8 +175,6 @@ class ScaleRule(_Checked, _ScaleRuleFields):
         Last, each record that picks the same vector in every slot as an
         earlier record.
         """
-        from .ranks import squared_overlap
-
         defects: list[str] = []
         # Per slot: each index's position among the slot's distinct vectors.
         positions: list[dict[int, int]] = []
@@ -210,6 +208,8 @@ class ScaleRule(_Checked, _ScaleRuleFields):
             for i, u in enumerate(vectors):
                 if u.norm_squared() != 1:
                     defects.append(f"slot {slot} vector not normalized")
+                if meets[i]:  # slots whose supports never meet compile no rank code
+                    from .ranks import squared_overlap
                 defects += [
                     f"slot {slot} vectors not orthogonal" for j in meets[i] if squared_overlap(u, vectors[j])[0]
                 ]

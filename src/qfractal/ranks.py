@@ -11,9 +11,19 @@ the true rank r, and equals it unless every nonzero r-by-r minor lies in the
 kernel: a prime ideal over the one p >= 2**61 chosen from R and the
 magnitude bases.
 
-A row is a dict from column to value, except where :mod:`qfractal.lanes`
-packs it into one int: when the support is all N**Q strings and the field
-lets 128-bit lanes hold its products.  Both forms give the same ranks.
+A row takes one of two forms, which give the same ranks.  Over a sparse
+support it is a dict from column to value.  When the N**Q strings number at
+most LANES_PER_CELL per support entry, and the field lets 128-bit lanes hold
+its products, it is one int with a lane per string in base-N order (of the
+reversed strings for a sweep from the right), zero for a string outside the
+support: digit d of a cut owns the d-th block of lanes, so a piece is one
+shift and one mask, and a reduction step is one multiply-add over the whole
+row.  For p = 2**61 + delta a lane folds at bit 61, as 2**61 = -delta mod p,
+with a multiple of p added to keep it nonnegative.  Lanes are brought back
+below p only when a lead lane reads 0, before a row is kept as a pivot, and
+before a lane could overflow; a pivot keeps the inverse of its lead instead
+of being normalized.  This is the simultaneous reduction of Dumas, Fousse
+and Salvy (J. Symbolic Comput. 46, 2011) on Python ints.
 
 One budget bounds the time a sweep may take: it is charged for the Gauss
 sums, for every cell sliced and for the cells each elimination step reads
@@ -21,8 +31,8 @@ sums, for every cell sliced and for the cells each elimination step reads
 the cut where it runs out.
 
 A squared overlap |<u|v>|**2 maps through the same homomorphism.  The library
-imports this module only for a rank or an overlap, and the packed rows only
-for a full support, so the commands that need neither do not compile them.
+imports this module only for a rank or an overlap, so the commands that need
+neither do not compile it.
 """
 
 from __future__ import annotations
@@ -39,6 +49,14 @@ from .states import Amplitude, SparseState, _is_prime, _prime_factors, capped_po
 SCHMIDT_WORK_LIMIT = 2**22
 # The largest root order M; it keeps p below 3.3 * 10**24, where _is_prime is exact.
 ROOT_ORDER_LIMIT = 2**64
+# A packed row holds one field element per LANE bits.  A packed step is
+# charged 4 cells plus one per LANES_PER_CELL lanes it touches, which costs
+# about as long as a dict cell.
+LANE = 128
+LANE_MASK = (1 << LANE) - 1
+LANES_PER_CELL = 8
+# Fields whose lanes take more folds than this to come back below 2 * p keep dict rows.
+FOLD_LIMIT = 4
 
 
 def sweep_ranks(state: SparseState, cuts: tuple[int, ...]) -> dict[int, int]:
@@ -51,12 +69,9 @@ def sweep_ranks(state: SparseState, cuts: tuple[int, ...]) -> dict[int, int]:
     ranks = [0] * (steps + 1)
     if state._packed:
         left, p, images = _field_images(state.phase_order, set(state._packed.values()))
-        sweep = _dict_sweep
-        if len(state._packed) == capped_power(state.local_dim, q):
-            from . import lanes
-
-            if lanes.lane_folds(p):
-                sweep = lanes.packed_sweep
+        # A packed row pays for a lane per string, in or out of the support.
+        dense = capped_power(state.local_dim, q) <= LANES_PER_CELL * len(state._packed)
+        sweep = packed_sweep if dense and lane_folds(p) else _dict_sweep
         ranks = sweep(state, images, p, right, steps, left)
     return {cut: ranks[q - cut if right else cut] for cut in cuts}
 
@@ -94,6 +109,110 @@ def _dict_sweep(
         rows = list(pivots.values())
         ranks.append(len(rows))
     return ranks
+
+
+def packed_sweep(
+    state: SparseState, images: dict[Amplitude, int], p: int, right: bool, steps: int, left: int
+) -> list[int]:
+    """The sweep with each row one int of lanes, for a p that
+    :func:`lane_folds` accepts.  A pivot row is kept from its lead lane up."""
+    multiples, adds = lane_folds(p)
+    n, q, delta = state.local_dim, state.num_qudits, p - 2**61
+    rows, ranks = [(_first_row(state, images, right), 0)], [1]
+    # Per-lane constants, as long as the longest piece.
+    low, lift, *offsets = [
+        int.from_bytes(c.to_bytes(LANE // 8, "little") * n ** (q - 1), "little")
+        for c in (2**61 - 1, 2**64 - p, *(k * p for k in multiples))
+    ]
+    for step in range(1, steps + 1):
+        cols = n ** (q - step)
+        mask = (1 << cols * LANE) - 1
+        unused = n ** (q - 1) - cols
+
+        def reduce(v: int, base: int) -> int:
+            """``v``, a row from lane ``base`` up, with every lane in [0, p)."""
+            shift = (unused + base) * LANE
+            # 2**61 = -delta mod p; adding k * p per lane keeps each lane >= 0.
+            for offset in offsets:
+                lo = v & low
+                v = lo + (offset >> shift) - delta * ((v ^ lo) >> 61)
+            # Each lane is now below 2 * p: subtract p where lane + 2**64 - p
+            # carries into bit 64, which the shift brings to bit 0.
+            return v - p * ((v + (lift >> shift)) >> 64 & low)
+
+        pivots: dict[int, tuple[int, int]] = {}
+        while rows:
+            rest, lead = rows.pop()
+            left -= n * cols // LANES_PER_CELL
+            # Digit d owns lanes d * cols to (d + 1) * cols - 1 of the full row.
+            rest <<= lead % cols * LANE
+            while rest and len(pivots) < cols:
+                v, rest = rest & mask, rest >> cols * LANE
+                base = done = 0
+                while v and left >= 0:
+                    if not v & LANE_MASK:
+                        skip = ((v & -v).bit_length() - 1) // LANE
+                        v >>= skip * LANE
+                        base += skip
+                    left -= 4 + (cols - base) // LANES_PER_CELL
+                    value = (v & LANE_MASK) % p
+                    if not value:
+                        v, done = reduce(v, base), 0
+                        continue
+                    pivot = pivots.get(base)
+                    if pivot is None:
+                        pivots[base] = reduce(v, base) if done else v, pow(value, -1, p)
+                        break
+                    v = v + (p - value) * pivot[1] % p * pivot[0] >> LANE
+                    base += 1
+                    done += 1
+                    if done == adds:
+                        v, done = reduce(v, base), 0
+                if left < 0:
+                    raise _refused(state, right, step)
+        rows = [(row, lead) for lead, (row, _) in pivots.items()]
+        ranks.append(len(rows))
+    return ranks
+
+
+def _first_row(state: SparseState, images: dict[Amplitude, int], right: bool) -> int:
+    """The state's images, one per lane in the order of :func:`_lane_keys`,
+    and 0 for each string outside the support."""
+    lanes: dict[Amplitude | None, bytes] = {amp: value.to_bytes(LANE // 8, "little") for amp, value in images.items()}
+    lanes[None] = bytes(LANE // 8)
+    keys, get = _lane_keys(state.local_dim, state.num_qudits, right), state._packed.get
+    # Joined in blocks: join holds an 80-byte buffer view per part it joins.
+    blocks = [b"".join(map(lanes.__getitem__, map(get, keys[i : i + 4096]))) for i in range(0, len(keys), 4096)]
+    return int.from_bytes(b"".join(blocks), "little")
+
+
+def _lane_keys(n: int, q: int, right: bool) -> range | list[int]:
+    """The packed key of each of the n**q strings in base-n order, or, when
+    ``right``, in base-n order of their reverses."""
+    bits = digit_bits(n)
+    if n == 1 << bits and not right:
+        return range(n**q)  # a key is its string's position
+    keys = [0]
+    # The digit added last varies fastest.
+    for j in range(q) if right else reversed(range(q)):
+        keys = [key | s << bits * j for key in keys for s in range(n)]
+    return keys
+
+
+@lru_cache(maxsize=None)
+def lane_folds(p: int) -> tuple[tuple[int, ...], int] | None:
+    """The multiple k of p that each fold adds to every lane, and the
+    multiply-adds by a reduced row that a lane holds between reductions;
+    None when folding a 128-bit lane back below 2**61 + p takes over
+    FOLD_LIMIT folds (p >= 2**62, or p - 2**61 too large).  A fold maps a
+    lane hi * 2**61 + lo to lo - (p - 2**61) * hi + k * p."""
+    bound, multiples = LANE_MASK, []
+    while bound > 2**61 - 1 + p:
+        if len(multiples) == FOLD_LIMIT:
+            return None
+        multiples.append(-(-(p - 2**61) * (bound >> 61) // p))
+        bound = 2**61 - 1 + multiples[-1] * p
+    return tuple(multiples), (LANE_MASK - p) // (p - 1) ** 2
 
 
 @lru_cache(maxsize=None)

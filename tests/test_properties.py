@@ -8,6 +8,7 @@ done on the dense numpy vector.
 
 import cmath
 import itertools
+import math
 import random
 
 import numpy as np
@@ -36,8 +37,7 @@ from qfractal import (
     serialize_state,
     superpose,
 )
-from qfractal.lanes import packed_sweep
-from qfractal.ranks import _dict_sweep, _field_images, squared_overlap
+from qfractal.ranks import _dict_sweep, _field_images, packed_sweep, squared_overlap
 from qfractal.states import DENSE_VECTOR_LIMIT
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -374,16 +374,19 @@ def test_schmidt_rank(data):
 
 @st.composite
 def full_support_states(draw):
-    """All N**Q <= 4096 basis strings.  Half the time the phase of string x is
-    a quadratic form in its digits, with couplings sparse enough to leave
-    some cuts of low rank, and its magnitude depends on x's first digit;
-    otherwise both are drawn at random for each string."""
+    """All N**Q <= 4096 basis strings, or a random share of at least 1/8 of
+    them, which the packed rows hold with a zero lane for each one left out.
+    Half the time the phase of string x is a quadratic form in its digits,
+    with couplings sparse enough to leave some cuts of low rank, and its
+    magnitude depends on x's first digit; otherwise both are drawn at random
+    for each string."""
     n = draw(st.sampled_from(LOCAL_DIMS))
     q = draw(st.integers(2, max(q for q in range(2, 13) if n**q <= 4096)))
     r = draw(st.sampled_from((2, 4, 8, 12, 24)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     structured = draw(st.booleans())
     density = draw(st.sampled_from((0.0, 0.05, 0.2, 1.0)))
+    share = draw(st.sampled_from((1.0, 1.0, 0.9, 0.5, 0.125)))
     couplings = [(a, b, rng.randrange(r)) for a in range(q) for b in range(a, q) if rng.random() < density]
     magnitudes = [rng.choice(RADICAL_MAGNITUDES) for _ in range(n)]
     entries = {}
@@ -393,14 +396,15 @@ def full_support_states(draw):
             entries[digits] = Amplitude(phase % r, magnitudes[digits[0]])
         else:
             entries[digits] = Amplitude(rng.randrange(r), rng.choice(RADICAL_MAGNITUDES))
-    return SparseState(n, q, r, entries)
+    kept = rng.sample(sorted(entries), math.ceil(share * n**q))
+    return SparseState(n, q, r, {digits: entries[digits] for digits in kept})
 
 
 @SETTINGS
 @given(full_support_states())
 def test_packed_sweep_ranks(state):
-    # Every cut from either end: the packed rows, the dict rows of the same
-    # field images, and the dense SVD agree.
+    # Every cut from either end, with or without zero lanes: the packed rows,
+    # the dict rows of the same field images, and the dense SVD agree.
     expected = svd_ranks(state)
     assert swept_ranks(packed_sweep, state, False) == swept_ranks(packed_sweep, state, True) == expected
     assert swept_ranks(_dict_sweep, state, False) == swept_ranks(_dict_sweep, state, True) == expected

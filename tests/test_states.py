@@ -20,8 +20,7 @@ from qfractal import (
     superpose,
 )
 from qfractal import states as states_module
-from qfractal.lanes import lane_folds, packed_sweep
-from qfractal.ranks import _dict_sweep, _field_images, _prime_field
+from qfractal.ranks import _dict_sweep, _field_images, _prime_field, lane_folds, packed_sweep
 from qfractal.states import (
     MAX_KEY_BITS,
     EntriesView,
@@ -50,10 +49,13 @@ def maximally_entangled(m):
     return SparseState(2, 2 * m, 8, {digits + digits: amp for digits in itertools.product((0, 1), repeat=m)})
 
 
-def fourier(n):
-    """The n x n discrete Fourier transform as a state on two qudits of dimension n."""
+def fourier(n, missing=()):
+    """The n x n discrete Fourier transform as a state on two qudits of
+    dimension n, without the strings in ``missing``."""
     amps = [Amplitude(k, ((n, 2),)) for k in range(n)]
-    return SparseState(n, 2, n, {(a, b): amps[a * b % n] for a in range(n) for b in range(n)})
+    return SparseState(
+        n, 2, n, {(a, b): amps[a * b % n] for a in range(n) for b in range(n) if (a, b) not in missing}
+    )
 
 
 def field_prime(state):
@@ -478,11 +480,16 @@ class TestSchmidtRank:
         with pytest.raises(GuardExceededError, match=r"^cut 1: sweep work exceeds 4194304$"):
             fourier(450).schmidt_rank(1)
 
-    @pytest.mark.parametrize("n", [128, 200, 256])
-    def test_dense_fourier_cut_has_full_rank(self, n):
-        # All n**2 strings, so the packed sweep: the last piece meets n - 1
-        # pivot rows, more multiply-adds than a lane holds between folds.
-        state = fourier(n)
+    @pytest.mark.parametrize(
+        "n, missing",
+        [(128, ()), (200, ()), (256, ()), (128, ((5, 7),)), (200, ((199, 199),))],
+        ids=["128", "200", "256", "128-less-one", "200-less-one"],
+    )
+    def test_dense_fourier_cut_has_full_rank(self, n, missing):
+        # All n**2 strings, or all but one held as a zero lane, so the packed
+        # sweep: the last piece meets n - 1 pivot rows, more multiply-adds
+        # than a lane holds between folds.
+        state = fourier(n, missing)
         assert lane_folds(field_prime(state)) is not None
         assert state.schmidt_rank(1) == n
 
