@@ -12,8 +12,8 @@ kernel: a prime ideal over the one p >= 2**61 chosen from R and the
 magnitude bases.
 
 A row takes one of two forms, which give the same ranks.  Over a sparse
-support it is a dict from column to value.  When the N**Q strings number at
-most LANES_PER_CELL per support entry, and the field lets 128-bit lanes hold
+support it is a dict from column to value.  When the support holds at least
+PACKED_MIN_SHARE of the N**Q strings, and the field lets 128-bit lanes hold
 its products, it is one int with a lane per string in base-N order (of the
 reversed strings for a sweep from the right), zero for a string outside the
 support: digit d of a cut owns the d-th block of lanes, so a piece is one
@@ -26,9 +26,10 @@ of being normalized.  This is the simultaneous reduction of Dumas, Fousse
 and Salvy (J. Symbolic Comput. 46, 2011) on Python ints.
 
 One budget bounds the time a sweep may take: it is charged for the Gauss
-sums, for every cell sliced and for the cells each elimination step reads
-(packed rows for their lanes, at a measured rate), and the sweep stops at
-the cut where it runs out.
+sums, the cells sliced, the cells each elimination step reads (packed rows
+per lane, at a measured rate) and each zero lane built, and the sweep stops
+at the cut where it runs out; when packed rows with zero lanes run out, dict
+rows take the sweep again.
 
 A squared overlap |<u|v>|**2 maps through the same homomorphism.  The library
 imports this module only for a rank or an overlap, so the commands that need
@@ -57,6 +58,10 @@ LANE_MASK = (1 << LANE) - 1
 LANES_PER_CELL = 8
 # Fields whose lanes take more folds than this to come back below 2 * p keep dict rows.
 FOLD_LIMIT = 4
+# A lane costs about 0.3 us to build.  Sweeps to cut 1 of random supports
+# ran faster on dict rows below half the N**Q strings and packed from 3/4
+# up; every longer sweep measured ran faster packed from 1/4 up.
+PACKED_MIN_SHARE = 3 / 4
 
 
 def sweep_ranks(state: SparseState, cuts: tuple[int, ...]) -> dict[int, int]:
@@ -69,10 +74,15 @@ def sweep_ranks(state: SparseState, cuts: tuple[int, ...]) -> dict[int, int]:
     ranks = [0] * (steps + 1)
     if state._packed:
         left, p, images = _field_images(state.phase_order, set(state._packed.values()))
-        # A packed row pays for a lane per string, in or out of the support.
-        dense = capped_power(state.local_dim, q) <= LANES_PER_CELL * len(state._packed)
-        sweep = packed_sweep if dense and lane_folds(p) else _dict_sweep
-        ranks = sweep(state, images, p, right, steps, left)
+        strings, entries = capped_power(state.local_dim, q), len(state._packed)
+        packed = entries >= PACKED_MIN_SHARE * strings and lane_folds(p)
+        try:
+            ranks = (packed_sweep if packed else _dict_sweep)(state, images, p, right, steps, left)
+        except GuardExceededError:
+            # Lanes cost more than dict cells where rows stay sparse.
+            if not packed or entries == strings:
+                raise
+            ranks = _dict_sweep(state, images, p, right, steps, left)
     return {cut: ranks[q - cut if right else cut] for cut in cuts}
 
 
@@ -118,6 +128,9 @@ def packed_sweep(
     :func:`lane_folds` accepts.  A pivot row is kept from its lead lane up."""
     multiples, adds = lane_folds(p)
     n, q, delta = state.local_dim, state.num_qudits, p - 2**61
+    left -= n**q - len(state._packed)
+    if left < 0:
+        raise _refused(state, right, 1)
     rows, ranks = [(_first_row(state, images, right), 0)], [1]
     # Per-lane constants, as long as the longest piece.
     low, lift, *offsets = [
@@ -176,27 +189,24 @@ def packed_sweep(
 
 
 def _first_row(state: SparseState, images: dict[Amplitude, int], right: bool) -> int:
-    """The state's images, one per lane in the order of :func:`_lane_keys`,
-    and 0 for each string outside the support."""
+    """The state's images, one per lane in base-N order of the strings (of
+    the reversed strings when ``right``), and 0 outside the support."""
     lanes: dict[Amplitude | None, bytes] = {amp: value.to_bytes(LANE // 8, "little") for amp, value in images.items()}
     lanes[None] = bytes(LANE // 8)
-    keys, get = _lane_keys(state.local_dim, state.num_qudits, right), state._packed.get
+    n, q, bits, get = state.local_dim, state.num_qudits, digit_bits(state.local_dim), state._packed.get
+    # Digit j of a packed key is string digit q - 1 - j.  The lanes vary the
+    # last string digit fastest, or from the right the first; the keys of
+    # each half of the digits are listed with the digit added last fastest.
+    digits, halves = list(range(q) if right else reversed(range(q))), []
+    for part in digits[: q // 2], digits[q // 2 :]:
+        halves.append([0])
+        for j in part:
+            halves[-1] = [key | s << bits * j for key in halves[-1] for s in range(n)]
     # Joined in blocks: join holds an 80-byte buffer view per part it joins.
-    blocks = [b"".join(map(lanes.__getitem__, map(get, keys[i : i + 4096]))) for i in range(0, len(keys), 4096)]
-    return int.from_bytes(b"".join(blocks), "little")
-
-
-def _lane_keys(n: int, q: int, right: bool) -> range | list[int]:
-    """The packed key of each of the n**q strings in base-n order, or, when
-    ``right``, in base-n order of their reverses."""
-    bits = digit_bits(n)
-    if n == 1 << bits and not right:
-        return range(n**q)  # a key is its string's position
-    keys = [0]
-    # The digit added last varies fastest.
-    for j in range(q) if right else reversed(range(q)):
-        keys = [key | s << bits * j for key in keys for s in range(n)]
-    return keys
+    row, (outer, inner) = bytearray(), halves
+    for high in outer:
+        row += b"".join([lanes[get(high | key)] for key in inner])
+    return int.from_bytes(row, "little")
 
 
 @lru_cache(maxsize=None)

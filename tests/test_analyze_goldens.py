@@ -22,6 +22,7 @@ import pytest
 
 from qfractal import Amplitude, SparseState, save_state
 from qfractal.cli import main
+from sample_states import fourier
 
 GOLDEN = Path(__file__).parent / "golden" / "analyze_cuts.json"
 
@@ -45,12 +46,6 @@ CASES = [
 ]
 
 
-def fourier(n):
-    """The n x n discrete Fourier transform as a state on two qudits of dimension n."""
-    amps = [Amplitude(k, ((n, 2),)) for k in range(n)]
-    return {(a, b): amps[a * b % n] for a in range(n) for b in range(n)}
-
-
 def write_inputs(directory):
     """The files the transcripts read, written into ``directory``."""
     for name, argv in [
@@ -63,10 +58,8 @@ def write_inputs(directory):
     # cluster-14 without its last string |1...1>.
     lines = (directory / "cl14.qfs").read_text().splitlines(keepends=True)
     (directory / "cl14h.qfs").write_text("".join(lines[:-1]))
-    entries = fourier(64)
-    save_state(SparseState(64, 2, 64, entries), directory / "f64.qfs")
-    del entries[63, 63]
-    save_state(SparseState(64, 2, 64, entries), directory / "f64h.qfs")
+    save_state(fourier(64), directory / "f64.qfs")
+    save_state(fourier(64, ((63, 63),)), directory / "f64h.qfs")
     # All 16 strings at phase order 2**70, whose p no 128-bit lane holds:
     # a product in qubits 0 and 3, and a CZ between qubits 1 and 2.
     order, amp = 2**70, Amplitude(0, ((2, 4),))

@@ -373,20 +373,20 @@ def test_schmidt_rank(data):
 
 
 @st.composite
-def full_support_states(draw):
-    """All N**Q <= 4096 basis strings, or a random share of at least 1/8 of
-    them, which the packed rows hold with a zero lane for each one left out.
-    Half the time the phase of string x is a quadratic form in its digits,
-    with couplings sparse enough to leave some cuts of low rank, and its
-    magnitude depends on x's first digit; otherwise both are drawn at random
-    for each string."""
+def dense_states(draw):
+    """All N**Q <= 4096 basis strings half the time, else a random share of
+    at least 1/8 of them, which the packed rows hold with a zero lane for
+    each one left out.  Half the time the phase of string x is a quadratic
+    form in its digits, with couplings sparse enough to leave some cuts of
+    low rank, and its magnitude depends on x's first digit; otherwise both
+    are drawn at random for each string."""
     n = draw(st.sampled_from(LOCAL_DIMS))
     q = draw(st.integers(2, max(q for q in range(2, 13) if n**q <= 4096)))
     r = draw(st.sampled_from((2, 4, 8, 12, 24)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     structured = draw(st.booleans())
     density = draw(st.sampled_from((0.0, 0.05, 0.2, 1.0)))
-    share = draw(st.sampled_from((1.0, 1.0, 0.9, 0.5, 0.125)))
+    share = draw(st.sampled_from((0.9, 0.75, 0.5, 0.125))) if draw(st.booleans()) else 1.0
     couplings = [(a, b, rng.randrange(r)) for a in range(q) for b in range(a, q) if rng.random() < density]
     magnitudes = [rng.choice(RADICAL_MAGNITUDES) for _ in range(n)]
     entries = {}
@@ -400,8 +400,8 @@ def full_support_states(draw):
     return SparseState(n, q, r, {digits: entries[digits] for digits in kept})
 
 
-@SETTINGS
-@given(full_support_states())
+@settings(SETTINGS, max_examples=120)
+@given(dense_states())
 def test_packed_sweep_ranks(state):
     # Every cut from either end, with or without zero lanes: the packed rows,
     # the dict rows of the same field images, and the dense SVD agree.

@@ -19,6 +19,7 @@ from qfractal import (
     build_cantor,
     superpose,
 )
+from qfractal import ranks
 from qfractal import states as states_module
 from qfractal.ranks import _dict_sweep, _field_images, _prime_field, lane_folds, packed_sweep
 from qfractal.states import (
@@ -32,6 +33,7 @@ from qfractal.states import (
     pack_digits,
     unpack_digits,
 )
+from sample_states import fourier
 
 
 def basis(local_dim, digits, order=8):
@@ -47,15 +49,6 @@ def maximally_entangled(m):
     """sum_x |x>|x> / 2**(m/2) on 2m qubits."""
     amp = Amplitude(0, ((2, m),))
     return SparseState(2, 2 * m, 8, {digits + digits: amp for digits in itertools.product((0, 1), repeat=m)})
-
-
-def fourier(n, missing=()):
-    """The n x n discrete Fourier transform as a state on two qudits of
-    dimension n, without the strings in ``missing``."""
-    amps = [Amplitude(k, ((n, 2),)) for k in range(n)]
-    return SparseState(
-        n, 2, n, {(a, b): amps[a * b % n] for a in range(n) for b in range(n) if (a, b) not in missing}
-    )
 
 
 def field_prime(state):
@@ -528,6 +521,43 @@ class TestSchmidtRank:
         state = SparseState(2, 4, order, entries)
         assert lane_folds(field_prime(state)) is None
         assert state._cut_ranks((1, 2, 3)) == ((1, 1), (2, 2), (3, 1))
+
+    def test_row_form_follows_the_density(self, monkeypatch):
+        # Sweeps to cut 1, where building the first row is most of the work:
+        # below 3/4 of the N**Q strings dict rows take them (at 1/8 of 2**18
+        # strings they ran 5x faster than packed rows), from 3/4 up packed
+        # rows do, and a packed refusal with strings missing leaves the sweep
+        # to dict rows.  A full support has no second try.
+        used = []
+
+        def spy(name, sweep):
+            def run(*args):
+                used.append(name)
+                return sweep(*args)
+
+            return run
+
+        rng = random.Random(3)
+        strings = list(itertools.product((0, 1), repeat=10))
+
+        def kept(count):
+            return SparseState(2, 10, 8, {x: Amplitude(rng.randrange(8)) for x in rng.sample(strings, count)})
+
+        monkeypatch.setattr(ranks, "_dict_sweep", spy("dict", ranks._dict_sweep))
+        monkeypatch.setattr(ranks, "packed_sweep", spy("packed", ranks.packed_sweep))
+        for count, form in ((128, "dict"), (767, "dict"), (768, "packed"), (1024, "packed")):
+            used.clear()
+            assert kept(count).schmidt_rank(1) == 2
+            assert used == [form]
+        def refuse(*args):
+            raise GuardExceededError("cut 1: sweep work exceeds 4194304")
+
+        monkeypatch.setattr(ranks, "packed_sweep", spy("packed", refuse))
+        used.clear()
+        assert kept(768).schmidt_rank(1) == 2
+        assert used == ["packed", "dict"]
+        with pytest.raises(GuardExceededError):
+            kept(1024).schmidt_rank(1)
 
     def test_slicing_is_charged(self):
         # 4096 strings on 12 qubits between |0...0> on 1088 qubits each side:
