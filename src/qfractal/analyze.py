@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .construct import NO_PREDECESSOR, FractalParams, ScaleRule, apply_scale_rule, check_rule_against
+from .construct import NO_PREDECESSOR, FractalParams, ScaleRule, _step_from_cells, check_rule_against
 from .errors import AnalysisError, GuardExceededError, QfsError
 from .states import SparseState
 
@@ -63,6 +63,7 @@ def verify_scale_step(prev: SparseState, next_state: SparseState, rule: ScaleRul
         cells = rule.cells(prev)
     except QfsError as exc:
         checks += [CheckResult(name, False, str(exc)) for name in ("predecessor_present", "slot_orthonormality")]
+        reconstruction = CheckResult("reconstruction", False, str(exc))
     else:
         found = any(prev in table.values() for table in cells)
         present = "a referenced slot resolves to the predecessor" if found else NO_PREDECESSOR
@@ -73,14 +74,14 @@ def verify_scale_step(prev: SparseState, next_state: SparseState, rule: ScaleRul
             defects = [str(exc)]
         ortho_detail = defects[-1] if defects else "pairwise within 1e-09"
         checks.append(CheckResult("slot_orthonormality", not defects, ortho_detail))
-
-    try:
-        match = apply_scale_rule(prev, rule, validate=False) == next_state
-    except QfsError as exc:
-        checks.append(CheckResult("reconstruction", False, str(exc)))
-    else:
-        detail = "rule output equals the target exactly" if match else "rule output differs from the target"
-        checks.append(CheckResult("reconstruction", match, detail))
+        try:
+            match = _step_from_cells(prev, rule, cells) == next_state
+        except QfsError as exc:
+            reconstruction = CheckResult("reconstruction", False, str(exc))
+        else:
+            detail = "rule output equals the target exactly" if match else "rule output differs from the target"
+            reconstruction = CheckResult("reconstruction", match, detail)
+    checks.append(reconstruction)
 
     norm = next_state.norm_squared()
     checks.append(CheckResult("norm", norm == 1, f"target norm squared {norm}"))
@@ -94,17 +95,18 @@ def rule_basis_probabilities(
 ) -> list[Fraction]:
     """Outcome probabilities of ``state`` against the rule's product basis.
 
-    The rule is checked against ``prev`` first.  Each coefficient record
-    defines one product vector; its squared overlap with ``state`` must be k/s
-    for an integer 0 <= k <= s, which is decided in F_p (see
-    :func:`~qfractal.ranks.squared_overlap`), and k/s is returned.
+    The rule is checked against ``prev`` first, and its cells are resolved
+    once.  Each record's unweighted tensor product (:meth:`ScaleRule.terms`)
+    must have squared overlap k/s with ``state`` for an integer 0 <= k <= s,
+    which is decided in F_p (see :func:`~qfractal.ranks.squared_overlap`),
+    and k/s is returned.  Leaving the 1/sqrt(s) and the phase out keeps
+    sqrt(s) and the rule's roots out of that field.
     """
     from .ranks import squared_overlap
 
-    check_rule_against(prev, rule)
     s = rule.s
     probabilities: list[Fraction] = []
-    for product in rule.products(prev):
+    for product in rule.terms(check_rule_against(prev, rule), weighted=False):
         value, p = squared_overlap(product, state)
         k = value * s % p
         if k > s:

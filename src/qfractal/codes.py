@@ -60,23 +60,18 @@ def _encode_repetition(state: SparseState, levels: int) -> SparseState:
 
 
 def _encode_bell(state: SparseState) -> SparseState:
-    # Digit 0 becomes (|01> + |10>)/sqrt(2), digit 1 the minus pair.  Distinct
-    # input components can expand onto shared basis strings, so the pieces go
-    # through superpose for exact doubling and cancellation.
-    order = state.phase_order
-    half_turn = order // 2
+    # Digit 0 becomes (|01> + |10>)/sqrt(2), digit 1 the minus pair, so key x
+    # spreads over the strings {01,10}**Q: string c (base-4 digits 1 + c's bits)
+    # takes a_x * 2**(-Q/2) * (-1)**|c & x|.  Keys share strings, so the pieces
+    # go through superpose for exact doubling and cancellation.
+    q, order = state.num_qudits, state.phase_order
+    spread = [int("1" * q, 4) + int(format(c, f"0{q}b"), 4) for c in range(1 << q)]
     terms: list[tuple[int, SparseState]] = []
     for key, amp in state._packed.items():
-        expansion: dict[int, Amplitude] = {0: amp}
-        for shift in reversed(range(state.num_qudits)):
-            digit = key >> shift & 1
-            grown: dict[int, Amplitude] = {}
-            for prefix, acc in expansion.items():
-                halved = acc.times_inv_sqrt(2)
-                grown[prefix << 2 | 0b01] = halved
-                grown[prefix << 2 | 0b10] = halved if digit == 0 else halved.shifted(half_turn, order)
-            expansion = grown
-        terms.append((0, SparseState._trusted(2, 2 * state.num_qudits, order, expansion)))
+        plus = Amplitude(amp.phase_index, amp.mag_exponents + ((2, q),))
+        signs = (plus, plus.shifted(order // 2, order))
+        entries = {string: signs[(c & key).bit_count() & 1] for c, string in enumerate(spread)}
+        terms.append((0, SparseState._trusted(2, 2 * q, order, entries)))
     return superpose(terms)
 
 

@@ -221,59 +221,61 @@ class ScaleRule(_Checked, _ScaleRuleFields):
                 defects.append(f"records {earlier} and {k} build the same product")
         return defects
 
-    def products(self, prev: SparseState) -> list[SparseState]:
-        """The ``s`` slot products in coefficient order, each the tensor
-        product of its own record's cells.  Their entries, which bound the
-        step's output, are priced before any product is built."""
-        cells = self.cells(prev)
+    def terms(self, cells: tuple[dict[int, SparseState], ...], *, weighted: bool = True) -> list[SparseState]:
+        """The ``s`` records in coefficient order, built from resolved ``cells``:
+        each is the tensor product of its cells, the smallest of which carries
+        the record's phase and 1/sqrt(s) at the common order lcm(R, every
+        cell's order); not ``weighted``, they are the bare products.  Their
+        entries, which bound the output, are priced first."""
         records = [[cells[slot][index] for slot, index in enumerate(coeff.indices)] for coeff in self.coefficients]
         # A tensor product has the product of its factors' entry counts.
         entries = sum(math.prod(len(vector._packed) for vector in vectors) for vectors in records)
-        check_size("output", entries, prev.num_qudits * self.c, prev.local_dim)
+        check_size("output", entries, records[0][0].num_qudits * self.c, records[0][0].local_dim)
+        if weighted:
+            order = math.lcm(self.phase_order, *(vector.phase_order for table in cells for vector in table.values()))
+            step = order // self.phase_order
+            for coeff, vectors in zip(self.coefficients, records):
+                smallest = min(range(self.c), key=lambda slot: len(vectors[slot]._packed))
+                vectors[smallest] = vectors[smallest].promoted(order).scaled(coeff.phase_index * step % order, self.s)
         return [reduce(SparseState.tensor, vectors) for vectors in records]
 
 
 NO_PREDECESSOR = "no slot matches the predecessor"
 
 
-def check_rule_against(prev: SparseState, rule: ScaleRule) -> None:
-    """Raise :class:`ScaleRuleError` unless the rule is applicable to ``prev``.
-
-    Checks slot resolution, predecessor presence (by exact state equality)
-    and :meth:`ScaleRule.slot_defects`; the first defect raises.
-    """
+def check_rule_against(prev: SparseState, rule: ScaleRule) -> tuple[dict[int, SparseState], ...]:
+    """The rule's cells resolved against ``prev`` (:meth:`ScaleRule.cells`),
+    once the rule is shown applicable to it.  The first defect raises
+    :class:`ScaleRuleError`: a cell that does not resolve, no cell equal to
+    ``prev``, or one of :meth:`ScaleRule.slot_defects`."""
     cells = rule.cells(prev)
     if not any(prev in table.values() for table in cells):
         raise ScaleRuleError(NO_PREDECESSOR)
     defects = rule.slot_defects(cells)
     if defects:
         raise ScaleRuleError(defects[0])
+    return cells
 
 
 def apply_scale_rule(prev: SparseState, rule: ScaleRule, *, validate: bool = True) -> SparseState:
-    """One recursion step: sum the rule's records over tensor products of
-    resolved slot vectors.
+    """One recursion step: the sum of the rule's weighted records
+    (:meth:`ScaleRule.terms`), with the cells resolved once.
 
     The result has ``c`` times the qudits of ``prev`` and exact norm 1; the
     provenance scale index is incremented when ``prev`` carries one.
     """
-    if validate:
-        check_rule_against(prev, rule)
-    products = rule.products(prev)
-    order = math.lcm(rule.phase_order, *(p.phase_order for p in products))
-    step = order // rule.phase_order
-    terms: list[tuple[int, SparseState]] = []
-    for coeff, product in zip(rule.coefficients, products):
-        scaled = product.promoted(order).scaled(inv_sqrt=rule.s)
-        terms.append(((coeff.phase_index * step) % order, scaled))
-    result = superpose(terms)
+    return _step_from_cells(prev, rule, check_rule_against(prev, rule) if validate else rule.cells(prev))
+
+
+def _step_from_cells(prev: SparseState, rule: ScaleRule, cells: tuple[dict[int, SparseState], ...]) -> SparseState:
+    """:func:`apply_scale_rule` from the rule's cells, already resolved against ``prev``."""
+    result = superpose([(0, term) for term in rule.terms(cells)])
     if result.norm_squared() != Fraction(1):
         raise ScaleRuleError("scale rule output is not normalized; slot products must be orthonormal")
     provenance = None
     if prev.provenance is not None and prev.provenance.n is not None:
         provenance = Provenance(prev.provenance.family, rule.c, rule.s, prev.provenance.n + 1)
     return result._retagged(provenance)
-
 
 def build_initial(local_dim: int) -> SparseState:
     """The single-qudit starting state |0> in dimension ``local_dim``."""

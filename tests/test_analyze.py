@@ -25,6 +25,7 @@ from qfractal import (
     ScaleRule,
     ScaleRuleError,
     SparseState,
+    apply_scale_rule,
     build_bell_pair,
     build_bitflip_state,
     build_cantor,
@@ -146,6 +147,27 @@ class TestRuleBasisProbabilities:
         )
         with pytest.raises(ScaleRuleError, match=r"^records 0 and 1 build the same product$"):
             rule_basis_probabilities(SparseState.basis_state(2, (0, 0)), rule, build_initial(2))
+
+    def test_each_call_resolves_the_cells_once(self, monkeypatch):
+        resolved = []
+
+        def counted(rule, prev):
+            resolved.append(prev)
+            return cells(rule, prev)
+
+        cells = ScaleRule.cells
+        monkeypatch.setattr(ScaleRule, "cells", counted)
+        prev, rule = build_cantor(1), representative_rule(2, 3, 1, 3)
+        for validate in (True, False):
+            resolved.clear()
+            assert apply_scale_rule(prev, rule, validate=validate) == build_cantor(2)
+            assert resolved == [prev]
+        resolved.clear()
+        assert rule_basis_probabilities(build_cantor(2), rule, prev) == [Fraction(1, 3)] * 3
+        assert resolved == [prev]
+        resolved.clear()
+        assert verify_scale_step(prev, build_cantor(2), rule).valid
+        assert resolved == [prev]
 
     def test_products_are_priced_before_any_is_built(self, monkeypatch):
         def refuse(*args):

@@ -1,11 +1,12 @@
 """Byte identity of the files the CLI writes: SHA-256 digests of ``qfs gen``
-for every family and of the bitflip code chain, fixed from a known-good
-build so that any change to the bytes shows here."""
+for every family, of the bitflip code chain and of Bell-pair encodings,
+fixed from a known-good build so that any change to the bytes shows here."""
 
 import hashlib
 
 import pytest
 
+from qfractal import SparseState, save_state
 from qfractal.cli import main
 
 GEN_DIGESTS = {
@@ -49,3 +50,37 @@ def test_bitflip_code_chain_digests(tmp_path, capsys):
     assert main(["code", "decode", "--spec", "bitflip:2", "--state", str(injected), "-o", str(decoded)]) == 0
     assert capsys.readouterr().out == "corrections: (1,0) (1,4) (1,17)\nsuccess: yes\n"
     assert digest(decoded) == "927df1de2ad1c4806d0c5783e4f7d603e4e3a43d378bb14c1d724ef5de97999a"
+
+
+# Inputs to ``qfs code encode --spec bellpair:L``, each written by a callable
+# taking its path; the last has magnitudes 1/sqrt(3) and sqrt(2/3), whose
+# Bell pieces do not sum into the exact ring.
+BELL_INPUTS = {
+    "ket011": lambda path: save_state(SparseState.basis_state(2, (0, 1, 1)), path),
+    "cluster3": lambda path: main(["gen", "--family", "cluster", "--qubits", "3", "-o", str(path)]),
+    "bellgem2": lambda path: main(["gen", "--family", "bellgem", "--n", "2", "--sign", "+", "-o", str(path)]),
+    "uneven": lambda path: path.write_text("qfs/1\nlocal_dim 2\nnum_qudits 1\nphase_order 8\n\n0 0 3:1\n1 0 2:-1,3:1\n"),
+}
+UNEVEN = "error: amplitudes at (0, 1) do not sum into the exact ring\n"
+# (input, levels): exit code, stderr, SHA-256 of the written file (None if none).
+BELL_GOLDENS = {
+    ("ket011", 1): (0, "", "2944a2f5ff7409afcd1143a3757deec489cf81b532c514b34a966f0561d768e5"),
+    ("ket011", 2): (0, "", "86190afac295e135329af468aad3b6a297fad0b48d22259f9373e1b39e0e6070"),
+    ("cluster3", 1): (0, "", "39375e11c822f9e1cfaba5ed1cf31c6e7020a6108668c1417fbaa0758a4a85e5"),
+    ("cluster3", 2): (0, "", "0aad75a8c707afde3f9a4e6af1a8b04d4d5b7cfa6e57a84fdaa3d5f202425705"),
+    ("bellgem2", 1): (0, "", "75ed7769823df6eb4deac60e91a91bad4b27834a7a1ae033d8e41719baf7102f"),
+    ("bellgem2", 2): (0, "", "b16d895c228a3c70899f7290f45cdf3b3e6618e2d6537d1a9fdb15c8ec87d1d7"),
+    ("uneven", 1): (1, UNEVEN, None),
+    ("uneven", 2): (1, UNEVEN, None),
+}
+
+
+@pytest.mark.parametrize("case", list(BELL_GOLDENS), ids=lambda case: f"{case[0]}-bellpair:{case[1]}")
+def test_bell_encoding_digest(tmp_path, capsys, case):
+    name, levels = case
+    source, target = tmp_path / "in.qfs", tmp_path / "out.qfs"
+    BELL_INPUTS[name](source)
+    capsys.readouterr()
+    code = main(["code", "encode", "--spec", f"bellpair:{levels}", "--state", str(source), "-o", str(target)])
+    written = digest(target) if target.exists() else None
+    assert (code, capsys.readouterr().err, written) == BELL_GOLDENS[case]

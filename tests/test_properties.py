@@ -24,6 +24,7 @@ from qfractal import (
     CodeSpec,
     Coefficient,
     FractalParams,
+    NamedSlot,
     Predecessor,
     Provenance,
     ScaleRule,
@@ -236,14 +237,17 @@ def record_line(digits, amp, local_dim):
 @st.composite
 def rule_steps(draw):
     """A normalized predecessor and a rule whose slot vectors are the
-    predecessor or basis strings outside its support, distinct per slot, so
-    every record product is orthonormal; every slot table covers [0, s)."""
+    predecessor, basis strings outside its support, or in any slot one named
+    two-string state outside it, distinct per slot, so every record product is
+    orthonormal; every slot table covers [0, s).  The predecessor and the
+    named states may take a phase order that is a multiple of the rule's."""
     n, r, c = draw(st.sampled_from(LOCAL_DIMS)), draw(st.sampled_from((2, 4, 8))), draw(st.integers(2, 3))
+    orders = st.sampled_from((r, 2 * r, 3 * r))
     q = draw(st.integers(1, min(2, dense_qudits(n) // c)))
     keys = list(itertools.product(range(n), repeat=q))
     support = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=min(2, n**q - 1), unique=True))
-    amp = st.builds(Amplitude.inv_sqrt, st.just(len(support)), st.integers(0, r - 1))
-    prev = SparseState(n, q, r, {key: draw(amp) for key in support})
+    prev_order = draw(orders)
+    prev = SparseState(n, q, prev_order, {key: draw(amp_of(len(support), prev_order)) for key in support})
     others = [key for key in keys if key not in support]
     s = draw(st.integers(1, min(3, len(others) + 1)))
     records = draw(st.lists(st.tuples(*[st.integers(0, s - 1)] * c), min_size=s, max_size=s, unique=True))
@@ -255,9 +259,21 @@ def rule_steps(draw):
         if at is None and len(others) < s:
             at = 0
         strings = iter(draw(st.permutations(others)))
-        tables.append({i: Predecessor() if i == at else BasisSlot(next(strings)) for i in range(s)})
+        table = {i: Predecessor() if i == at else BasisSlot(next(strings)) for i in range(s)}
+        # A named state takes the string its index had and one spare.
+        free = [i for i in range(s) if i != at]
+        if free and len(others) > len(free) and draw(st.booleans()):
+            index, order = draw(st.sampled_from(free)), draw(orders)
+            pair = {table[index].digits: Amplitude.inv_sqrt(2), next(strings): draw(amp_of(2, order))}
+            table[index] = NamedSlot(SparseState(n, q, order, pair))
+        tables.append(table)
     coefficients = [Coefficient(indices, draw(st.integers(0, r - 1))) for indices in records]
     return prev, ScaleRule(FractalParams(c, s), tuple(tables), tuple(coefficients), r)
+
+
+def amp_of(k, order):
+    """1/sqrt(k) times a root of unity of ``order``."""
+    return st.builds(Amplitude.inv_sqrt, st.just(k), st.integers(0, order - 1))
 
 
 def dense_products(prev, rule):
@@ -266,6 +282,8 @@ def dense_products(prev, rule):
         entry = rule.slot_tables[slot][index]
         if isinstance(entry, Predecessor):
             return prev.to_dense()
+        if isinstance(entry, NamedSlot):
+            return entry.state.to_dense()
         return np.eye(prev.local_dim**prev.num_qudits)[prev.basis_value(entry.digits)]
 
     products = []
@@ -288,6 +306,10 @@ def test_apply_scale_rule(step):
         for coeff, product in zip(rule.coefficients, dense_products(prev, rule))
     )
     assert_dense(out, expected)
+    # A basis string's cell takes the predecessor's order.
+    cells = [rule.slot_tables[slot][index] for coeff in rule.coefficients for slot, index in enumerate(coeff.indices)]
+    orders = [cell.state.phase_order if isinstance(cell, NamedSlot) else prev.phase_order for cell in cells]
+    assert out.phase_order == math.lcm(rule.phase_order, *orders)
 
 
 @SETTINGS

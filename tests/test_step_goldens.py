@@ -88,8 +88,8 @@ def refused(message):
 
 
 # name: (prev, slot tables, records as (index, index[, phase index]), rule file
-#        slot lines, target, check_rule_against message or None, verify-step
-#        exit code, stdout and stderr)
+#        slot lines, target, check_rule_against message or None when it
+#        returns the cells, verify-step exit code, stdout and stderr)
 CASES = {
     "unresolved_cells": (
         ZERO,
@@ -252,7 +252,7 @@ def test_check_rule_against_names_the_first_defect(name):
     prev, tables, records, _, _, message, _ = CASES[name]
     rule = rule_of(tables, records)
     if message is None:
-        assert check_rule_against(prev, rule) is None
+        assert check_rule_against(prev, rule) == rule.cells(prev)
     else:
         with pytest.raises(ScaleRuleError) as info:
             check_rule_against(prev, rule)
