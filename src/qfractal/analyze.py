@@ -14,7 +14,8 @@ from .construct import NO_PREDECESSOR, FractalParams, ScaleRule, _step_from_cell
 from .errors import AnalysisError, GuardExceededError, QfsError
 from .states import SparseState
 
-# A candidate local-Clifford transform counts as a match above this fidelity.
+# The local-Clifford search takes a gate tuple as a candidate above this
+# fidelity; an exact test in F_p then decides it.
 FIDELITY_TOL = 1e-9
 
 # At worst the search visits all 24**Q gate assignments, which stays
@@ -202,12 +203,14 @@ class LocalCliffordMatch(NamedTuple):
 
 def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalCliffordMatch | None:
     """The lexicographically first per-qubit Clifford assignment U1 x ... x UQ
-    over the fixed gate listing with |<b|U a>| above 1 - FIDELITY_TOL; None
-    when no assignment matches.
+    over the fixed gate listing with |<b|U a>|**2 exactly 1, with its float
+    fidelity; None when no assignment matches.
 
-    The search is depth first over qubits 0..Q-1 and drops a prefix of gates
-    when no completion can reach the threshold; the bound it uses is set out
-    in :mod:`qfractal.clifford_search`, which loads on the first call.
+    The float search is depth first over qubits 0..Q-1 and drops a prefix of
+    gates when no completion can reach |<b|U a>| > 1 - FIDELITY_TOL.  Each
+    tuple above that is a candidate, and its |<b|U a>|**2 read in F_p
+    decides it.  Both are set out in :mod:`qfractal.clifford_search`, which
+    loads on the first call.
     """
     if a.local_dim != 2 or b.local_dim != 2:
         raise ValueError("local Clifford search is defined for qubit states")
@@ -220,11 +223,12 @@ def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalClif
         if state.norm_squared() != 1:
             raise ValueError("states must be normalized")
 
-    from .clifford_search import first_match
+    from .clifford_search import exact_test, matches
 
     words, gates = single_qubit_cliffords()
-    found = first_match(a._dense(), b._dense(), q, gates, 1.0 - FIDELITY_TOL)
-    if found is None:
-        return None
-    indices, fidelity = found
-    return LocalCliffordMatch(indices, tuple(words[i] for i in indices), fidelity)
+    exact = None
+    for indices, fidelity in matches(a._dense(), b._dense(), q, gates, 1.0 - FIDELITY_TOL):
+        exact = exact or exact_test(a, b, words)
+        if exact(indices):
+            return LocalCliffordMatch(indices, tuple(words[i] for i in indices), fidelity)
+    return None

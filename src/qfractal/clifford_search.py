@@ -1,5 +1,6 @@
-"""Depth-first search for the first local-Clifford tuple mapping one qubit
-state onto another, pruned by the purities of the reduced states.
+"""Local-Clifford tuples mapping one qubit state onto another: a float
+search for candidates, pruned by the purities of the reduced states, and an
+exact test in F_p that decides each.
 
 The overlap <b|U a> of U = U_0 x ... x U_(Q-1) is a mode product: in the
 outer product of conj(b) and a, merge each qubit's (out, in) index pair into
@@ -15,7 +16,7 @@ qubits, p_a(k) + p_b(k) - 2 |C|**2 is the squared Frobenius distance between
 the prefix's image of a's reduced state and b's.  That is at most the
 squared trace distance, which is at most 4 (1 - F**2) for any completion of
 fidelity F.  So a prefix whose distance exceeds 4 (1 - threshold**2) holds
-no match, and the first match found is the first of the full scan.
+no candidate, and the candidates come in the order of the full scan.
 
 A child's |C|**2 is read from the Gram matrix of its parent's four
 leading-mode blocks, so only the children that survive are built.
@@ -26,9 +27,12 @@ on its first call, so the commands that search nothing do not compile it.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from operator import add, mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
+
+from .states import Amplitude, SparseState
 
 if TYPE_CHECKING:
     from .analyze import Gate
@@ -112,11 +116,11 @@ def _interleaving(q: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def first_match(
+def matches(
     a: list[complex], b: list[complex], q: int, gates: tuple[Gate, ...], threshold: float
-) -> tuple[tuple[int, ...], float] | None:
-    """The first gate-index tuple, in lexicographic order over ``gates``,
-    with |<b|U a>| > ``threshold``, and that value; None when there is none.
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Each gate-index tuple, in lexicographic order over ``gates``, with
+    |<b|U a>| > ``threshold``, and that value.
 
     ``a`` and ``b`` are dense vectors of ``q`` qubits, qubit 0 the most
     significant.
@@ -129,14 +133,14 @@ def first_match(
     bound = 4 * (1 - threshold**2) + 1e-12
     floors = {k: (_purity(a, q, k) + _purity(b, q, k) - bound) / 2 for k in range(1, q)}
 
-    def search(depth: int, tensor: list[complex]) -> tuple[tuple[int, ...], float] | None:
+    def search(depth: int, tensor: list[complex]) -> Iterator[tuple[tuple[int, ...], float]]:
         if depth == q - 1:
             t0, t1, t2, t3 = tensor
-            fidelities = [abs(z0 * t0 + z1 * t1 + z2 * t2 + z3 * t3) for z0, z1, z2, z3 in entries]
-            if max(fidelities) <= threshold:
-                return None
-            index = next(i for i, fidelity in enumerate(fidelities) if fidelity > threshold)
-            return (index,), fidelities[index]
+            for index, (z0, z1, z2, z3) in enumerate(entries):
+                fidelity = abs(z0 * t0 + z1 * t1 + z2 * t2 + z3 * t3)
+                if fidelity > threshold:
+                    yield (index,), fidelity
+            return
         floor = floors[depth + 1]
         n = len(tensor) >> 2
         blocks = [tensor[m * n : m * n + n] for m in range(4)]
@@ -144,15 +148,69 @@ def first_match(
         # outright, so a hit through it skips the Gram that prices the rest.
         child = _contract(blocks, terms[0])
         if sum(map(mul, child, map(complex.conjugate, child))).real >= floor:
-            found = search(depth + 1, child)
-            if found is not None:
-                return (0,) + found[0], found[1]
+            for rest, fidelity in search(depth + 1, child):
+                yield (0,) + rest, fidelity
         gram = _block_gram(blocks)
         for index in range(1, len(terms)):
             if sum(map(mul, weights[index], gram)) >= floor:
-                found = search(depth + 1, _contract(blocks, terms[index]))
-                if found is not None:
-                    return (index,) + found[0], found[1]
-        return None
+                for rest, fidelity in search(depth + 1, _contract(blocks, terms[index])):
+                    yield (index,) + rest, fidelity
 
     return search(0, modes)
+
+
+def exact_test(a: SparseState, b: SparseState, words: tuple[str, ...]) -> Callable[[tuple[int, ...]], bool]:
+    """A test of whether |<b|U a>|**2 is 1 for the gates U of an index tuple
+    over ``words``, read in the F_p of :func:`qfractal.ranks._field_images`
+    at the phase order lcm(R_a, R_b, 8).
+
+    A word's gate is the product of its letters, H = (1, 1; 1, -1) / sqrt(2)
+    and S = diag(1, i), whose entries map through the same homomorphism as
+    the amplitudes.  <b|U a> maps through the amplitudes and letters, and
+    its conjugate through their conjugates, so their product is the image
+    of |<b|U a>|**2.  As for every check in F_p, a value other than 1 whose
+    image is 1 would read as 1.
+    """
+    from .ranks import _conjugate_images
+
+    order = math.lcm(a.phase_order, b.phase_order, 8)
+    a_entries, b_entries = a.promoted(order)._packed, b.promoted(order)._packed
+    half, quarter = Amplitude.inv_sqrt(2), Amplitude(order // 4)
+    p, image, conj = _conjugate_images(order, {half, quarter, *a_entries.values(), *b_entries.values()})
+    size, q = 1 << a.num_qudits, a.num_qudits
+    # Side 0 maps each amplitude, side 1 its conjugate.
+    sides = image, conj
+
+    @lru_cache(maxsize=None)
+    def gate(index: int, side: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        h = sides[side][half]
+        letters = {"H": ((h, h), (h, -h % p)), "S": ((1, 0), (0, sides[side][quarter]))}
+        matrix = ((1, 0), (0, 1))
+        for letter in words[index].replace("I", ""):
+            x = letters[letter]
+            matrix = tuple(tuple((row[0] * x[0][j] + row[1] * x[1][j]) % p for j in range(2)) for row in matrix)
+        return matrix
+
+    def vector(entries: dict[int, Amplitude], side: int) -> list[int]:
+        return [sides[side][entries[x]] if x in entries else 0 for x in range(size)]
+
+    def applied(vec: list[int], indices: tuple[int, ...], side: int) -> list[int]:
+        """``vec`` under the gate of index ``indices[k]`` on qubit k."""
+        vec = vec[:]
+        for k, index in enumerate(indices):
+            (g00, g01), (g10, g11) = gate(index, side)
+            bit = 1 << (q - 1 - k)
+            for x in range(size):
+                if not x & bit:
+                    u, v = vec[x], vec[x | bit]
+                    vec[x], vec[x | bit] = (g00 * u + g01 * v) % p, (g10 * u + g11 * v) % p
+        return vec
+
+    a_vecs, b_vecs = (vector(a_entries, 0), vector(a_entries, 1)), (vector(b_entries, 0), vector(b_entries, 1))
+
+    def test(indices: tuple[int, ...]) -> bool:
+        inner = sum(map(mul, b_vecs[1], applied(a_vecs[0], indices, 0)))
+        outer = sum(map(mul, b_vecs[0], applied(a_vecs[1], indices, 1)))
+        return inner * outer % p == 1
+
+    return test

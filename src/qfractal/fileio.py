@@ -36,7 +36,6 @@ from .construct import (
 )
 from .errors import FormatError, ScaleRuleError
 from .states import (
-    TEXT_DIGITS_MAX,
     Amplitude,
     Provenance,
     SparseState,
@@ -59,8 +58,12 @@ SVG_PAD = 8
 # Ranks and overlaps in F_p sum q terms per odd prime base q, within a budget of 2**22.
 MAX_MAGNITUDE_BASE = 2**20
 
+# A record writes each digit as one of these characters up to N = 10, and
+# above as decimal integers joined by commas.
 _DIGITS = b"0123456789"
+_DECIMAL_VALUES = {str(value): value for value in range(256)}
 _INT_PATTERN = re.compile(r"-?[0-9]+")
+_INTS_PATTERN = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
 
 
 def _fail(lineno: int, message: str) -> NoReturn:
@@ -75,7 +78,7 @@ def _int(text: str, lineno: int, what: str) -> int:
 
 
 def _key_to_text(key: int, local_dim: int, num_qudits: int) -> str:
-    if local_dim > TEXT_DIGITS_MAX:
+    if local_dim > len(_DIGITS):
         return ",".join(map(str, unpack_digits(key, local_dim, num_qudits)))
     return digit_text(key, local_dim, num_qudits)
 
@@ -85,10 +88,18 @@ def _key_from_text(text: str, local_dim: int, num_qudits: int, lineno: int) -> i
     characters, its digits' range, its length."""
     if not text.isascii():
         _fail(lineno, f"malformed digit string {text!r}")
-    if local_dim > TEXT_DIGITS_MAX:
-        digits = tuple(_int(part, lineno, "digit") for part in text.split(","))
-        bad = next((d for d in digits if d < 0 or d >= local_dim), None)
-        if bad is not None:
+    if local_dim > len(_DIGITS):
+        parts = text.split(",")
+        # Digits below 256 as the writer writes them are looked up; else the
+        # whole string is checked once, and only a defect walks its parts.
+        digits = list(map(_DECIMAL_VALUES.get, parts))
+        if None in digits:
+            if _INTS_PATTERN.fullmatch(text) is None:
+                for part in parts:
+                    _int(part, lineno, "digit")
+            digits = list(map(int, parts))
+        if min(digits) < 0 or max(digits) >= local_dim:
+            bad = next(d for d in digits if d < 0 or d >= local_dim)
             _fail(lineno, f"digit {bad} outside [0, {local_dim})")
         if len(digits) != num_qudits:
             _fail(lineno, f"record has {len(digits)} digits, expected {num_qudits}")

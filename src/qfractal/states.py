@@ -16,6 +16,11 @@ an xor, and integer order is the order of the digit strings.  The public view
 first, to amplitudes.  States are immutable after construction and all
 operations are pure.
 
+A key converts to its digits and back with no Python step per digit: bit
+plane i of every digit is the slice ``text[i::bits]`` of the key's binary
+text, so the planes, read with a byte per digit and added in at their
+places, make the digits' bytes, and are sliced back out the other way.
+
 Validation happens once, where a state enters the library: the public
 :class:`SparseState` constructor and the file parsers check every key and
 phase.  States the library derives from valid states (tensor products, sums,
@@ -32,6 +37,8 @@ from collections import Counter
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import index, lshift, or_
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -44,10 +51,6 @@ DEFAULT_PHASE_ORDER = 8
 
 # Desk-scale ceilings: keep every dense operation in the sub-second range.
 DENSE_VECTOR_LIMIT = 2**14
-
-# Local dimensions up to here write each digit as one ASCII character, and
-# their keys convert through that text; larger ones go digit by digit.
-TEXT_DIGITS_MAX = 10
 
 BasisIndex = tuple[int, ...]
 
@@ -94,37 +97,57 @@ def capped_power(base: int, exponent: int) -> int:
 # A packed key is its digit string read in base 2**bits.  format() writes
 # bases 2, 8 and 16, so for those field widths it writes the digit text.
 _FORMAT_CODES = {1: "b", 3: "o", 4: "x"}
-# Two-bit fields: twice the high bit's ASCII "0"/"1" plus the low one's is
-# 3 * 48 + digit, which this table maps onto the digit's ASCII character.
-_PAIR_TEXT = bytes.maketrans(bytes(range(144, 148)), b"0123")
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_HEX_DIGITS = b"0123456789abcdef"
+_TO_TEXT = bytes.maketrans(bytes(range(16)), _HEX_DIGITS)
+_FROM_TEXT = bytes.maketrans(_HEX_DIGITS, bytes(range(16)))
 
 
 def digit_text(key: int, local_dim: int, num_qudits: int) -> str:
-    """The digit string of a packed key, for N <= TEXT_DIGITS_MAX; its
-    inverse is ``int(text, 2**digit_bits(N))``."""
+    """A packed key in base 2**digit_bits(N), one character of 0-9a-f per
+    digit, for N <= 16; its inverse is ``int(text, 2**digit_bits(N))``."""
     bits = digit_bits(local_dim)
     code = _FORMAT_CODES.get(bits)
     if code is not None:
         return format(key, f"0{num_qudits}{code}")
-    planes = format(key, f"0{2 * num_qudits}b").encode()
-    value = 2 * int.from_bytes(planes[0::2], "big") + int.from_bytes(planes[1::2], "big")
-    return value.to_bytes(num_qudits, "big").translate(_PAIR_TEXT).decode("ascii")
+    return _key_bytes(key, bits, num_qudits).translate(_TO_TEXT).decode("ascii")
+
+
+def _key_bytes(key: int, bits: int, num_qudits: int) -> bytes:
+    """Byte j of every digit of a packed key in run j, the most significant
+    of a digit's ceil(bits / 8) bytes first: each bit plane of the key's
+    binary text added in at its place, as an integer with a byte per digit."""
+    planes = format(key, f"0{bits * num_qudits}b").encode().translate(_FROM_TEXT)
+    value = 0
+    for i in range(bits):
+        low = bits - 1 - i
+        value += int.from_bytes(planes[i::bits], "big") << 8 * num_qudits * (low // 8) + low % 8
+    return value.to_bytes(-(-bits // 8) * num_qudits, "big")
 
 
 def pack_digits(digits: Sequence[int], local_dim: int) -> int:
-    """The packed key of a digit string whose digits lie in [0, N)."""
+    """The packed key of a digit string whose digits lie in [0, N): each bit
+    plane of the digits' bytes, in binary text, put in its place."""
     bits = digit_bits(local_dim)
-    return int("".join(format(d, f"0{bits}b") for d in digits), 2)
+    size = -(-bits // 8)
+    # For one-byte digits bytes() makes this 3 to 4 times as fast at Q = 256-400.
+    data = bytes(digits) if size == 1 else b"".join(map(int.to_bytes, map(index, digits), repeat(size), repeat("big")))
+    wide = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b").encode()
+    text = bytearray(bits * len(digits))
+    for i in range(bits):
+        text[i::bits] = wide[8 * size - bits + i :: 8 * size]
+    return int(text, 2)
 
 
 def unpack_digits(key: int, local_dim: int, num_qudits: int) -> BasisIndex:
     """The digit tuple of a packed key of ``num_qudits`` digits."""
-    if local_dim <= TEXT_DIGITS_MAX:
-        return tuple(digit_text(key, local_dim, num_qudits).encode().translate(_DIGIT_VALUES))
     bits = digit_bits(local_dim)
-    text = format(key, f"0{bits * num_qudits}b")
-    return tuple(int(text[i : i + bits], 2) for i in range(0, len(text), bits))
+    if bits in _FORMAT_CODES:
+        return tuple(digit_text(key, local_dim, num_qudits).encode().translate(_FROM_TEXT))
+    data = _key_bytes(key, bits, num_qudits)
+    digits = data[:num_qudits]
+    for start in range(num_qudits, len(data), num_qudits):
+        digits = map(or_, map(lshift, digits, repeat(8)), data[start : start + num_qudits])
+    return tuple(digits)
 
 
 def _is_prime(n: int) -> bool:
@@ -418,7 +441,11 @@ class SparseState(_Frozen):
                 raise ValueError(f"basis index {key} has length {len(key)}, expected {self.num_qudits}")
             if min(key) < 0 or max(key) >= self.local_dim:
                 raise ValueError(f"basis index {key} has digits outside [0, {self.local_dim})")
-            packed[pack_digits(key, self.local_dim)] = amp if 0 <= amp.phase_index < order else amp.shifted(0, order)
+            try:
+                packed_key = pack_digits(key, self.local_dim)
+            except TypeError:
+                raise ValueError(f"basis index {key} has a digit that is not an integer") from None
+            packed[packed_key] = amp if 0 <= amp.phase_index < order else amp.shifted(0, order)
         object.__setattr__(self, "_packed", packed)
         object.__setattr__(self, "entries", EntriesView(packed, self.local_dim, self.num_qudits))
 

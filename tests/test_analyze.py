@@ -1,7 +1,9 @@
 """Dimension formula, step verification, scaling reports, and the Clifford
 equivalence search."""
 
+import cmath
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -46,6 +48,7 @@ from qfractal import (
 )
 from qfractal import clifford_search
 from qfractal.analyze import FIDELITY_TOL
+from qfractal.ranks import _field_images
 
 SEARCH_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -520,6 +523,95 @@ def test_search_equals_the_kronecker_scan_on_ring_states(data):
         assert match is not None
         assert match.indices == expected[0]
         assert abs(match.fidelity - expected[1]) < 1e-12
+
+
+def turned_plus(phase_order, phase_index):
+    """(|0> + e^(2 pi i r/R) |1>)/sqrt(2); r = 0 gives |+>."""
+    half = Amplitude.inv_sqrt(2)
+    return SparseState(2, 1, phase_order, {(0,): half, (1,): Amplitude(phase_index, half.mag_exponents)})
+
+
+class TestExactDecision:
+    """The float search only proposes candidates: |<b|U a>|**2 read in F_p
+    decides each."""
+
+    R = 2**40
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_a_turn_below_the_float_tolerance_is_no_match(self, qubits):
+        # e^(2 pi i/2**40) is within FIDELITY_TOL of 1 as a float, so the
+        # identity is a candidate; the turned state is no stabilizer state.
+        a, b = turned_plus(self.R, 0), turned_plus(self.R, 1)
+        if qubits == 2:
+            a, b = a.tensor(a), a.tensor(b)
+        _, gates = single_qubit_cliffords()
+        candidate = next(clifford_search.matches(a._dense(), b._dense(), qubits, gates, 1 - FIDELITY_TOL))
+        assert candidate[0] == (0,) * qubits
+        assert lu_equivalent_by_local_clifford(a, b) is None
+
+    def test_a_quarter_turn_at_the_finer_order_still_matches(self):
+        match = lu_equivalent_by_local_clifford(turned_plus(self.R, 0), turned_plus(self.R, self.R // 4))
+        assert match.words == ("S",)
+        assert abs(match.fidelity - 1) < 1e-12
+
+
+def field_brute_force(a, b):
+    """The first of all 24**Q gate tuples, in lexicographic order, whose
+    |<b|U a>|**2 maps to 1 in F_p; None when none does.  Each entry of each
+    listed gate is read back from its float as e^(i pi k/4) 2**(-m/2), and
+    the overlap sums every entry of the Kronecker product."""
+    q = a.num_qudits
+    order = math.lcm(a.phase_order, b.phase_order, 8)
+    a_entries, b_entries = a.promoted(order)._packed, b.promoted(order)._packed
+
+    def ring(z):
+        if abs(z) < 1e-9:
+            return None
+        m, k = round(-2 * math.log2(abs(z))), round(cmath.phase(z) / (math.pi / 4)) % 8
+        amp = Amplitude(k * order // 8, ((2, m),))
+        assert abs(amp.to_complex(order) - z) < 1e-12
+        return amp
+
+    def conj(amp):
+        return Amplitude(-amp.phase_index % order, amp.mag_exponents)
+
+    gates = [[[ring(z) for z in row] for row in gate] for gate in single_qubit_cliffords()[1]]
+    amps = {*a_entries.values(), *b_entries.values(), *(z for gate in gates for row in gate for z in row if z)}
+    _, p, image = _field_images(order, amps | set(map(conj, amps)))
+    for indices in itertools.product(range(24), repeat=q):
+        inner = outer = 0
+        for (y, b_y), (x, a_x) in itertools.product(b_entries.items(), a_entries.items()):
+            factors = [gates[i][y >> q - 1 - k & 1][x >> q - 1 - k & 1] for k, i in enumerate(indices)]
+            if None not in factors:
+                inner += image[conj(b_y)] * image[a_x] * math.prod(image[u] for u in factors)
+                outer += image[b_y] * image[conj(a_x)] * math.prod(image[conj(u)] for u in factors)
+        if inner * outer % p == 1:
+            return indices
+    return None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_exact_decision_equals_a_field_brute_force(data):
+    num_qubits = data.draw(st.integers(1, 2))
+    a = data.draw(ring_qubit_states(num_qubits))
+    words, _ = single_qubit_cliffords()
+    indices = data.draw(st.lists(st.integers(0, 23), min_size=num_qubits, max_size=num_qubits))
+    b = a
+    try:
+        for position, index in enumerate(indices):
+            b = apply_gate_word(b, position, words[index])
+    except AmplitudeOverflowError:
+        assume(False)
+    assert lu_equivalent_by_local_clifford(a, b) is not None
+    # Turn one amplitude of the image by a root of unity of order 2**k.
+    order = 2 ** data.draw(st.integers(20, 40))
+    entries = dict(b.promoted(order).entries.items())
+    digits = data.draw(st.sampled_from(sorted(entries)))
+    entries[digits] = entries[digits].shifted(1, order)
+    turned = SparseState(2, num_qubits, order, entries)
+    match = lu_equivalent_by_local_clifford(a, turned)
+    assert (None if match is None else match.indices) == field_brute_force(a, turned)
 
 
 @SEARCH_SETTINGS

@@ -280,6 +280,30 @@ class TestLucheck:
         assert code == 1
         assert out == "equivalent: no\n"
 
+    @pytest.mark.parametrize(
+        "b_records, expected",
+        [
+            # e^(2 pi i/2**40) passes the float tolerance; F_p refuses it.
+            (["0 0 2:1", "1 1 2:1"], (1, "equivalent: no\n", "")),
+            (["0 0 2:1", "1 274877906944 2:1"], (0, "equivalent: yes\ngates: S\nfidelity: 1.000000000000\n", "")),
+        ],
+        ids=["turned", "quarter-turn"],
+    )
+    def test_decided_exactly_at_phase_order_two_to_the_forty(self, capsys, tmp_path, b_records, expected):
+        header = ["qfs/1", "local_dim 2", "num_qudits 1", "phase_order 1099511627776", ""]
+        a, b = tmp_path / "a.qfs", tmp_path / "b.qfs"
+        a.write_text("\n".join([*header, "0 0 2:1", "1 0 2:1", ""]))
+        b.write_text("\n".join([*header, *b_records, ""]))
+        assert run(capsys, "lucheck", "--a", str(a), "--b", str(b)) == expected
+
+    def test_a_root_past_the_field_limit_is_refused(self, capsys, tmp_path):
+        # The exact test needs a field with a root of order 2**65; none is built.
+        a = tmp_path / "a.qfs"
+        header = ["qfs/1", "local_dim 2", "num_qudits 1", f"phase_order {2**65}", ""]
+        a.write_text("\n".join([*header, "0 0 2:1", "1 1 2:1", ""]))
+        stderr = f"error: root order {2**65} exceeds {2**64}\n"
+        assert run(capsys, "lucheck", "--a", str(a), "--b", str(a)) == (3, "", stderr)
+
     def test_mismatched_sizes_are_a_usage_error(self, capsys, tmp_path):
         a, b = tmp_path / "a.qfs", tmp_path / "b.qfs"
         run(capsys, "gen", "--family", "bitflip", "--n", "1", "-o", str(a))

@@ -24,6 +24,13 @@ GEN_DIGESTS = {
         "7c5872bb7bef5658df843762826f7a9779219a827f6f0ffb56593910e6cb0974",
     ("--family", "bitflip", "--n", "2"): "f674fc726fc2c46ed647ae39fd7526890a217097693576567c594a41fcf8b383",
     ("--family", "cluster", "--qubits", "6"): "a52c82bb2ef6febd2bee70563728c1d407fe3bd77c25e79c705744310169f653",
+    # N > 10 writes digits joined by commas; N = 300 takes two bytes a digit.
+    ("--family", "representative", "--c", "2", "--s", "11", "--n", "3"):
+        "94e50d21f9f2c13870ac0a485fade68dc6ba1f26f5f225808d512eed5a14f9f8",
+    ("--family", "representative", "--c", "3", "--s", "31", "--n", "2"):
+        "df5f642c464fda34437fddb80675b6295add6af1791521199e26da27ef9823db",
+    ("--family", "representative", "--c", "2", "--s", "300", "--n", "1"):
+        "53253edd5a08c41c3824cea5e34f41c4b67dbc6df95fd69a502eb0ade2ae374c",
 }
 
 

@@ -762,6 +762,21 @@ class TestDigitStrings:
             (11, 2, "-1,0", "line 6: digit -1 outside [0, 11)"),
             (11, 2, "1,1,1", "line 6: record has 3 digits, expected 2"),
             (11, 2, "1,٣", "line 6: malformed digit string '1,٣'"),
+            # Above N = 10, characters are checked before range, and range
+            # before length, through each of the readers of N <= 256 and above.
+            (11, 2, "1,,2", "line 6: digit is not an integer: ''"),
+            (11, 2, "1,2,", "line 6: digit is not an integer: ''"),
+            (11, 2, "-1,x", "line 6: digit is not an integer: 'x'"),
+            (300, 2, "1,,2", "line 6: digit is not an integer: ''"),
+            (300, 2, "-1,x", "line 6: digit is not an integer: 'x'"),
+            (300, 2, "1,+2", "line 6: digit is not an integer: '+2'"),
+            (300, 2, "1-2,0", "line 6: digit is not an integer: '1-2'"),
+            (300, 3, "300,0", "line 6: digit 300 outside [0, 300)"),
+            (256, 3, "255,256", "line 6: digit 256 outside [0, 256)"),
+            (200, 3, "255,7", "line 6: digit 255 outside [0, 200)"),
+            (11, 3, "9" * 25 + ",0", f"line 6: digit {'9' * 25} outside [0, 11)"),
+            (300, 2, "0,1,2", "line 6: record has 3 digits, expected 2"),
+            (31, 2, "0,1,2", "line 6: record has 3 digits, expected 2"),
         ],
     )
     def test_rejected_with_its_message(self, local_dim, num_qudits, digits, message):
@@ -769,6 +784,14 @@ class TestDigitStrings:
         with pytest.raises(FormatError) as info:
             parse_state(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "local_dim, digits, expected",
+        [(300, "299,007", (299, 7)), (31, "007,010", (7, 10)), (11, "-0,10", (0, 10)), (256, "255,0", (255, 0))],
+    )
+    def test_digits_the_writer_would_not_write_still_parse(self, local_dim, digits, expected):
+        text = f"qfs/1\nlocal_dim {local_dim}\nnum_qudits 2\nphase_order 8\n\n{digits} 0 1\n"
+        assert parse_state(text).support() == (expected,)
 
     @pytest.mark.parametrize("local_dim", range(2, 13))
     def test_every_digit_parses_at_its_place(self, local_dim):

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfractal import (
     Amplitude,
@@ -19,7 +21,7 @@ from qfractal import (
     build_cantor,
     superpose,
 )
-from qfractal import ranks
+from qfractal import fileio, ranks
 from qfractal import states as states_module
 from qfractal.ranks import _dict_sweep, _field_images, _prime_field, lane_folds, packed_sweep
 from qfractal.states import (
@@ -152,6 +154,22 @@ class TestPackedKeys:
         assert text == "".join(map(str, digits))
         assert int(text, 2 ** digit_bits(local_dim)) == key
 
+    # Local dimensions on each side of a field-width or digit-byte edge, and
+    # any up to three bytes per digit.
+    EDGE_DIMS = (2, 3, 4, 5, 8, 9, 10, 11, 16, 17, 32, 33, 256, 257, 65536, 65537)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_codec_matches_the_definition(self, data):
+        local_dim = data.draw(st.sampled_from(self.EDGE_DIMS) | st.integers(2, 2**17))
+        digits = data.draw(st.lists(st.integers(0, local_dim - 1), min_size=1, max_size=40))
+        num_qudits, bits = len(digits), digit_bits(local_dim)
+        key = sum(d << bits * (num_qudits - 1 - i) for i, d in enumerate(digits))
+        assert pack_digits(digits, local_dim) == pack_digits(tuple(digits), local_dim) == key
+        assert unpack_digits(key, local_dim, num_qudits) == tuple(digits)
+        text = fileio._key_to_text(key, local_dim, num_qudits)
+        assert fileio._key_from_text(text, local_dim, num_qudits, 1) == key
+
     def test_leading_zero_digits_are_written(self):
         assert digit_text(0, 3, 4) == "0000"
         assert unpack_digits(0, 11, 2) == (0, 0)
@@ -231,6 +249,15 @@ class TestEntriesView:
             SparseState(2, 4, 8, state.entries)
         with pytest.raises(ValueError, match=r"has length 4, expected 5$"):
             SparseState(3, 5, 8, state.entries)
+
+    @pytest.mark.parametrize("local_dim", [3, 11, 300])
+    def test_a_digit_that_is_no_integer_is_refused_and_absent(self, local_dim):
+        # One byte per digit up to N = 256, two above.
+        with pytest.raises(ValueError, match=r"^basis index \(1\.5, 0\) has a digit that is not an integer$"):
+            SparseState(local_dim, 2, 8, {(1.5, 0): Amplitude.one()})
+        view = SparseState(local_dim, 2, 8, {(1, 0): Amplitude.one()}).entries
+        assert (1.5, 0) not in view and view.get((1.5, 0)) is None
+        assert (np.int64(1), np.int32(0)) in view
 
     def test_public_support_is_digit_tuples_in_order(self):
         state = build_cantor(2)
