@@ -153,8 +153,15 @@ def product_cut_report(
 Gate = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-def _gate_product(x: Gate, y: Gate) -> Gate:
-    return tuple(tuple(row[0] * y[0][j] + row[1] * y[1][j] for j in range(2)) for row in x)
+def word_gate(word: str, letters: dict[str, Gate]) -> Gate:
+    """The gate of a word over {H, S}, or of "I": the identity ``letters["I"]``
+    times each letter's 2x2 matrix in turn, from the left, over any ring
+    whose entries have * and +."""
+    gate = letters["I"]
+    for letter in word.lstrip("I"):
+        x = letters[letter]
+        gate = tuple(tuple(row[0] * x[0][j] + row[1] * x[1][j] for j in range(2)) for row in gate)
+    return gate
 
 
 def _canonical_gate_key(gate: Gate) -> tuple[complex, ...]:
@@ -173,23 +180,25 @@ def single_qubit_cliffords() -> tuple[tuple[str, ...], tuple[Gate, ...]]:
     listing is deterministic: identity first, then by word length.
     """
     r = 1 / math.sqrt(2)
-    h = ((complex(r), complex(r)), (complex(r), complex(-r)))
-    s = ((1 + 0j, 0j), (0j, 1j))
-    eye = ((1 + 0j, 0j), (0j, 1 + 0j))
-    words, gates = ["I"], [eye]
-    seen = {_canonical_gate_key(eye)}
-    queue = deque([("I", eye)])
+    letters = {
+        "I": ((1 + 0j, 0j), (0j, 1 + 0j)),
+        "H": ((complex(r), complex(r)), (complex(r), complex(-r))),
+        "S": ((1 + 0j, 0j), (0j, 1j)),
+    }
+    words, gates = ["I"], [letters["I"]]
+    seen = {_canonical_gate_key(letters["I"])}
+    queue = deque(["I"])
     while queue:
-        word, gate = queue.popleft()
-        for letter, factor in (("H", h), ("S", s)):
+        word = queue.popleft()
+        for letter in "HS":
             next_word = letter if word == "I" else word + letter
-            next_gate = _gate_product(gate, factor)
+            next_gate = word_gate(next_word, letters)
             key = _canonical_gate_key(next_gate)
             if key not in seen:
                 seen.add(key)
                 words.append(next_word)
                 gates.append(next_gate)
-                queue.append((next_word, next_gate))
+                queue.append(next_word)
     return tuple(words), tuple(gates)
 
 
@@ -203,13 +212,13 @@ class LocalCliffordMatch(NamedTuple):
 
 def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalCliffordMatch | None:
     """The lexicographically first per-qubit Clifford assignment U1 x ... x UQ
-    over the fixed gate listing with |<b|U a>|**2 exactly 1, with its float
-    fidelity; None when no assignment matches.
+    over the fixed gate listing with U a exactly a multiple of b, with its
+    float fidelity; None when no assignment matches.
 
     The float search is depth first over qubits 0..Q-1 and drops a prefix of
     gates when no completion can reach |<b|U a>| > 1 - FIDELITY_TOL.  Each
-    tuple above that is a candidate, and its |<b|U a>|**2 read in F_p
-    decides it.  Both are set out in :mod:`qfractal.clifford_search`, which
+    tuple above that is a candidate, and the 2x2 minors of (U a, b) read in
+    F_p decide it.  Both are set out in :mod:`qfractal.clifford_search`, which
     loads on the first call.
     """
     if a.local_dim != 2 or b.local_dim != 2:

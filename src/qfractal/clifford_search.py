@@ -160,57 +160,45 @@ def matches(
 
 
 def exact_test(a: SparseState, b: SparseState, words: tuple[str, ...]) -> Callable[[tuple[int, ...]], bool]:
-    """A test of whether |<b|U a>|**2 is 1 for the gates U of an index tuple
-    over ``words``, read in the F_p of :func:`qfractal.ranks._field_images`
-    at the phase order lcm(R_a, R_b, 8).
+    """A test of whether U a is a multiple of b for the gates U of an index
+    tuple over ``words``, read in the F_p of
+    :func:`qfractal.ranks._field_images` at the phase order lcm(R_a, R_b, 8).
 
-    A word's gate is the product of its letters, H = (1, 1; 1, -1) / sqrt(2)
-    and S = diag(1, i), whose entries map through the same homomorphism as
-    the amplitudes.  <b|U a> maps through the amplitudes and letters, and
-    its conjugate through their conjugates, so their product is the image
-    of |<b|U a>|**2.  As for every check in F_p, a value other than 1 whose
-    image is 1 would read as 1.
+    A word's gate is :func:`qfractal.analyze.word_gate` of the letters
+    H = (1, 1; 1, -1) / sqrt(2) and S = diag(1, i), whose entries map through
+    the same homomorphism as the amplitudes.  U a is a multiple of b when
+    every 2x2 minor (U a)_x b_x0 - (U a)_x0 b_x is 0, for a key x0 of b; as
+    a and b are normalized and U is unitary, that is |<b|U a>| = 1.  As for
+    every check in F_p, a nonzero minor whose image is 0 would read as 0.
     """
-    from .ranks import _conjugate_images
+    from .analyze import word_gate
+    from .ranks import _field_images
 
     order = math.lcm(a.phase_order, b.phase_order, 8)
     a_entries, b_entries = a.promoted(order)._packed, b.promoted(order)._packed
     half, quarter = Amplitude.inv_sqrt(2), Amplitude(order // 4)
-    p, image, conj = _conjugate_images(order, {half, quarter, *a_entries.values(), *b_entries.values()})
+    _, p, image = _field_images(order, {half, quarter, *a_entries.values(), *b_entries.values()})
+    h, i = image[half], image[quarter]
+    letters = {"I": ((1, 0), (0, 1)), "H": ((h, h), (h, p - h)), "S": ((1, 0), (0, i))}
     size, q = 1 << a.num_qudits, a.num_qudits
-    # Side 0 maps each amplitude, side 1 its conjugate.
-    sides = image, conj
+    a_vec, b_vec = ([image.get(entries.get(x), 0) for x in range(size)] for entries in (a_entries, b_entries))
+    x0 = next(iter(b_entries))
 
     @lru_cache(maxsize=None)
-    def gate(index: int, side: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        h = sides[side][half]
-        letters = {"H": ((h, h), (h, -h % p)), "S": ((1, 0), (0, sides[side][quarter]))}
-        matrix = ((1, 0), (0, 1))
-        for letter in words[index].replace("I", ""):
-            x = letters[letter]
-            matrix = tuple(tuple((row[0] * x[0][j] + row[1] * x[1][j]) % p for j in range(2)) for row in matrix)
-        return matrix
+    def gate(index: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        return tuple(tuple(z % p for z in row) for row in word_gate(words[index], letters))
 
-    def vector(entries: dict[int, Amplitude], side: int) -> list[int]:
-        return [sides[side][entries[x]] if x in entries else 0 for x in range(size)]
-
-    def applied(vec: list[int], indices: tuple[int, ...], side: int) -> list[int]:
-        """``vec`` under the gate of index ``indices[k]`` on qubit k."""
-        vec = vec[:]
+    def test(indices: tuple[int, ...]) -> bool:
+        # a's vector under the gate of index indices[k] on qubit k.
+        vec = a_vec[:]
         for k, index in enumerate(indices):
-            (g00, g01), (g10, g11) = gate(index, side)
+            (g00, g01), (g10, g11) = gate(index)
             bit = 1 << (q - 1 - k)
             for x in range(size):
                 if not x & bit:
                     u, v = vec[x], vec[x | bit]
                     vec[x], vec[x | bit] = (g00 * u + g01 * v) % p, (g10 * u + g11 * v) % p
-        return vec
-
-    a_vecs, b_vecs = (vector(a_entries, 0), vector(a_entries, 1)), (vector(b_entries, 0), vector(b_entries, 1))
-
-    def test(indices: tuple[int, ...]) -> bool:
-        inner = sum(map(mul, b_vecs[1], applied(a_vecs[0], indices, 0)))
-        outer = sum(map(mul, b_vecs[0], applied(a_vecs[1], indices, 1)))
-        return inner * outer % p == 1
+        u0, b0 = vec[x0], b_vec[x0]
+        return all((u * b0 - u0 * y) % p == 0 for u, y in zip(vec, b_vec))
 
     return test

@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import os
 import re
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -71,10 +72,14 @@ def _fail(lineno: int, message: str) -> NoReturn:
 
 
 def _int(text: str, lineno: int, what: str) -> int:
-    """``text`` as an integer; only ASCII ``-?[0-9]+`` is accepted."""
+    """``text`` as an integer; only ASCII ``-?[0-9]+`` is accepted, and no
+    longer than ``int()`` converts (``sys.get_int_max_str_digits()``)."""
     if _INT_PATTERN.fullmatch(text) is None:
         _fail(lineno, f"{what} is not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        _fail(lineno, f"{what} has {len(text.lstrip('-'))} digits, over the limit of {sys.get_int_max_str_digits()}")
 
 
 def _key_to_text(key: int, local_dim: int, num_qudits: int) -> str:
@@ -94,10 +99,13 @@ def _key_from_text(text: str, local_dim: int, num_qudits: int, lineno: int) -> i
         # whole string is checked once, and only a defect walks its parts.
         digits = list(map(_DECIMAL_VALUES.get, parts))
         if None in digits:
-            if _INTS_PATTERN.fullmatch(text) is None:
-                for part in parts:
-                    _int(part, lineno, "digit")
-            digits = list(map(int, parts))
+            # A malformed part, or one too long for int(), is named by _int.
+            try:
+                if _INTS_PATTERN.fullmatch(text) is None:
+                    raise ValueError
+                digits = list(map(int, parts))
+            except ValueError:
+                digits = [_int(part, lineno, "digit") for part in parts]
         if min(digits) < 0 or max(digits) >= local_dim:
             bad = next(d for d in digits if d < 0 or d >= local_dim)
             _fail(lineno, f"digit {bad} outside [0, {local_dim})")

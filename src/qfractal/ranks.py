@@ -249,19 +249,13 @@ def squared_overlap(u: SparseState, v: SparseState) -> tuple[int, int]:
     shared = a.keys() & b.keys()
     if not shared:
         return 0, 1
-    p, image, conj = _conjugate_images(order, {amp for key in shared for amp in (a[key], b[key])})
-    inner = sum(conj[a[key]] * image[b[key]] for key in shared)
-    outer = sum(image[a[key]] * conj[b[key]] for key in shared)
-    return inner * outer % p, p
-
-
-def _conjugate_images(phase_order: int, amps: set[Amplitude]) -> tuple[int, dict[Amplitude, int], dict[Amplitude, int]]:
-    """p, and the images in F_p of ``amps`` and of their conjugates, keyed
-    by the amplitude, under the homomorphism of :func:`_field_images`."""
+    amps = {amp for key in shared for amp in (a[key], b[key])}
     # A magnitude is real, so conjugating an amplitude negates its phase.
-    conj = {amp: Amplitude._canonical(-amp.phase_index % phase_order, amp.mag_exponents) for amp in amps}
-    _, p, image = _field_images(phase_order, {*amps, *conj.values()})
-    return p, image, {amp: image[conj[amp]] for amp in amps}
+    conj = {amp: Amplitude._canonical(-amp.phase_index % order, amp.mag_exponents) for amp in amps}
+    _, p, image = _field_images(order, {*amps, *conj.values()})
+    inner = sum(image[conj[a[key]]] * image[b[key]] for key in shared)
+    outer = sum(image[a[key]] * image[conj[b[key]]] for key in shared)
+    return inner * outer % p, p
 
 
 def _field_images(phase_order: int, amps: set[Amplitude]) -> tuple[int, int, dict[Amplitude, int]]:

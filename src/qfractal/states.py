@@ -590,10 +590,17 @@ class SparseState(_Frozen):
 
     def _basis_value_of(self, key: int) -> int:
         """The base-N value of a packed key: the key itself when N is a power
-        of two, since each field then holds exactly one base-N digit."""
-        if self.local_dim & (self.local_dim - 1):
-            return self.basis_value(self.entries._digits(key))
-        return key
+        of two, since each field then holds exactly one base-N digit; up to
+        N = 16, its digit text read by int() in base N."""
+        n = self.local_dim
+        if not n & (n - 1):
+            return key
+        if n <= 16:
+            try:
+                return int(digit_text(key, n, self.num_qudits), n)
+            except ValueError:  # more digits than int() converts
+                pass
+        return self.basis_value(self.entries._digits(key))
 
     def to_dense(self) -> np.ndarray:
         """Dense complex vector of length N**Q (index = base-N digit value)."""

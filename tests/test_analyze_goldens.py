@@ -1,12 +1,18 @@
-"""Byte identity of ``qfs analyze --cut``: the exit code and the SHA-256 of
-stdout and of stderr of each transcript in ``golden/analyze_cuts.json``.
+"""Byte identity of ``qfs analyze --cut``, ``lucheck``, ``viz`` and
+``scaling``: the exit code and the SHA-256 of stdout, of stderr and of any
+written file of each transcript in ``golden/analyze_transcripts.json``.
 
-The inputs take both row forms of the Schmidt sweep from both ends: full
-supports (cluster-14, the 64 x 64 Fourier state) and the same without one
-string, which hold a zero lane for it; sparse supports (gem-4, cantor-3,
-and cantor-8 at all 255 cuts and at its last alone); and a full support
-whose field is too wide for lanes.  Run this file as a script to rewrite
-the goldens from the qfractal on the path.
+The ``analyze`` inputs take both row forms of the Schmidt sweep from both
+ends: full supports (cluster-14, the 64 x 64 Fourier state) and the same
+without one string, which hold a zero lane for it; sparse supports (gem-4,
+cantor-3, and cantor-8 at all 255 cuts and at its last alone); and a full
+support whose field is too wide for lanes.  The ``lucheck`` pairs are
+cluster-5 against itself, two of its X/Z images and |00000>; GHZ-5 against
+its S- and T-phased copies; |+> against its 2 pi/2**40 turn and its quarter
+turn; and a pair whose field would need a root of order 2**65.  ``viz`` and
+``scaling`` read cantor 0-4, and ``viz`` two representative states with
+N = 5 and N = 11.  Run this file as a script to rewrite the goldens from the
+qfractal on the path.
 """
 
 import contextlib
@@ -20,11 +26,15 @@ from pathlib import Path
 
 import pytest
 
-from qfractal import Amplitude, SparseState, save_state
+from qfractal import Amplitude, SparseState, build_cluster, save_state
 from qfractal.cli import main
 from sample_states import fourier
 
-GOLDEN = Path(__file__).parent / "golden" / "analyze_cuts.json"
+GOLDEN = Path(__file__).parent / "golden" / "analyze_transcripts.json"
+
+# --state arguments: cantor 0-4, and representative states with N = 5 and N = 11.
+CANTORS = [arg for n in range(5) for arg in ("--state", f"c{n}.qfs")]
+REPRESENTATIVES = ["--state", "rep5.qfs", "--state", "rep11.qfs"]
 
 
 def cut_args(cuts):
@@ -43,6 +53,12 @@ CASES = [
     ["analyze", "--state", "f64.qfs", "--cut", "1"],
     ["analyze", "--state", "f64h.qfs", "--cut", "1"],
     ["analyze", "--state", "r70.qfs", *cut_args((1, 2, 3))],
+    *(["lucheck", "--a", "cl5.qfs", "--b", b] for b in ("cl5.qfs", "cl5x1z3.qfs", "cl5x0z2.qfs", "zero5.qfs")),
+    *(["lucheck", "--a", "ghz5.qfs", "--b", b] for b in ("ghz5s.qfs", "ghz5t.qfs")),
+    *(["lucheck", "--a", "plus40.qfs", "--b", b] for b in ("turned40.qfs", "quarter40.qfs")),
+    ["lucheck", "--a", "root65.qfs", "--b", "root65.qfs"],
+    *(["viz", *states, mode] for states in (CANTORS, REPRESENTATIVES) for mode in ("--ascii", "--svg=out.svg")),
+    ["scaling", "--states", *(f"c{n}.qfs" for n in range(5))],
 ]
 
 
@@ -51,8 +67,11 @@ def write_inputs(directory):
     for name, argv in [
         ("cl14", ["cluster", "--qubits", "14"]),
         ("gem4", ["bellgem", "--n", "4", "--sign", "+"]),
-        ("c3", ["cantor", "--n", "3"]),
+        *((f"c{n}", ["cantor", "--n", str(n)]) for n in range(5)),
         ("c8", ["cantor", "--n", "8"]),
+        ("cl5", ["cluster", "--qubits", "5"]),
+        ("rep5", ["representative", "--c", "2", "--s", "5", "--n", "3"]),
+        ("rep11", ["representative", "--c", "2", "--s", "11", "--n", "2"]),
     ]:
         assert main(["gen", "--family", *argv, "-o", str(directory / f"{name}.qfs")]) == 0
     # cluster-14 without its last string |1...1>.
@@ -68,15 +87,41 @@ def write_inputs(directory):
         for x in itertools.product((0, 1), repeat=4)
     }
     save_state(SparseState(2, 4, order, entries), directory / "r70.qfs")
+    cluster = build_cluster(5)
+    save_state(cluster.apply_bit_flip(1).apply_sigma_z(3), directory / "cl5x1z3.qfs")
+    save_state(cluster.apply_bit_flip(0).apply_sigma_z(2), directory / "cl5x0z2.qfs")
+    save_state(SparseState.basis_state(2, (0,) * 5), directory / "zero5.qfs")
+    # GHZ-5, and its copies with |11111> turned by i and by e^(i pi/4).
+    half = Amplitude.inv_sqrt(2)
+    for name, phase in (("ghz5", 0), ("ghz5s", 2), ("ghz5t", 1)):
+        ghz = {(0,) * 5: half, (1,) * 5: half.shifted(phase, 8)}
+        save_state(SparseState(2, 5, 8, ghz), directory / f"{name}.qfs")
+    # |+> and its turns by 2 pi/2**40 and by a quarter, at R = 2**40; and
+    # a turn by 2 pi/2**65.
+    for name, order, phase in (
+        ("plus40", 2**40, 0), ("turned40", 2**40, 1), ("quarter40", 2**40, 2**38), ("root65", 2**65, 1)
+    ):
+        turned = SparseState(2, 1, order, {(0,): half, (1,): half.shifted(phase, order)})
+        save_state(turned, directory / f"{name}.qfs")
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def transcript(argv):
-    """``qfs argv``'s exit code and the SHA-256 of its stdout and stderr."""
+    """``qfs argv``'s exit code and the SHA-256 of its stdout and stderr,
+    and of the file that ``--svg=NAME`` writes."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    digest = [hashlib.sha256(text.getvalue().encode()).hexdigest() for text in (out, err)]
-    return {"argv": argv, "exit": code, "stdout_sha256": digest[0], "stderr_sha256": digest[1]}
+    result = {"argv": argv, "exit": code, "stdout_sha256": sha256(out.getvalue().encode())}
+    result["stderr_sha256"] = sha256(err.getvalue().encode())
+    if argv[-1].startswith("--svg="):
+        written = Path(argv[-1].partition("=")[2])
+        result["file_sha256"] = sha256(written.read_bytes())
+        written.unlink()
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +140,9 @@ def test_goldens_cover_every_case():
 
 def case_id(golden):
     argv = golden["argv"]
-    return f"{argv[2]}:{argv[4]}-{argv[-1]}"
+    if argv[0] == "analyze":
+        return f"{argv[2]}:{argv[4]}-{argv[-1]}"
+    return "-".join(arg for arg in argv if not arg.startswith("--") or arg.startswith("--svg"))
 
 
 @pytest.mark.parametrize("golden", GOLDENS, ids=case_id)

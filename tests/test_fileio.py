@@ -2,6 +2,8 @@
 
 import io
 import os
+import random
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -514,6 +516,21 @@ class TestRenderSupport:
         with pytest.raises(ValueError):
             render_support(build_cantor(0), "png")
 
+    @pytest.mark.parametrize("local_dim, num_qudits", [(n, 3) for n in (3, 5, 6, 7, 9, 10, 11, 15)] + [(3, 5000)])
+    def test_renders_and_dense_equal_the_per_digit_reference(self, local_dim, num_qudits, monkeypatch):
+        # 5000 digits are more than int() reads in base 3, so they are walked.
+        rng = random.Random(local_dim)
+        keys = {tuple(rng.randrange(local_dim) for _ in range(num_qudits)) for _ in range(20)}
+        state = SparseState(local_dim, num_qudits, 8, {key: Amplitude(rng.randrange(8)) for key in keys})
+
+        def views():
+            dense = state._dense() if num_qudits == 3 else None
+            return render_support(state, "ascii"), render_support(state, "svg"), dense
+
+        fast = views()
+        monkeypatch.setattr(SparseState, "_basis_value_of", lambda self, key: self.basis_value(self.entries._digits(key)))
+        assert fast == views()
+
 
 class TestNonAsciiDigits:
     @pytest.mark.parametrize("digit", ["²", "٢", "１"])
@@ -596,6 +613,24 @@ class TestStrictIntegers:
         text = "qfs-rule/1\nc 2\ns 1_0\nphase_order 8\n\nslot 1 0 predecessor\n"
         with pytest.raises(FormatError, match="line 3: s is not an integer"):
             parse_rule(text, tmp_path)
+
+    @pytest.mark.parametrize(
+        "parse, text, field",
+        [
+            (parse_state, HEADER + "0 {long} 1\n", "line 6: phase index"),
+            (parse_state, HEADER + "0 0 2:{long}\n", "line 6: magnitude exponent"),
+            (parse_state, "qfs/1\nlocal_dim {long}\nnum_qudits 1\nphase_order 8\n\n0 0 1\n", "line 2: local_dim"),
+            (parse_state, "qfs/1\nlocal_dim 11\nnum_qudits 2\nphase_order 8\n\n0,{long} 0 1\n", "line 6: digit"),
+            (parse_rule, "qfs-rule/1\nc 2\ns 1\nphase_order 8\n\nslot 1 {long} predecessor\n", "line 6: slot index"),
+        ],
+        ids=["phase index", "magnitude exponent", "local_dim", "wide digit", "rule slot index"],
+    )
+    def test_an_integer_too_long_for_int_is_a_line_numbered_format_error(self, parse, text, field):
+        # int() refuses decimal texts of more than sys.get_int_max_str_digits()
+        # digits; the message names the field and not its digits.
+        with pytest.raises(FormatError) as info:
+            parse(text.format(long="7" * 5000))
+        assert str(info.value) == f"{field} has 5000 digits, over the limit of {sys.get_int_max_str_digits()}"
 
     def test_negative_exponent_still_parses(self):
         state = parse_state(self.HEADER + "0 0 2:-1\n")
