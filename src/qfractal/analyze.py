@@ -140,13 +140,11 @@ def probability_scaling_ratio(states: list[SparseState]) -> ScalingReport:
     return ScalingReport(tuple(probabilities), ratios)
 
 
-def product_cut_report(
-    state: SparseState, cuts: list[int] | None = None
-) -> tuple[tuple[int, int], ...]:
-    """Schmidt rank across each requested prefix cut (default: every cut)."""
-    if cuts is None:
-        cuts = list(range(1, state.num_qudits))
-    return state._cut_ranks(cuts)
+def product_cut_report(state: SparseState, cuts: list[int] | None = None) -> tuple[tuple[int, int], ...]:
+    """(cut, Schmidt rank) across each requested prefix cut, in order (default: every cut)."""
+    from .ranks import sweep_ranks
+
+    return sweep_ranks(state, range(1, state.num_qudits) if cuts is None else cuts)
 
 
 # A single-qubit gate as rows of complex entries.

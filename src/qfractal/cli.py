@@ -35,7 +35,7 @@ from .construct import (
     build_gem_sequence,
     build_representative,
 )
-from .errors import FormatError, GuardExceededError, QfsError
+from .errors import CodeError, FormatError, GuardExceededError, QfsError
 from .fileio import header_lines, load_rule, load_state, render_support, save_state, write_text_atomic
 
 
@@ -48,10 +48,11 @@ def _parse_code_spec(text: str) -> CodeSpec:
     except ValueError:
         raise ValueError(f"unknown code family {name!r}") from None
     try:
-        levels = int(levels_text)
+        return CodeSpec(kind, int(levels_text))
     except ValueError:
         raise ValueError(f"levels is not an integer: {levels_text!r}") from None
-    return CodeSpec(kind, levels)
+    except CodeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _parse_error_positions(text: str) -> tuple[int, ...]:

@@ -310,13 +310,13 @@ def build_representative(c: int, s: int, n: int, local_dim: int) -> SparseState:
         raise ValueError(f"local_dim {local_dim} too small for s = {s}")
     check_size("output", capped_power(s, n), capped_power(c, n), local_dim)
     state = build_initial(local_dim)
-    branch = Amplitude.inv_sqrt(s)
     bits = digit_bits(local_dim)
     for m in range(n):
         width = (c - 1) * c**m
         # The packed key of |j...j> is j times the key of |1...1>.
         ones = ((1 << bits * width) - 1) // ((1 << bits) - 1)
-        block = SparseState._trusted(local_dim, width, state.phase_order, {j * ones: branch for j in range(s)})
+        entries = dict.fromkeys(range(0, s * ones, ones), Amplitude.inv_sqrt(s))
+        block = SparseState._trusted(local_dim, width, state.phase_order, entries)
         state = state.tensor(block)
     return state._retagged(Provenance("representative", c, s, n))
 
@@ -355,7 +355,7 @@ def build_gem_sequence(levels: int) -> tuple[SparseState, SparseState]:
     return plus, minus
 
 
-def gem_rule(plus_sibling: SparseState, sign: int, phase_order: int = DEFAULT_PHASE_ORDER) -> ScaleRule:
+def gem_rule(plus_sibling: SparseState, sign: int) -> ScaleRule:
     """The scale rule producing the next gem level from the minus sibling as
     predecessor, with the plus sibling supplied explicitly.
 
@@ -367,9 +367,9 @@ def gem_rule(plus_sibling: SparseState, sign: int, phase_order: int = DEFAULT_PH
     table: dict[int, SlotVector] = {0: NamedSlot(plus_sibling), 1: Predecessor()}
     coefficients = (
         Coefficient((0, 1)),
-        Coefficient((1, 0), 0 if sign == 1 else phase_order // 2),
+        Coefficient((1, 0), 0 if sign == 1 else DEFAULT_PHASE_ORDER // 2),
     )
-    return ScaleRule(FractalParams(2, 2), (dict(table), dict(table)), coefficients, phase_order)
+    return ScaleRule(FractalParams(2, 2), (dict(table), dict(table)), coefficients)
 
 
 def build_bitflip_state(n: int, logical: int) -> SparseState:

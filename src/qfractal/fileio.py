@@ -22,7 +22,6 @@ import os
 import re
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NoReturn, Sequence, Union
 
@@ -440,14 +439,12 @@ def render_support(
             parts.append(
                 f'<rect x="0" y="{y}" width="{SVG_WIDTH}" height="{SVG_ROW_HEIGHT}" fill="#e8e8e8"/>'
             )
+            # Integer true division is correctly rounded, as the exact rational is.
             dimension = state.local_dim**state.num_qudits
-            cell_width = Fraction(SVG_WIDTH, dimension)
+            width = f"{SVG_WIDTH / dimension:.4f}"
             for key in sorted(state._packed):
-                x = float(state._basis_value_of(key) * cell_width)
-                parts.append(
-                    f'<rect x="{x:.4f}" y="{y}" width="{float(cell_width):.4f}" '
-                    f'height="{SVG_ROW_HEIGHT}" fill="#1a1a2e"/>'
-                )
+                x = state._basis_value_of(key) * SVG_WIDTH / dimension
+                parts.append(f'<rect x="{x:.4f}" y="{y}" width="{width}" height="{SVG_ROW_HEIGHT}" fill="#1a1a2e"/>')
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
     raise ValueError(f"unknown render mode {mode!r}")

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import Iterable
 
 from .errors import DimensionMismatchError, GuardExceededError
 from .states import Amplitude, SparseState, _is_prime, _prime_factors, capped_power, digit_bits
@@ -64,11 +65,16 @@ FOLD_LIMIT = 4
 PACKED_MIN_SHARE = 3 / 4
 
 
-def sweep_ranks(state: SparseState, cuts: tuple[int, ...]) -> dict[int, int]:
-    """The Schmidt rank of ``state`` at each of ``cuts``, which the caller has
-    checked exist, from one sweep: from the right end when it is nearer the
-    furthest cut, else from the left."""
-    q = state.num_qudits
+def sweep_ranks(state: SparseState, cuts: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """(cut, Schmidt rank of ``state`` across it) for each of ``cuts``, in
+    order, from one sweep: from the right end when it is nearer the furthest
+    cut, else from the left.  No cuts build no field."""
+    q, cuts = state.num_qudits, tuple(cuts)
+    for cut in cuts:
+        if not 0 < cut < q:
+            raise ValueError(f"cut must satisfy 0 < cut < {q}, got {cut}")
+    if not cuts:
+        return ()
     right = q - min(cuts) < max(cuts)
     steps = q - min(cuts) if right else max(cuts)
     ranks = [0] * (steps + 1)
@@ -83,7 +89,7 @@ def sweep_ranks(state: SparseState, cuts: tuple[int, ...]) -> dict[int, int]:
             if not packed or entries == strings:
                 raise
             ranks = _dict_sweep(state, images, p, right, steps, left)
-    return {cut: ranks[q - cut if right else cut] for cut in cuts}
+    return tuple((cut, ranks[q - cut if right else cut]) for cut in cuts)
 
 
 def _refused(state: SparseState, right: bool, step: int) -> GuardExceededError:

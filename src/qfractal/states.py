@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import index, lshift, or_
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import AmplitudeOverflowError, DimensionMismatchError, GuardExceededError
 
@@ -53,6 +53,7 @@ DEFAULT_PHASE_ORDER = 8
 DENSE_VECTOR_LIMIT = 2**14
 
 BasisIndex = tuple[int, ...]
+T = TypeVar("T")
 
 
 def shape_defect(local_dim: int, num_qudits: int, phase_order: int) -> tuple[str, str] | None:
@@ -138,6 +139,19 @@ def pack_digits(digits: Sequence[int], local_dim: int) -> int:
     return int(text, 2)
 
 
+def _checked_key(digits: tuple, local_dim: int, num_qudits: int) -> int:
+    """The packed key of a tuple of Q integer digits in [0, N); ValueError
+    naming the first of its length, range and type that is not."""
+    if len(digits) != num_qudits:
+        raise ValueError(f"basis index {digits} has length {len(digits)}, expected {num_qudits}")
+    if min(digits) < 0 or max(digits) >= local_dim:
+        raise ValueError(f"basis index {digits} has digits outside [0, {local_dim})")
+    try:
+        return pack_digits(digits, local_dim)
+    except TypeError:
+        raise ValueError(f"basis index {digits} has a digit that is not an integer") from None
+
+
 def unpack_digits(key: int, local_dim: int, num_qudits: int) -> BasisIndex:
     """The digit tuple of a packed key of ``num_qudits`` digits."""
     bits = digit_bits(local_dim)
@@ -150,8 +164,12 @@ def unpack_digits(key: int, local_dim: int, num_qudits: int) -> BasisIndex:
     return tuple(digits)
 
 
+# The least strong pseudoprime to every witness of _is_prime, about 3.3 * 10**24.
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 41; these witnesses make it exact below 3.3 * 10**24."""
+    """Miller-Rabin for odd n > 41; these witnesses make it exact below PRIME_TEST_LIMIT."""
     twos = ((n - 1) & (1 - n)).bit_length() - 1
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         x = pow(a, (n - 1) >> twos, n)
@@ -162,8 +180,9 @@ def _is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of 2 <= n < 3.3 * 10**24 as ((prime, multiplicity), ...),
-    primes increasing: trial division below 2**10, then Pollard's rho on what is left."""
+    """Prime factorization of n >= 2 as ((prime, multiplicity), ...), primes
+    increasing: trial division below 2**10, then Pollard's rho on what is left,
+    which must lie below PRIME_TEST_LIMIT."""
     if n < 2:
         raise ValueError(f"cannot factor {n}; base must be >= 2")
     counts: Counter[int] = Counter()
@@ -171,6 +190,8 @@ def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
         while n % q == 0:
             counts[q] += 1
             n //= q
+    if n >= PRIME_TEST_LIMIT:
+        raise GuardExceededError(f"factor {n} is not below {PRIME_TEST_LIMIT}, where primality is decided exactly")
     composites = [n] if n > 1 else []
     while composites:
         m = composites.pop()
@@ -254,11 +275,7 @@ class Amplitude(_Checked, _AmplitudeFields):
     @classmethod
     def inv_sqrt(cls, k: int, phase_index: int = 0) -> Amplitude:
         """Amplitude k**(-1/2) with an optional phase."""
-        if k < 1:
-            raise ValueError(f"inv_sqrt needs k >= 1, got {k}")
-        if k == 1:
-            return cls(phase_index, ())
-        return cls(phase_index, ((k, 1),))
+        return cls._canonical(phase_index, ()).times_inv_sqrt(k)
 
     def squared_magnitude(self) -> Fraction:
         """Exact |amplitude|**2 as a rational."""
@@ -289,7 +306,7 @@ class Amplitude(_Checked, _AmplitudeFields):
 
     def times_inv_sqrt(self, k: int) -> Amplitude:
         if k < 1:
-            raise ValueError(f"inv_sqrt factor must be >= 1, got {k}")
+            raise ValueError(f"inv_sqrt needs k >= 1, got {k}")
         if k == 1:
             return self
         return Amplitude(self.phase_index, self.mag_exponents + ((k, 1),))
@@ -355,12 +372,10 @@ class EntriesView(Mapping):
     def _key(self, digits: object) -> int | None:
         """The packed key of ``digits``; None unless it is a tuple of Q digits
         in [0, N), which no stored key can equal."""
-        if not isinstance(digits, tuple) or len(digits) != self._num_qudits:
+        if not isinstance(digits, tuple):
             return None
         try:
-            if min(digits) < 0 or max(digits) >= self._local_dim:
-                return None
-            return pack_digits(digits, self._local_dim)
+            return _checked_key(digits, self._local_dim, self._num_qudits)
         except (TypeError, ValueError):
             return None
 
@@ -421,11 +436,8 @@ class SparseState(_Frozen):
         entries: Mapping[BasisIndex, Amplitude] = MappingProxyType({}),
         provenance: Provenance | None = None,
     ) -> None:
-        object.__setattr__(self, "local_dim", local_dim)
-        object.__setattr__(self, "num_qudits", num_qudits)
-        object.__setattr__(self, "phase_order", phase_order)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "provenance", provenance)
+        # ``entries`` stays the given mapping until __post_init__ packs it.
+        self._assemble(local_dim, num_qudits, phase_order, {}, provenance, entries)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -433,42 +445,39 @@ class SparseState(_Frozen):
         defect = shape_defect(self.local_dim, self.num_qudits, self.phase_order)
         if defect is not None:
             raise ValueError(defect[1])
-        order = self.phase_order
-        packed: dict[int, Amplitude] = {}
-        for digits, amp in self.entries.items():
-            key = tuple(digits)
-            if len(key) != self.num_qudits:
-                raise ValueError(f"basis index {key} has length {len(key)}, expected {self.num_qudits}")
-            if min(key) < 0 or max(key) >= self.local_dim:
-                raise ValueError(f"basis index {key} has digits outside [0, {self.local_dim})")
-            try:
-                packed_key = pack_digits(key, self.local_dim)
-            except TypeError:
-                raise ValueError(f"basis index {key} has a digit that is not an integer") from None
-            packed[packed_key] = amp if 0 <= amp.phase_index < order else amp.shifted(0, order)
-        object.__setattr__(self, "_packed", packed)
-        object.__setattr__(self, "entries", EntriesView(packed, self.local_dim, self.num_qudits))
+        n, q, order = self.local_dim, self.num_qudits, self.phase_order
+        packed = {
+            _checked_key(tuple(digits), n, q): amp if 0 <= amp.phase_index < order else amp.shifted(0, order)
+            for digits, amp in self.entries.items()
+        }
+        self._assemble(n, q, order, packed, self.provenance)
 
-    @classmethod
-    def _trusted(
-        cls,
+    def _assemble(
+        self,
         local_dim: int,
         num_qudits: int,
         phase_order: int,
-        entries: dict[int, Amplitude],
+        packed: dict[int, Amplitude],
         provenance: Provenance | None = None,
+        entries: Mapping[BasisIndex, Amplitude] | None = None,
     ) -> SparseState:
-        """Build a state without validation, from parts the caller guarantees:
-        a valid shape, packed keys of Q digits in [0, N), and phase indices in
-        [0, R).  ``entries`` is taken over, not copied."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "local_dim", local_dim)
-        object.__setattr__(state, "num_qudits", num_qudits)
-        object.__setattr__(state, "phase_order", phase_order)
-        object.__setattr__(state, "_packed", entries)
-        object.__setattr__(state, "entries", EntriesView(entries, local_dim, num_qudits))
-        object.__setattr__(state, "provenance", provenance)
-        return state
+        """Set every field and return ``self``; ``entries`` defaults to the view over ``packed``."""
+        object.__setattr__(self, "local_dim", local_dim)
+        object.__setattr__(self, "num_qudits", num_qudits)
+        object.__setattr__(self, "phase_order", phase_order)
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "provenance", provenance)
+        view = EntriesView(packed, local_dim, num_qudits) if entries is None else entries
+        object.__setattr__(self, "entries", view)
+        return self
+
+    @classmethod
+    def _trusted(cls, *fields: object) -> SparseState:
+        """A state assembled from the fields :meth:`_assemble` takes, without
+        validation: the caller guarantees a valid shape, packed keys of Q
+        digits in [0, N), and phase indices in [0, R).  The packed dict is
+        taken over, not copied."""
+        return object.__new__(cls)._assemble(*fields)
 
     def __reduce__(self) -> tuple[Callable[..., SparseState], tuple]:
         # copy and pickle rebuild through the trusted constructor; their
@@ -511,9 +520,9 @@ class SparseState(_Frozen):
     def tensor(self, other: SparseState) -> SparseState:
         """Tensor product; ``self`` supplies the leading qudits."""
         if self.local_dim != other.local_dim:
-            raise DimensionMismatchError(
-                f"tensor of local_dim {self.local_dim} with {other.local_dim}"
-            )
+            raise DimensionMismatchError(f"tensor of local_dim {self.local_dim} with {other.local_dim}")
+        qudits = self.num_qudits + other.num_qudits
+        check_size("tensor product", len(self._packed) * len(other._packed), qudits, self.local_dim)
         order = math.lcm(self.phase_order, other.phase_order)
         a_values, a_keys = _distinct_amplitudes(self.promoted(order)._packed)
         b_values, b_keys = _distinct_amplitudes(other.promoted(order)._packed)
@@ -522,7 +531,7 @@ class SparseState(_Frozen):
         shift = digit_bits(self.local_dim) * other.num_qudits
         a_rows = [(x << shift, table[i]) for x, i in a_keys]
         entries = {x | y: row[j] for x, row in a_rows for y, j in b_keys}
-        return SparseState._trusted(self.local_dim, self.num_qudits + other.num_qudits, order, entries)
+        return SparseState._trusted(self.local_dim, qudits, order, entries)
 
     def inner_product(self, other: SparseState) -> complex:
         """<self|other> in double precision over the support intersection."""
@@ -616,33 +625,17 @@ class SparseState(_Frozen):
     def _dense(self) -> list[complex]:
         """Dense vector as a list, with no size guard; one complex per
         distinct amplitude."""
-        values: dict[Amplitude, complex] = {}
         vec = [0j] * self.local_dim**self.num_qudits
-        for key, amp in self._packed.items():
-            value = values.get(amp)
-            if value is None:
-                value = values[amp] = amp.to_complex(self.phase_order)
+        for key, value in _mapped(self._packed, lambda amp: amp.to_complex(self.phase_order)).items():
             vec[self._basis_value_of(key)] = value
         return vec
 
     def schmidt_rank(self, cut: int) -> int:
         """Exact Schmidt rank across the prefix cut after ``cut`` qudits,
         computed over a prime field as :mod:`qfractal.ranks` describes."""
-        return self._cut_ranks((cut,))[0][1]
-
-    def _cut_ranks(self, cuts: Iterable[int]) -> tuple[tuple[int, int], ...]:
-        """(cut, Schmidt rank) for each cut, in order, from one sweep (see
-        :mod:`qfractal.ranks`)."""
-        cuts = tuple(cuts)
-        for cut in cuts:
-            if not 0 < cut < self.num_qudits:
-                raise ValueError(f"cut must satisfy 0 < cut < {self.num_qudits}, got {cut}")
-        if not cuts:
-            return ()
         from .ranks import sweep_ranks
 
-        ranks = sweep_ranks(self, cuts)
-        return tuple((cut, ranks[cut]) for cut in cuts)
+        return sweep_ranks(self, (cut,))[0][1]
 
     def __eq__(self, other: object) -> bool:
         """Exact equality as vectors (provenance is ignored)."""
@@ -668,10 +661,10 @@ def _distinct_amplitudes(entries: dict[int, Amplitude]) -> tuple[list[Amplitude]
     return list(index), keys
 
 
-def _mapped(entries: dict[int, Amplitude], fn: Callable[[Amplitude], Amplitude]) -> dict[int, Amplitude]:
+def _mapped(entries: dict[int, Amplitude], fn: Callable[[Amplitude], T]) -> dict[int, T]:
     """``entries`` with ``fn`` applied once per distinct amplitude."""
-    memo: dict[Amplitude, Amplitude] = {}
-    out: dict[int, Amplitude] = {}
+    memo: dict[Amplitude, T] = {}
+    out: dict[int, T] = {}
     for key, amp in entries.items():
         image = memo.get(amp)
         if image is None:
@@ -723,6 +716,7 @@ def superpose(terms: Sequence[tuple[int, SparseState]]) -> SparseState:
             raise DimensionMismatchError("superpose terms must share local_dim and num_qudits")
         if state.phase_order != order:
             raise DimensionMismatchError("superpose terms must share phase_order")
+    check_size("sum", sum(len(state._packed) for _, state in terms), first.num_qudits, first.local_dim)
     acc: dict[int, Amplitude] = {}
     collided: dict[int, list[Amplitude]] = {}
     for phase_shift, state in terms:

@@ -1,18 +1,21 @@
-"""Byte identity of ``qfs analyze --cut``, ``lucheck``, ``viz`` and
-``scaling``: the exit code and the SHA-256 of stdout, of stderr and of any
-written file of each transcript in ``golden/analyze_transcripts.json``.
+"""Byte identity of ``qfs analyze --cut``, ``lucheck``, ``viz``, ``scaling``
+and a refused ``code`` spec: the exit code and the SHA-256 of stdout, of
+stderr and of any written file of each transcript in
+``golden/analyze_transcripts.json``.
 
 The ``analyze`` inputs take both row forms of the Schmidt sweep from both
 ends: full supports (cluster-14, the 64 x 64 Fourier state) and the same
 without one string, which hold a zero lane for it; sparse supports (gem-4,
 cantor-3, and cantor-8 at all 255 cuts and at its last alone); and a full
-support whose field is too wide for lanes.  The ``lucheck`` pairs are
-cluster-5 against itself, two of its X/Z images and |00000>; GHZ-5 against
-its S- and T-phased copies; |+> against its 2 pi/2**40 turn and its quarter
-turn; and a pair whose field would need a root of order 2**65.  ``viz`` and
-``scaling`` read cantor 0-4, and ``viz`` two representative states with
-N = 5 and N = 11.  Run this file as a script to rewrite the goldens from the
-qfractal on the path.
+support whose field is too wide for lanes.  Cuts 0 and 14 of cluster-14 are
+refused after the header is printed.  The ``lucheck`` pairs are cluster-5
+against itself, two of its X/Z images and |00000>; GHZ-5 against its S- and
+T-phased copies; |+> against its 2 pi/2**40 turn and its quarter turn; and a
+pair whose field would need a root of order 2**65.  ``viz`` and ``scaling``
+read cantor 0-4, ``viz`` also cantor 5-8 as svg and two representative
+states with N = 5 and N = 11.  ``code encode --spec bitflip:0`` is a usage
+error.  Run this file as a script to rewrite the goldens from the qfractal
+on the path.
 """
 
 import contextlib
@@ -53,12 +56,15 @@ CASES = [
     ["analyze", "--state", "f64.qfs", "--cut", "1"],
     ["analyze", "--state", "f64h.qfs", "--cut", "1"],
     ["analyze", "--state", "r70.qfs", *cut_args((1, 2, 3))],
+    *(["analyze", "--state", "cl14.qfs", "--cut", cut] for cut in ("0", "14")),
     *(["lucheck", "--a", "cl5.qfs", "--b", b] for b in ("cl5.qfs", "cl5x1z3.qfs", "cl5x0z2.qfs", "zero5.qfs")),
     *(["lucheck", "--a", "ghz5.qfs", "--b", b] for b in ("ghz5s.qfs", "ghz5t.qfs")),
     *(["lucheck", "--a", "plus40.qfs", "--b", b] for b in ("turned40.qfs", "quarter40.qfs")),
     ["lucheck", "--a", "root65.qfs", "--b", "root65.qfs"],
     *(["viz", *states, mode] for states in (CANTORS, REPRESENTATIVES) for mode in ("--ascii", "--svg=out.svg")),
+    ["viz", *(arg for n in range(5, 9) for arg in ("--state", f"c{n}.qfs")), "--svg=out.svg"],
     ["scaling", "--states", *(f"c{n}.qfs" for n in range(5))],
+    ["code", "encode", "--spec", "bitflip:0", "--state", "cl5.qfs", "-o", "out.qfs"],
 ]
 
 
@@ -67,8 +73,7 @@ def write_inputs(directory):
     for name, argv in [
         ("cl14", ["cluster", "--qubits", "14"]),
         ("gem4", ["bellgem", "--n", "4", "--sign", "+"]),
-        *((f"c{n}", ["cantor", "--n", str(n)]) for n in range(5)),
-        ("c8", ["cantor", "--n", "8"]),
+        *((f"c{n}", ["cantor", "--n", str(n)]) for n in range(9)),
         ("cl5", ["cluster", "--qubits", "5"]),
         ("rep5", ["representative", "--c", "2", "--s", "5", "--n", "3"]),
         ("rep11", ["representative", "--c", "2", "--s", "11", "--n", "2"]),

@@ -261,6 +261,15 @@ class TestCode:
         assert run(capsys, "code", "encode", "--spec", "parity:1", "--state", str(logical))[0] == 2
         assert run(capsys, "code", "encode", "--spec", "bitflip:1", "--state", str(logical))[0] == 2
 
+    @pytest.mark.parametrize("action", ["encode", "inject", "decode", "roundtrip"])
+    @pytest.mark.parametrize("levels", ["0", "-1"])
+    def test_a_level_below_one_is_a_usage_error(self, capsys, tmp_path, action, levels):
+        logical = tmp_path / "zero.qfs"
+        assert main(["gen", "--family", "bitflip", "--n", "0", "-o", str(logical)]) == 0
+        argv = ["code", action, "--spec", f"bitflip:{levels}", "--state", str(logical), "-o", str(tmp_path / "out.qfs")]
+        assert run(capsys, *argv) == (2, "", f"error: levels must be >= 1, got {levels}\n")
+        assert not (tmp_path / "out.qfs").exists()
+
 
 class TestLucheck:
     def test_equivalent_pair(self, capsys, tmp_path):

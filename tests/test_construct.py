@@ -29,6 +29,11 @@ from qfractal import (
     representative_rule,
     serialize_state,
 )
+from qfractal import states
+from qfractal.states import PRIME_TEST_LIMIT, _prime_factors
+
+# A 101-bit product of two primes near 2**50, past PRIME_TEST_LIMIT.
+WIDE_S = 2535301200456606295881202795651
 
 
 def third():
@@ -220,6 +225,23 @@ class TestRepresentative:
             build_representative(2, 2, 14, local_dim=2)
         with pytest.raises(GuardExceededError):
             build_representative(2, 3, 13, local_dim=3)
+
+    def test_scale_zero_builds_no_branch_amplitude(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(states, "_prime_factors", refuse)
+        state = build_representative(2, WIDE_S, 0, local_dim=WIDE_S)
+        assert state.entries == {(0,): Amplitude.one()}
+        assert state.provenance == Provenance("representative", 2, WIDE_S, 0)
+
+    def test_a_cofactor_past_exact_primality_is_refused(self):
+        message = f"^factor {WIDE_S} is not below {PRIME_TEST_LIMIT}, where primality is decided exactly$"
+        with pytest.raises(GuardExceededError, match=message):
+            Amplitude.inv_sqrt(WIDE_S)
+        with pytest.raises(GuardExceededError):
+            _prime_factors(3 * PRIME_TEST_LIMIT)
+        assert _prime_factors(3 * 8191 * (2**61 - 1)) == ((3, 1), (8191, 1), (2**61 - 1, 1))
 
     def test_rule_is_priced_before_its_slots_are_built(self):
         # The step from scale 40 has 2**41 qudits; its basis strings alone

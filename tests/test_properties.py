@@ -34,6 +34,7 @@ from qfractal import (
     encode,
     inject_errors,
     parse_state,
+    product_cut_report,
     rule_basis_probabilities,
     serialize_state,
     superpose,
@@ -430,7 +431,7 @@ def test_packed_sweep_ranks(state):
     expected = svd_ranks(state)
     assert swept_ranks(packed_sweep, state, False) == swept_ranks(packed_sweep, state, True) == expected
     assert swept_ranks(_dict_sweep, state, False) == swept_ranks(_dict_sweep, state, True) == expected
-    assert [rank for _, rank in state._cut_ranks(range(1, state.num_qudits))] == expected
+    assert [rank for _, rank in product_cut_report(state)] == expected
 
 
 def test_public_constructor_still_validates_keys():

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from qfractal import (
     GuardExceededError,
     SparseState,
     build_cantor,
+    build_initial,
+    product_cut_report,
     superpose,
 )
 from qfractal import fileio, ranks
@@ -458,6 +461,24 @@ class TestSizeGuard:
         with pytest.raises(GuardExceededError, match=f"^encoded state would exceed {limit}$"):
             check_size("encoded state", entries, qudits, local_dim)
 
+    def test_tensor_and_sum_are_priced_before_they_are_built(self):
+        # 3000 entries on 200 qubits: their product would hold 9 * 10**6.
+        wide = SparseState._trusted(2, 200, 8, dict.fromkeys(range(3000), Amplitude.one()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError, match=r"^tensor product would exceed 1000000 entries$"):
+                wide.tensor(wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+        long = SparseState._trusted(2, 6000, 8, {0: Amplitude.one()})
+        with pytest.raises(GuardExceededError, match=r"^tensor product would exceed 10000 qudits$"):
+            long.tensor(long)
+        # A sum is priced at the entries it takes in, colliding or not.
+        with pytest.raises(GuardExceededError, match=r"^sum would exceed 1000000 entries$"):
+            superpose([(0, wide)] * 334)
+
     def test_capped_power_is_the_power_up_to_the_cap(self):
         cap = MAX_KEY_BITS + 1
         for base in [*range(1, 40), 2**17, 10**6, 2**40]:
@@ -485,15 +506,29 @@ class TestSchmidtRank:
         for cut in range(1, state.num_qudits):
             assert state.schmidt_rank(cut) == state.schmidt_rank(state.num_qudits - cut)
 
+    def test_sweep_checks_each_cut_and_answers_in_request_order(self, monkeypatch):
+        state = build_cantor(2)
+        assert ranks.sweep_ranks(state, [3, 1, 3]) == ((3, 3), (1, 1), (3, 3))
+        for cuts, bad in (([1, 4], 4), ([0], 0), ([2, -1, 9], -1)):
+            with pytest.raises(ValueError, match=rf"^cut must satisfy 0 < cut < 4, got {bad}$"):
+                ranks.sweep_ranks(state, cuts)
+
+        def refuse(*args):
+            raise AssertionError("built a field")
+
+        monkeypatch.setattr(ranks, "_field_images", refuse)
+        assert ranks.sweep_ranks(state, []) == product_cut_report(build_initial(3)) == ()
+
     def test_cut_validation_and_guard(self):
         with pytest.raises(ValueError):
             bell(+1).schmidt_rank(0)
         with pytest.raises(ValueError):
             bell(+1).schmidt_rank(2)
-        assert SparseState(2, 26, 8, {})._cut_ranks(range(1, 26)) == tuple((cut, 0) for cut in range(1, 26))
+        cuts = list(range(1, 26))
+        assert product_cut_report(SparseState(2, 26, 8, {}), cuts) == tuple((cut, 0) for cut in cuts)
         # Rank 2**k at cut k <= 12, but no slice ever meets a pivot, so the
         # 4096 x 4096 cut costs no more than its 4096 cells.
-        assert maximally_entangled(12)._cut_ranks((11, 12)) == ((11, 2**11), (12, 2**12))
+        assert product_cut_report(maximally_entangled(12), [11, 12]) == ((11, 2**11), (12, 2**12))
         assert fourier(64).schmidt_rank(1) == 64
         # The smallest even n whose packed elimination is charged past the
         # budget; fourier(448) fits.
@@ -547,7 +582,7 @@ class TestSchmidtRank:
         }
         state = SparseState(2, 4, order, entries)
         assert lane_folds(field_prime(state)) is None
-        assert state._cut_ranks((1, 2, 3)) == ((1, 1), (2, 2), (3, 1))
+        assert product_cut_report(state, [1, 2, 3]) == ((1, 1), (2, 2), (3, 1))
 
     def test_row_form_follows_the_density(self, monkeypatch):
         # Sweeps to cut 1, where building the first row is most of the work:
@@ -594,7 +629,7 @@ class TestSchmidtRank:
         middle = SparseState(2, 12, 2, {digits: amp for digits in itertools.product((0, 1), repeat=12)})
         zeros = basis(2, (0,) * 1088, order=2)
         state = zeros.tensor(middle).tensor(zeros)
-        assert state._cut_ranks((1, 1024)) == ((1, 1), (1024, 1))
+        assert product_cut_report(state, [1, 1024]) == ((1, 1), (1024, 1))
         with pytest.raises(GuardExceededError, match=r"^cut 1025: sweep work exceeds 4194304$"):
             state.schmidt_rank(1025)
 
