@@ -5,7 +5,6 @@ search for local-Clifford equivalence of small qubit registers."""
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -73,7 +72,7 @@ def verify_scale_step(prev: SparseState, next_state: SparseState, rule: ScaleRul
             defects = rule.slot_defects(cells)
         except QfsError as exc:
             defects = [str(exc)]
-        ortho_detail = defects[-1] if defects else "pairwise within 1e-09"
+        ortho_detail = defects[-1] if defects else "unit norms, zero overlaps in F_p"
         checks.append(CheckResult("slot_orthonormality", not defects, ortho_detail))
         try:
             match = _step_from_cells(prev, rule, cells) == next_state
@@ -162,20 +161,14 @@ def word_gate(word: str, letters: dict[str, Gate]) -> Gate:
     return gate
 
 
-def _canonical_gate_key(gate: Gate) -> tuple[complex, ...]:
-    flat = [z for row in gate for z in row]
-    pivot = next(z for z in flat if abs(z) > 0.4)
-    unit = pivot / abs(pivot)
-    return tuple(complex(round(w.real, 9), round(w.imag, 9)) for w in (z / unit for z in flat))
-
-
 @lru_cache(maxsize=1)
 def single_qubit_cliffords() -> tuple[tuple[str, ...], tuple[Gate, ...]]:
     """The 24 single-qubit Clifford gates up to global phase, each a 2x2
-    tuple of rows.
+    tuple of rows, with their words over {H, S}.
 
-    Generated breadth-first from the identity over {H, S} products, so the
-    listing is deterministic: identity first, then by word length.
+    The listing is what a breadth-first search from the identity over {H, S}
+    products finds, keeping each gate's first word: identity first, then by
+    word length.
     """
     r = 1 / math.sqrt(2)
     letters = {
@@ -183,21 +176,11 @@ def single_qubit_cliffords() -> tuple[tuple[str, ...], tuple[Gate, ...]]:
         "H": ((complex(r), complex(r)), (complex(r), complex(-r))),
         "S": ((1 + 0j, 0j), (0j, 1j)),
     }
-    words, gates = ["I"], [letters["I"]]
-    seen = {_canonical_gate_key(letters["I"])}
-    queue = deque(["I"])
-    while queue:
-        word = queue.popleft()
-        for letter in "HS":
-            next_word = letter if word == "I" else word + letter
-            next_gate = word_gate(next_word, letters)
-            key = _canonical_gate_key(next_gate)
-            if key not in seen:
-                seen.add(key)
-                words.append(next_word)
-                gates.append(next_gate)
-                queue.append(next_word)
-    return tuple(words), tuple(gates)
+    words = (
+        "I", "H", "S", "HS", "SH", "SS", "HSH", "HSS", "SHS", "SSH", "SSS", "HSHS",
+        "HSSH", "HSSS", "SHSS", "SSHS", "HSHSS", "HSSHS", "SHSSH", "SHSSS", "SSHSS", "HSHSSH", "HSHSSS", "HSSHSS",
+    )
+    return words, tuple(word_gate(word, letters) for word in words)
 
 
 class LocalCliffordMatch(NamedTuple):

@@ -34,11 +34,14 @@ from .construct import (
     ScaleRule,
     SlotVector,
 )
-from .errors import FormatError, ScaleRuleError
+from .errors import FormatError, GuardExceededError, ScaleRuleError
 from .states import (
+    MAX_ENTRIES,
+    MAX_KEY_BITS,
     Amplitude,
     Provenance,
     SparseState,
+    check_size,
     digit_bits,
     digit_text,
     pack_digits,
@@ -68,6 +71,14 @@ _INTS_PATTERN = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
 
 def _fail(lineno: int, message: str) -> NoReturn:
     raise FormatError(f"line {lineno}: {message}")
+
+
+def _check_size_at(lineno: int, entries: int, qudits: int, local_dim: int) -> None:
+    """:func:`check_size` of a state being read, its refusal naming ``lineno``."""
+    try:
+        check_size("state", entries, qudits, local_dim)
+    except GuardExceededError as exc:
+        raise GuardExceededError(f"line {lineno}: {exc}") from None
 
 
 def _int(text: str, lineno: int, what: str) -> int:
@@ -241,6 +252,9 @@ def _state_from_lines(lines: Iterator[str]) -> SparseState:
     defect = shape_defect(local_dim, num_qudits, phase_order)
     if defect is not None:
         _fail(header[defect[0]][1], defect[1])
+    _check_size_at(header["num_qudits"][1], 0, num_qudits, local_dim)
+    # The ceilings admit this many records; the next one passes one of them.
+    last = blank + min(MAX_ENTRIES, MAX_KEY_BITS // (num_qudits * digit_bits(local_dim)))
     provenance = None
     if any(key in header for key in tags):
         provenance = Provenance(
@@ -251,6 +265,8 @@ def _state_from_lines(lines: Iterator[str]) -> SparseState:
     amplitudes: dict[tuple[str, str], Amplitude] = {}  # parsed once per distinct text
     previous = -1  # packed keys of equal length sort as their digit strings
     for lineno, line in enumerate(lines, blank + 1):
+        if lineno > last:
+            _check_size_at(lineno, lineno - blank, num_qudits, local_dim)
         parts = line.split(" ")
         if len(parts) != 3:
             _fail(lineno, f"malformed record line {line!r}")

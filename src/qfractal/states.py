@@ -510,11 +510,9 @@ class SparseState(_Frozen):
         return sum((amp.squared_magnitude() * count for amp, count in counts.items()), Fraction(0))
 
     def outcome_probability(self, digits: Sequence[int]) -> Fraction:
-        """Born-rule probability of the computational outcome ``digits``."""
-        key = tuple(digits)
-        if len(key) != self.num_qudits:
-            raise ValueError(f"outcome has length {len(key)}, expected {self.num_qudits}")
-        amp = self.entries.get(key)
+        """Born-rule probability of the computational outcome ``digits``; the
+        constructor's ValueError for digits that name no basis string."""
+        amp = self._packed.get(_checked_key(tuple(digits), self.local_dim, self.num_qudits))
         return amp.squared_magnitude() if amp is not None else Fraction(0)
 
     def tensor(self, other: SparseState) -> SparseState:

@@ -479,6 +479,34 @@ class TestSizeGuard:
         assert main(["gen", "--family", "bitflip", "--n", "8", "-o", str(tmp_path / "b8.qfs")]) == 0
 
 
+def test_cantor_10_is_streamed(tmp_path):
+    # Cantor-10 is a 61 MB file: gen and analyze of it each stay under 100 MB
+    # of max RSS.
+    target = str(tmp_path / "c10.qfs")
+    commands = [["gen", "--family", "cantor", "--n", "10", "-o", target], ["analyze", "--state", target]]
+    result = subprocess.run(
+        [sys.executable, "-c", MAX_RSS_CHILD, json.dumps(commands)], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert [(code, kib < 100 * 1024) for code, kib in json.loads(result.stdout)] == [(0, True), (0, True)]
+
+
+# Runs each argv of a JSON list as ``python -m qfractal`` and prints, per
+# command, its exit code and max RSS in KiB, read from wait4.  It runs in an
+# interpreter of its own because a child's max RSS counts the pages it
+# shared with its parent until exec: under a large test process, that parent.
+MAX_RSS_CHILD = """
+import json, os, sys
+report = []
+for argv in json.loads(sys.argv[1]):
+    quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "qfractal", *argv], os.environ, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
+    report.append([os.waitstatus_to_exitcode(status), usage.ru_maxrss])
+print(json.dumps(report))
+"""
+
+
 class TestCutGuard:
     def test_wide_sparse_cut_answers(self, tmp_path):
         # sum_x |x>|x> on 12 + 12 qubits: a 4096 x 4096 coefficient matrix

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfractal.fileio as fileio
+import qfractal.states as states
 from qfractal import (
     Amplitude,
     BasisSlot,
@@ -863,6 +864,34 @@ class TestShapeErrorLines:
         bad.write_text("qfs/1\nlocal_dim 1\nnum_qudits 2\nphase_order 8\n\n")
         assert main(["analyze", "--state", str(bad)]) == 2
         assert capsys.readouterr().err == "error: line 2: local_dim must be >= 2, got 1\n"
+
+
+class TestReadSizeGuard:
+    """A file holds no state the library would refuse to build: the header
+    that passes the qudit ceiling, or the first record past the entries or
+    key bits the ceilings admit, is refused with its line."""
+
+    @pytest.mark.parametrize(
+        "ceiling, value, records, message",
+        [
+            ("MAX_QUDITS", 2, 1, "line 3: state would exceed 2 qudits"),
+            ("MAX_ENTRIES", 4, 5, "line 10: state would exceed 4 entries"),
+            # Four records of three one-bit digits fit in 12 key bits.
+            ("MAX_KEY_BITS", 12, 5, "line 10: state would exceed 12 key bits"),
+        ],
+    )
+    def test_first_record_past_a_ceiling(self, monkeypatch, ceiling, value, records, message):
+        monkeypatch.setattr(states, ceiling, value)
+        if hasattr(fileio, ceiling):
+            monkeypatch.setattr(fileio, ceiling, value)
+
+        def text(count):
+            return "qfs/1\nlocal_dim 2\nnum_qudits 3\nphase_order 8\n\n" + "".join(f"{k:03b} 0 1\n" for k in range(count))
+
+        with pytest.raises(GuardExceededError, match=f"^{message}$"):
+            parse_state(text(records))
+        if ceiling != "MAX_QUDITS":
+            assert len(parse_state(text(records - 1)).entries) == records - 1
 
 
 class TestRulePhaseOrder:

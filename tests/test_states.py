@@ -286,8 +286,11 @@ class TestStateBasics:
         state = uniform3()
         assert state.outcome_probability((1,)) == Fraction(1, 3)
         assert state.outcome_probability((0,)) == Fraction(1, 3)
-        with pytest.raises(ValueError):
-            state.outcome_probability((0, 1))
+        assert basis(3, (0,)).outcome_probability((2,)) == 0
+        # An outcome that names no basis string is refused as the constructor refuses its key.
+        for outcome, defect in [((0, 1), "length"), ((5,), "outside"), ((-1,), "outside"), ((1.5,), "not an integer")]:
+            with pytest.raises(ValueError, match=defect):
+                state.outcome_probability(outcome)
 
     def test_equality_promotes_phase_order(self):
         a = SparseState(2, 1, 4, {(1,): Amplitude(2)})

@@ -63,7 +63,7 @@ SLOT_FILES = {
 HALF = Amplitude.inv_sqrt(2)
 EIGHTH = Amplitude(0, ((2, 3),))
 PRESENT = "predecessor_present: pass (a referenced slot resolves to the predecessor)\n"
-ORTHONORMAL = "slot_orthonormality: pass (pairwise within 1e-09)\n"
+ORTHONORMAL = "slot_orthonormality: pass (unit norms, zero overlaps in F_p)\n"
 INVALID = "norm: pass (target norm squared 1)\nextracted_s: -\nvalid: no\n"
 
 
