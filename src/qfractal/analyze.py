@@ -48,10 +48,10 @@ def verify_scale_step(prev: SparseState, next_state: SparseState, rule: ScaleRul
     predecessor presence, slot orthonormality, exact reconstruction, and unit
     norm of the target.  The first two hold by construction, because a
     :class:`ScaleRule` has exactly ``s`` records and each weighs
-    ``1/sqrt(s)``.  A failing orthonormality check names the last of
-    :meth:`ScaleRule.slot_defects`, in the words :func:`check_rule_against`
-    raises for the first.  The scaling factor is extracted only when all
-    pass.
+    ``1/sqrt(s)``.  A failing orthonormality check names
+    :meth:`ScaleRule.slot_defect`, the text :func:`check_rule_against`
+    raises, or the refusal of a field that scan reaches.  The scaling
+    factor is extracted only when all pass.
     """
     s = rule.s
     checks = [
@@ -69,11 +69,10 @@ def verify_scale_step(prev: SparseState, next_state: SparseState, rule: ScaleRul
         present = "a referenced slot resolves to the predecessor" if found else NO_PREDECESSOR
         checks.append(CheckResult("predecessor_present", found, present))
         try:
-            defects = rule.slot_defects(cells)
+            defect = rule.slot_defect(cells)
         except QfsError as exc:
-            defects = [str(exc)]
-        ortho_detail = defects[-1] if defects else "unit norms, zero overlaps in F_p"
-        checks.append(CheckResult("slot_orthonormality", not defects, ortho_detail))
+            defect = str(exc)
+        checks.append(CheckResult("slot_orthonormality", not defect, defect or "unit norms, zero overlaps in F_p"))
         try:
             match = _step_from_cells(prev, rule, cells) == next_state
         except QfsError as exc:

@@ -166,16 +166,15 @@ class ScaleRule(_Checked, _ScaleRuleFields):
             for slot in range(self.c)
         )
 
-    def slot_defects(self, cells: tuple[dict[int, SparseState], ...]) -> list[str]:
-        """The orthonormality defects of resolved ``cells``, in scan order.
+    def slot_defect(self, cells: tuple[dict[int, SparseState], ...]) -> str | None:
+        """The first orthonormality defect of resolved ``cells`` in scan
+        order, or None; no overlap past it is computed.
 
         Per slot, its exactly deduplicated vectors in index order: one whose
-        exact norm is not 1, then each later one whose support meets it
-        with a nonzero squared overlap in F_p (:mod:`qfractal.ranks`).
-        Last, each record that picks the same vector in every slot as an
-        earlier record.
+        exact norm is not 1, then a later one whose support meets it with a
+        nonzero squared overlap in F_p (:mod:`qfractal.ranks`).  Last, a
+        record that picks the same vector in every slot as an earlier record.
         """
-        defects: list[str] = []
         # Per slot: each index's position among the slot's distinct vectors.
         positions: list[dict[int, int]] = []
         for slot, table in enumerate(cells, 1):
@@ -207,19 +206,18 @@ class ScaleRule(_Checked, _ScaleRuleFields):
                     holder.update(dict.fromkeys(vector._packed.keys() - shared, j))
             for i, u in enumerate(vectors):
                 if u.norm_squared() != 1:
-                    defects.append(f"slot {slot} vector not normalized")
+                    return f"slot {slot} vector not normalized"
                 if meets[i]:  # slots whose supports never meet compile no rank code
                     from .ranks import squared_overlap
-                defects += [
-                    f"slot {slot} vectors not orthogonal" for j in meets[i] if squared_overlap(u, vectors[j])[0]
-                ]
+                if any(squared_overlap(u, vectors[j])[0] for j in sorted(meets[i])):
+                    return f"slot {slot} vectors not orthogonal"
         first: dict[tuple[int, ...], int] = {}
         for k, coeff in enumerate(self.coefficients):
             choice = tuple(map(dict.__getitem__, positions, coeff.indices))
             earlier = first.setdefault(choice, k)
             if earlier != k:
-                defects.append(f"records {earlier} and {k} build the same product")
-        return defects
+                return f"records {earlier} and {k} build the same product"
+        return None
 
     def terms(self, cells: tuple[dict[int, SparseState], ...], *, weighted: bool = True) -> list[SparseState]:
         """The ``s`` records in coefficient order, built from resolved ``cells``:
@@ -247,13 +245,13 @@ def check_rule_against(prev: SparseState, rule: ScaleRule) -> tuple[dict[int, Sp
     """The rule's cells resolved against ``prev`` (:meth:`ScaleRule.cells`),
     once the rule is shown applicable to it.  The first defect raises
     :class:`ScaleRuleError`: a cell that does not resolve, no cell equal to
-    ``prev``, or one of :meth:`ScaleRule.slot_defects`."""
+    ``prev``, or :meth:`ScaleRule.slot_defect`."""
     cells = rule.cells(prev)
     if not any(prev in table.values() for table in cells):
         raise ScaleRuleError(NO_PREDECESSOR)
-    defects = rule.slot_defects(cells)
-    if defects:
-        raise ScaleRuleError(defects[0])
+    defect = rule.slot_defect(cells)
+    if defect:
+        raise ScaleRuleError(defect)
     return cells
 
 

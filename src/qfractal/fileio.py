@@ -58,7 +58,8 @@ SVG_ROW_HEIGHT = 40
 SVG_ROW_GAP = 8
 SVG_PAD = 8
 
-# Ranks and overlaps in F_p sum q terms per odd prime base q, within a budget of 2**22.
+# A base up to 2**20 is fully factored by trial division below 2**10, so
+# reading a file never reaches Pollard's rho.
 MAX_MAGNITUDE_BASE = 2**20
 
 # A record writes each digit as one of these characters up to N = 10, and
@@ -333,6 +334,8 @@ def _slot_from_text(text: str, base_dir: Path, lineno: int) -> SlotVector:
             state = load_state(base_dir / raw)
         except OSError as exc:
             raise FormatError(f"line {lineno}: cannot read slot state {raw!r}: {exc}") from exc
+        except (FormatError, GuardExceededError) as exc:
+            raise type(exc)(f"line {lineno}: slot state {raw!r}: {exc}") from None
         return NamedSlot(state, path=raw)
     _fail(lineno, f"unrecognized slot entry {text!r}")
 

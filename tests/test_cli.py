@@ -12,6 +12,7 @@ import pytest
 from qfractal import Amplitude, SparseState, build_cantor, load_state, save_rule, save_state
 from qfractal.cli import main
 from qfractal.construct import representative_rule
+from test_transcripts import CASES, GOLDENS, write_inputs
 
 
 def run(capsys, *argv):
@@ -260,6 +261,19 @@ class TestCode:
         run(capsys, "gen", "--family", "bitflip", "--n", "0", "-o", str(logical))
         assert run(capsys, "code", "encode", "--spec", "parity:1", "--state", str(logical))[0] == 2
         assert run(capsys, "code", "encode", "--spec", "bitflip:1", "--state", str(logical))[0] == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("bitflip", "code spec must look like bitflip:LEVELS, got 'bitflip'"),
+            ("bitflip:two", "levels is not an integer: 'two'"),
+        ],
+    )
+    def test_a_malformed_spec_names_its_defect(self, capsys, tmp_path, spec, message):
+        logical = tmp_path / "zero.qfs"
+        assert main(["gen", "--family", "bitflip", "--n", "0", "-o", str(logical)]) == 0
+        argv = ["code", "encode", "--spec", spec, "--state", str(logical), "-o", str(tmp_path / "out.qfs")]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("action", ["encode", "inject", "decode", "roundtrip"])
     @pytest.mark.parametrize("levels", ["0", "-1"])
@@ -570,15 +584,16 @@ class TestCodeGuard:
         assert not (tmp_path / "out.qfs").exists()
 
 
-# Runs each argv of a JSON list through the CLI in one interpreter; prints,
-# per command, its exit code and which of numpy and dataclasses were loaded
-# by then.
+# Runs each argv of a JSON list through the CLI in one interpreter, in the
+# directory named next; prints, per command, its exit code and which of
+# dataclasses, numpy and qfractal.ranks were loaded by then.
 COLD_START_CHILD = """
-import json, sys
+import json, os, sys
 import qfractal.cli
 def loaded():
     return [name for name in ("dataclasses", "numpy", "qfractal.ranks") if name in sys.modules]
 report = [[["import"], 0, loaded()]]
+os.chdir(sys.argv[2])
 for argv in json.loads(sys.argv[1]):
     code = qfractal.cli.main(argv)
     report.append([argv, code, loaded()])
@@ -589,73 +604,31 @@ print(json.dumps(report))
 class TestColdStart:
     """No subcommand loads numpy, which only ``SparseState.to_dense`` imports,
     nor dataclasses, whose import and class bodies once took a third of the
-    CLI's import time.  The Schmidt sweep's module is first compiled for
-    ``analyze --cut``: neither the import nor a ``verify-step`` whose slot
-    vectors never meet loads it."""
-
-    def run_child(self, commands):
-        result = subprocess.run(
-            [sys.executable, "-c", COLD_START_CHILD, json.dumps(commands)], capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
-        return json.loads(result.stdout.splitlines()[-1])
+    CLI's import time: the transcript corpus runs in one child from the
+    inputs ``write_inputs`` makes.  The Schmidt sweep's module is first
+    compiled for ``analyze --cut``: neither the import, nor the corpus's
+    ``gen``, ``dim``, ``scaling``, ``verify-step`` (whose slot vectors never
+    meet or are refused unread) and ``analyze`` without a cut load it."""
 
     def test_no_command_loads_numpy(self, tmp_path):
-        commands = command_corpus(tmp_path)
-        report = self.run_child(commands)
-        # Everything succeeds but the last lucheck, a miss.
-        assert [code for _, code, _ in report] == [0] * len(commands) + [1]
+        write_inputs(tmp_path)
+        before_cut = [
+            golden
+            for golden in GOLDENS
+            if golden["argv"][0] in ("gen", "dim", "scaling", "verify-step")
+            or (golden["argv"][0] == "analyze" and "--cut" not in golden["argv"])
+        ]
+        first = [golden["argv"] for golden in before_cut] + [["analyze", "--state", "c2.qfs", "--cut", "1"]]
+        result = subprocess.run(
+            [sys.executable, "-c", COLD_START_CHILD, json.dumps(first + CASES), str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        exits = [golden["exit"] for golden in [*before_cut, {"exit": 0}, *GOLDENS]]
+        assert [code for _, code, _ in report] == [0, *exits]
         assert [argv for argv, _, loaded in report if {"dataclasses", "numpy"} & set(loaded)] == []
-        first = next(argv for argv, _, loaded in report if "qfractal.ranks" in loaded)
-        assert first[0] == "analyze" and "--cut" in first
-
-
-def command_corpus(tmp_path):
-    """One or more commands of each subcommand, reading and writing files in
-    ``tmp_path``: every ``gen`` family, ``dim``, ``verify-step``,
-    ``scaling``, ``analyze`` with and without a cut, the four ``code``
-    actions, ``viz`` in both modes, and a ``lucheck`` hit and miss (last)."""
-    names = ("c2", "c3", "rep", "gem", "bit", "cl", "enc", "err", "dec", "cl5", "zero5")
-    files = {name: str(tmp_path / f"{name}.qfs") for name in names}
-    rule = tmp_path / "step.rule"
-    save_rule(representative_rule(2, 3, 2, 3), rule)
-    save_state(SparseState.basis_state(2, (0,) * 5), files["zero5"])
-    return [
-        ["gen", "--family", "cantor", "--n", "2", "-o", files["c2"]],
-        ["gen", "--family", "cantor", "--n", "3", "-o", files["c3"]],
-        ["gen", "--family", "representative", "--c", "3", "--s", "2", "--n", "2", "-o", files["rep"]],
-        ["gen", "--family", "bellgem", "--n", "3", "--sign", "-", "-o", files["gem"]],
-        ["gen", "--family", "bitflip", "--n", "1", "-o", files["bit"]],
-        ["gen", "--family", "cluster", "--qubits", "3", "-o", files["cl"]],
-        ["gen", "--family", "cluster", "--qubits", "5", "-o", files["cl5"]],
-        ["dim", "--c", "2", "--s", "3"],
-        ["verify-step", "--prev", files["c2"], "--next", files["c3"], "--rule", str(rule)],
-        ["scaling", "--states", files["c2"], files["c3"]],
-        ["analyze", "--state", files["c3"]],
-        ["analyze", "--state", files["c3"], "--cut", "1"],
-        ["code", "encode", "--spec", "bitflip:2", "--state", files["cl"], "-o", files["enc"]],
-        ["code", "inject", "--spec", "bitflip:2", "--state", files["enc"], "--errors", "0,10", "-o", files["err"]],
-        ["code", "decode", "--spec", "bitflip:2", "--state", files["err"], "-o", files["dec"]],
-        ["code", "roundtrip", "--spec", "bitflip:1", "--state", files["cl"], "--errors", "4"],
-        ["viz", "--state", files["c2"], "--ascii"],
-        ["viz", "--state", files["c2"], "--state", files["c3"], "--svg", str(tmp_path / "support.svg")],
-        ["lucheck", "--a", files["cl5"], "--b", files["cl5"]],
-        ["lucheck", "--a", files["cl5"], "--b", files["zero5"]],
-    ]
-
-
-def test_commands_answer_alike_without_numpy(tmp_path, capsys, monkeypatch):
-    """The corpus run in process, then again with numpy unimportable, gives
-    the same exit codes, stdout, stderr and written bytes."""
-
-    def transcript(directory):
-        directory.mkdir()
-        runs = [run(capsys, *argv) for argv in command_corpus(directory)]
-        return runs, {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
-
-    with_numpy = transcript(tmp_path / "with")
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    without_numpy = transcript(tmp_path / "without")
-    assert without_numpy == with_numpy
-    codes = [code for code, _, _ in with_numpy[0]]
-    assert codes == [0] * (len(codes) - 1) + [1]
+        # report[0] is the import; the cut is the first command to load the sweep.
+        assert [argv for argv, _, loaded in report[: len(first) + 1] if "qfractal.ranks" in loaded] == [first[-1]]

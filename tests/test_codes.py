@@ -166,6 +166,8 @@ class TestDecodeMajority:
             decode_majority(qubit(0, 0), BITFLIP_1)
         with pytest.raises(CodeError):
             decode_majority(build_bell_pair(+1), BELL_1)
+        with pytest.raises(CodeError, match=r"^decoding is defined for qubit registers$"):
+            decode_majority(SparseState.basis_state(3, (0, 0, 0)), BITFLIP_1)
 
 
 class TestRoundtrip:

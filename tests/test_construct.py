@@ -156,7 +156,7 @@ class TestApplyScaleRule:
             ({0: Predecessor(), 1: BasisSlot((1,))}, {0: BasisSlot((0,)), 1: NamedSlot(almost)}),
             (Coefficient((0, 0)), Coefficient((1, 1))),
         )
-        assert rule.slot_defects(rule.cells(build_initial(3))) == ["slot 2 vector not normalized"]
+        assert rule.slot_defect(rule.cells(build_initial(3))) == "slot 2 vector not normalized"
         with pytest.raises(ScaleRuleError, match=r"^slot 2 vector not normalized$"):
             apply_scale_rule(build_initial(3), rule)
 
@@ -219,6 +219,8 @@ class TestRepresentative:
     def test_local_dim_must_cover_s(self):
         with pytest.raises(ValueError):
             build_representative(2, 3, 1, local_dim=2)
+        with pytest.raises(ValueError, match=r"^local_dim 2 cannot index 3 coefficient branches$"):
+            representative_rule(2, 3, 0, 2)
 
     def test_guards(self):
         with pytest.raises(GuardExceededError):
@@ -306,6 +308,14 @@ class TestGems:
         with pytest.raises(ScaleRuleError, match="not orthogonal"):
             apply_scale_rule(skew, gem_rule(plus, +1))
 
+    def test_sign_and_levels_are_validated(self):
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 0$"):
+            build_bell_pair(0)
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 2$"):
+            gem_rule(build_bell_pair(+1), 2)
+        with pytest.raises(ValueError, match=r"^levels must be >= 1, got 0$"):
+            build_gem_sequence(0)
+
     @pytest.mark.parametrize("levels,support", [(1, 2), (2, 2), (3, 8), (4, 32)])
     def test_sequence_sizes(self, levels, support):
         plus, minus = build_gem_sequence(levels)
@@ -351,6 +361,8 @@ class TestBitFlipFamily:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_bitflip_state(1, 2)
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            build_bitflip_state(-1, 0)
         with pytest.raises(GuardExceededError):
             build_bitflip_state(9, 0)
 

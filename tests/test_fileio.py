@@ -162,6 +162,13 @@ class TestRuleFormat:
         assert loaded.coefficients == rule.coefficients
         assert serialize_rule(loaded) == serialize_rule(rule)
 
+    def test_basis_digits_above_nine_round_trip_with_commas(self):
+        tables = ({0: Predecessor()}, {0: BasisSlot((1, 10))})
+        rule = ScaleRule(FractalParams(2, 1), tables, (Coefficient((0, 0)),))
+        text = serialize_rule(rule)
+        assert "slot 2 0 basis:1,10\n" in text
+        assert parse_rule(text) == rule
+
     def test_named_slot_without_path_cannot_serialize(self):
         rule = gem_rule(build_bell_pair(+1), +1)
         with pytest.raises(ValueError):
@@ -178,6 +185,7 @@ class TestRuleFormat:
             "qfs-rule/1\nc 2\ns 1\nphase_order 8\n\nslot 1 0 predecessor\nslot 2 0 basis:0\ncoeff 0,0 9\n",
             "qfs-rule/1\nc 2\ns 2\nphase_order 8\n\nslot 1 0 predecessor\nslot 2 0 basis:0\ncoeff 0,0 0\n",
             "qfs-rule/1\nc 2\ns 1\nphase_order 8\n\nslot 1 0 file:missing.qfs\ncoeff 0,0 0\n",
+            "qfs-rule/1\nc 2\ns 1\nphase_order 8\n\nslot 1 0\ncoeff 0,0 0\n",
         ],
     )
     def test_malformed_rules_rejected(self, text, tmp_path):
@@ -516,6 +524,10 @@ class TestRenderSupport:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             render_support(build_cantor(0), "png")
+
+    def test_no_states_rejected(self):
+        with pytest.raises(ValueError, match=r"^at least one state is required$"):
+            render_support([])
 
     @pytest.mark.parametrize("local_dim, num_qudits", [(n, 3) for n in (3, 5, 6, 7, 9, 10, 11, 15)] + [(3, 5000)])
     def test_renders_and_dense_equal_the_per_digit_reference(self, local_dim, num_qudits, monkeypatch):

@@ -76,6 +76,12 @@ class TestAmplitude:
         assert Amplitude(0, ((2, 0),)).mag_exponents == ()
         assert Amplitude(0, ((2, 1), (2, -1))).mag_exponents == ()
 
+    def test_bases_below_two_and_inv_sqrt_of_zero_are_refused(self):
+        with pytest.raises(ValueError, match=r"^cannot factor 1; base must be >= 2$"):
+            Amplitude(0, ((1, 1),))
+        with pytest.raises(ValueError, match=r"^inv_sqrt needs k >= 1, got 0$"):
+            Amplitude.inv_sqrt(0)
+
     def test_squared_magnitude_is_exact(self):
         assert Amplitude.one().squared_magnitude() == 1
         assert Amplitude.inv_sqrt(3).squared_magnitude() == Fraction(1, 3)
@@ -241,6 +247,10 @@ class TestEntriesView:
         assert SparseState(2, 1, 8).entries == SparseState(3, 4, 8).entries == {}
         assert view.__eq__([((0, 1), half), ((1, 0), half)]) is NotImplemented
 
+    def test_repr_is_that_of_the_digit_dict(self):
+        state = SparseState(3, 2, 8, {(0, 2): Amplitude.one(), (2, 1): Amplitude(4)})
+        assert repr(state.entries) == repr({(0, 2): Amplitude.one(), (2, 1): Amplitude(4)})
+
     def test_constructor_accepts_a_view(self):
         state = build_cantor(2)
         rebuilt = SparseState(3, 4, 8, state.entries)
@@ -367,6 +377,10 @@ class TestSuperpose:
     def test_dimension_agreement_required(self):
         with pytest.raises(DimensionMismatchError):
             superpose([(0, basis(2, (0,))), (0, basis(2, (0, 0)))])
+        with pytest.raises(DimensionMismatchError, match=r"^superpose terms must share phase_order$"):
+            superpose([(0, basis(2, (0,))), (0, basis(2, (1,), order=16))])
+        with pytest.raises(ValueError, match=r"^superpose needs at least one term$"):
+            superpose([])
 
 
 class TestInnerProduct:
@@ -381,6 +395,11 @@ class TestInnerProduct:
         a, b = bell(+1), bell(-1)
         dense = np.vdot(a.to_dense(), b.to_dense())
         assert abs(a.inner_product(b) - dense) < 1e-10
+
+    @pytest.mark.parametrize("other", [basis(3, (0, 0)), basis(2, (0,))], ids=["local_dim", "num_qudits"])
+    def test_shapes_must_match(self, other):
+        with pytest.raises(DimensionMismatchError, match=r"^inner product needs matching local_dim and num_qudits$"):
+            bell(+1).inner_product(other)
 
 
 class TestLocalOperators:
@@ -415,6 +434,12 @@ class TestLocalOperators:
         assert basis(2, (1,)).apply_sigma_z(0).entries[(1,)] == Amplitude(4)
         assert basis(2, (0,)).apply_sigma_z(0) == basis(2, (0,))
         assert bell(+1).apply_sigma_z(0) == bell(-1)
+
+    def test_sigma_z_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match=r"^sigma_z needs local_dim 2, got 3$"):
+            basis(3, (0,)).apply_sigma_z(0)
+        with pytest.raises(ValueError, match=r"^position 2 out of range for 2 qudits$"):
+            bell(+1).apply_sigma_z(2)
 
     def test_sigma_z_is_an_involution(self):
         state = bell(+1)
@@ -623,6 +648,25 @@ class TestSchmidtRank:
         assert used == ["packed", "dict"]
         with pytest.raises(GuardExceededError):
             kept(1024).schmidt_rank(1)
+
+    def test_zero_lanes_are_charged_before_a_packed_row_is_built(self, monkeypatch):
+        # 254 of the 256 strings, so packed rows; the two zero lanes alone
+        # pass a budget of 1, and dict rows are refused in turn.
+        used = []
+
+        def spy(*args):
+            used.append("packed")
+            return packed_sweep(*args)
+
+        def first_row(*args):
+            raise AssertionError("a packed row was built")
+
+        monkeypatch.setattr(ranks, "packed_sweep", spy)
+        monkeypatch.setattr(ranks, "_first_row", first_row)
+        monkeypatch.setattr(ranks, "SCHMIDT_WORK_LIMIT", 1)
+        with pytest.raises(GuardExceededError, match=r"^cut 1: sweep work exceeds 1$"):
+            fourier(16, ((5, 7), (6, 8))).schmidt_rank(1)
+        assert used == ["packed"]
 
     def test_slicing_is_charged(self):
         # 4096 strings on 12 qubits between |0...0> on 1088 qubits each side:

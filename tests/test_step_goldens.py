@@ -2,10 +2,11 @@
 whose slots are orthogonal only through sqrt 2 = zeta_8 + 1/zeta_8.
 
 Both reports read one resolution of the rule's cells, slot by slot in index
-order, and word a defect in one text: `check_rule_against` raises the first
-defect, and `qfs verify-step` prints every check, naming the last
-orthonormality defect.  A cell that does not resolve is the first bad cell
-in that order on every failing line.  A ``basis:`` slot whose digits fall
+order, and name the first defect in scan order in one text:
+`check_rule_against` raises it, and `qfs verify-step` prints it on its first
+failing line.  A defect met before a slot pair whose field is refused is the
+one named.  A cell that does not resolve is the first bad cell in that order
+on every failing line.  A ``basis:`` slot whose digits fall
 outside the predecessor's ``[0, N)`` is reported like one of the wrong
 length; a negative digit is refused when the rule file is parsed.
 Orthogonality is decided exactly, so a slot pair whose inner product is
@@ -49,6 +50,8 @@ ROOT2_V = SparseState(
 R65 = 2**65
 FAR_U = SparseState(2, 1, R65, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2)})
 FAR_V = SparseState(2, 1, R65, {(0,): Amplitude.inv_sqrt(2), (1,): Amplitude.inv_sqrt(2, R65 // 2 + 1)})
+# 3|1>, squared norm 9.
+TRIPLE = SparseState(2, 1, 8, {(1,): Amplitude(0, ((3, -2),))})
 SLOT_FILES = {
     "plus.qfs": PLUS,
     "unnormalized.qfs": UNNORMALIZED,
@@ -58,6 +61,7 @@ SLOT_FILES = {
     "root2_v.qfs": ROOT2_V,
     "far_u.qfs": FAR_U,
     "far_v.qfs": FAR_V,
+    "triple.qfs": TRIPLE,
 }
 
 HALF = Amplitude.inv_sqrt(2)
@@ -112,7 +116,7 @@ CASES = {
         SparseState.basis_state(2, (0, 1)),
         "slot 1 vectors not orthogonal",
         report(
-            PRESENT + "slot_orthonormality: FAIL (slot 2 vectors not orthogonal)\n"
+            PRESENT + "slot_orthonormality: FAIL (slot 1 vectors not orthogonal)\n"
             "reconstruction: FAIL (amplitudes at (0, 0) do not sum into the exact ring)\n"
         ),
     ),
@@ -164,6 +168,20 @@ CASES = {
             "reconstruction: FAIL (scale rule output is not normalized; slot products must be orthonormal)\n"
         ),
     ),
+    # Slot 1's second vector is not normalized; the slot 2 pair, scanned
+    # after it, would need a field of root order 2**65.
+    "defect_before_a_refused_field": (
+        ZERO,
+        ({0: Predecessor(), 1: NamedSlot(TRIPLE)}, {0: NamedSlot(FAR_U), 1: NamedSlot(FAR_V)}),
+        ((0, 0), (1, 1)),
+        "slot 1 0 predecessor\nslot 1 1 file:triple.qfs\nslot 2 0 file:far_u.qfs\nslot 2 1 file:far_v.qfs\n",
+        SparseState.basis_state(2, (0, 0)),
+        "slot 1 vector not normalized",
+        report(
+            PRESENT + "slot_orthonormality: FAIL (slot 1 vector not normalized)\n"
+            "reconstruction: FAIL (scale rule output is not normalized; slot products must be orthonormal)\n"
+        ),
+    ),
     "basis_digit_too_large": (
         ZERO,
         ({0: Predecessor(), 1: BasisSlot((1,))}, {0: BasisSlot((5,)), 1: BasisSlot((1,))}),
@@ -208,7 +226,7 @@ CASES = {
         SparseState.basis_state(2, (0, 0)),
         "records 0 and 1 build the same product",
         report(
-            PRESENT + "slot_orthonormality: FAIL (records 2 and 3 build the same product)\n"
+            PRESENT + "slot_orthonormality: FAIL (records 0 and 1 build the same product)\n"
             "reconstruction: pass (rule output equals the target exactly)\n",
             s=4,
         ),
@@ -263,6 +281,21 @@ def test_check_rule_against_names_the_first_defect(name):
 def test_verify_step_stdout(name, tmp_path, capsys):
     prev, _, records, slot_lines, target, _, expected = CASES[name]
     assert verify_step(tmp_path, capsys, prev, records, slot_lines, target) == expected
+
+
+def test_verify_step_names_the_defect_check_rule_against_raises():
+    # The two tests above pin each case's raised text and stdout; for every
+    # case whose rule file parses and whose rule is refused, the raised text
+    # is the detail of the first failing line.
+    details = {}
+    for name, (*_, message, (code, out, _)) in CASES.items():
+        if message is not None and code != 2:
+            first_fail = next(line for line in out.splitlines() if ": FAIL (" in line)
+            details[name] = (message, first_fail.partition(": FAIL (")[2].removesuffix(")"))
+    assert len(details) == 8
+    assert {name: raised for name, (raised, _) in details.items()} == {
+        name: printed for name, (_, printed) in details.items()
+    }
 
 
 def test_a_refused_overlap_fails_only_slot_orthonormality(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Byte identity of the CLI: the exit code and the SHA-256 of stdout, of
 stderr and of any written file (with its mode under umask 022) of each
-transcript in ``golden/transcripts.json``.  This corpus is the one place
-where CLI bytes are pinned.
+transcript in ``golden/transcripts.json``, replayed once as is and once with
+numpy unimportable.  This corpus is the one place where CLI bytes are
+pinned.
 
 - ``gen`` of every family, N > 10 among them, and of a scale-0
   representative state whose 101-bit ``--s`` is not factored.
@@ -13,18 +14,23 @@ where CLI bytes are pinned.
   for lanes.  Cuts 0 and 14 of cluster-14 are refused after the header is
   printed.  Parse errors: a 5000-digit phase index, records out of order
   and a duplicate record (exit 2); CR LF and CR copies of cantor-2 read as
-  it does; a 20000-qudit state is refused at its header (exit 3).
+  it does; a 20000-qudit state is refused at its header (exit 3).  A state
+  that is not uniform (``uniform_probability none``).
 - ``lucheck``: cluster-5 against itself, two of its X/Z images and |00000>;
   GHZ-5 against its S- and T-phased copies; |+> against its 2 pi/2**40
   turn and its quarter turn; |+>|0> against |0>|+>; and a pair whose field
   would need a root of order 2**65.
 - ``viz`` and ``scaling`` of cantor 0-4, ``viz`` also of cantor 5-8 as svg
   and of two representative states with N = 5 and N = 11.
-- ``verify-step`` of README's cantor rule on cantor 1 -> 2.
-- ``code``: a level below 1 (exit 2); the README's bitflip chain; the
+- ``verify-step`` of README's cantor rule on cantor 1 -> 2, and of two rules
+  whose ``file:`` slot state is refused, each error naming the rule line
+  and the slot file (exit 2 and 3).
+- ``code``: a level below 1 (exit 2); the README's bitflip chain, and a
+  decode with nothing to correct (``corrections: none``); the
   bitflip:2 chain on cluster-6; a failed roundtrip and a decode whose
   components flip different blocks (exit 1 each); bellpair:1 and 2 of four
   inputs, the last of which does not sum into the exact ring (exit 1).
+- ``dim``.
 
 Each case reads only what ``write_inputs`` makes and writes only ``out.*``.
 Run this file as a script to rewrite the goldens from the qfractal on the
@@ -37,6 +43,7 @@ import io
 import itertools
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -101,12 +108,18 @@ CASES = [
     *(["analyze", "--state", name] for name in ("c2crlf.qfs", "c2cr.qfs", "unordered.qfs", "duplicate.qfs")),
     ["analyze", "--state", "long.qfs"],
     ["analyze", "--state", "wide.qfs"],
+    ["analyze", "--state", "uneven.qfs"],
     ["lucheck", "--a", "plus0.qfs", "--b", "zeroplus.qfs"],
     ["verify-step", "--prev", "c1.qfs", "--next", "c2.qfs", "--rule", "cantor.rule"],
+    *(
+        ["verify-step", "--prev", "c2.qfs", "--next", "c3.qfs", "--rule", f"{name}slot.rule"]
+        for name in ("unordered", "wide")
+    ),
     # The README's codes example, one command at a time.
     code("encode", "bitflip:1", "one.qfs", "-o", "out.qfs"),
     code("inject", "bitflip:1", "enc1.qfs", "--errors", "1", "-o", "out.qfs"),
     code("decode", "bitflip:1", "err1.qfs"),
+    code("decode", "bitflip:1", "enc1.qfs"),
     code("roundtrip", "bitflip:2", "one.qfs", "--errors", "0,1"),
     code("roundtrip", "bitflip:1", "one.qfs", "--errors", "0,1"),
     code("decode", "bitflip:1", "mixed3.qfs"),
@@ -118,6 +131,7 @@ CASES = [
         for name in ("ket011.qfs", "cl3.qfs", "gem2.qfs", "uneven.qfs")
         for levels in (1, 2)
     ),
+    ["dim", "--c", "2", "--s", "3"],
 ]
 
 CANTOR_RULE = """qfs-rule/1
@@ -135,6 +149,12 @@ coeff 0,0 0
 coeff 1,1 0
 coeff 2,2 0
 """
+
+
+def slot_rule(name):
+    """A c = 2, s = 2 rule file whose line 8 names the slot state ``name``."""
+    slots = f"slot 1 0 predecessor\nslot 1 1 basis:1111\nslot 2 0 file:{name}\nslot 2 1 basis:1111\n"
+    return f"qfs-rule/1\nc 2\ns 2\nphase_order 8\n\n{slots}coeff 0,0 0\ncoeff 1,1 0\n"
 
 
 def qubit_text(num_qudits, *records):
@@ -177,6 +197,9 @@ def write_inputs(directory):
     (directory / "unordered.qfs").write_text("".join(swapped))
     (directory / "duplicate.qfs").write_text("".join([*lines[: first + 1], *lines[first:]]))
     (directory / "cantor.rule").write_text(CANTOR_RULE)
+    # Rules whose line 8 reads a state refused at its line 12 and at its header.
+    for name in ("unordered", "wide"):
+        (directory / f"{name}slot.rule").write_text(slot_rule(f"{name}.qfs"))
     save_state(fourier(64), directory / "f64.qfs")
     save_state(fourier(64, ((63, 63),)), directory / "f64h.qfs")
     # All 16 strings at phase order 2**70, whose p no 128-bit lane holds:
@@ -274,8 +297,17 @@ def case_id(golden):
     return "-".join([*words, *([f"cut{cuts[0]}-{cuts[-1]}"] if cuts else [])])
 
 
-@pytest.mark.parametrize("golden", GOLDENS, ids=case_id)
-def test_transcript(golden, inputs, monkeypatch):
+@pytest.mark.parametrize(
+    "golden, numpy_importable",
+    [
+        pytest.param(golden, importable, id=case_id(golden) + ("" if importable else "-without-numpy"))
+        for importable in (True, False)
+        for golden in GOLDENS
+    ],
+)
+def test_transcript(golden, numpy_importable, inputs, monkeypatch):
+    if not numpy_importable:
+        monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.chdir(inputs)
     assert transcript(golden["argv"]) == golden
 
