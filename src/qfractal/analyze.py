@@ -10,16 +10,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .construct import NO_PREDECESSOR, FractalParams, ScaleRule, _step_from_cells, check_rule_against
-from .errors import AnalysisError, GuardExceededError, QfsError
+from .errors import AnalysisError, QfsError
 from .states import SparseState
 
 # The local-Clifford search takes a gate tuple as a candidate above this
 # fidelity; an exact test in F_p then decides it.
 FIDELITY_TOL = 1e-9
-
-# At worst the search visits all 24**Q gate assignments, which stays
-# tractable only here.
-LU_MAX_QUBITS = 5
 
 
 def fractal_dimension(c: int, s: int) -> float:
@@ -205,9 +201,6 @@ def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalClif
         raise ValueError("local Clifford search is defined for qubit states")
     if a.num_qudits != b.num_qudits:
         raise ValueError("states must have equal qubit counts")
-    q = a.num_qudits
-    if q > LU_MAX_QUBITS:
-        raise GuardExceededError(f"{q} qubits exceeds the search limit {LU_MAX_QUBITS}")
     for state in (a, b):
         if state.norm_squared() != 1:
             raise ValueError("states must be normalized")
@@ -216,7 +209,7 @@ def lu_equivalent_by_local_clifford(a: SparseState, b: SparseState) -> LocalClif
 
     words, gates = single_qubit_cliffords()
     exact = None
-    for indices, fidelity in matches(a._dense(), b._dense(), q, gates, 1.0 - FIDELITY_TOL):
+    for indices, fidelity in matches(a, b, gates, 1.0 - FIDELITY_TOL):
         exact = exact or exact_test(a, b, words)
         if exact(indices):
             return LocalCliffordMatch(indices, tuple(words[i] for i in indices), fidelity)

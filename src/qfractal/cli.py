@@ -58,7 +58,13 @@ def _parse_code_spec(text: str) -> CodeSpec:
 def _parse_error_positions(text: str) -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(int(part) for part in text.split(","))
+    positions = []
+    for part in text.split(","):
+        try:
+            positions.append(int(part))
+        except ValueError:
+            raise ValueError(f"error position is not an integer: {part!r}") from None
+    return tuple(positions)
 
 
 def _require(args: argparse.Namespace, flags: list[str]) -> None:

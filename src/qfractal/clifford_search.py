@@ -21,6 +21,10 @@ no candidate, and the candidates come in the order of the full scan.
 A child's |C|**2 is read from the Gram matrix of its parent's four
 leading-mode blocks, so only the children that survive are built.
 
+The search spends WORK_LIMIT, the Schmidt sweep's budget: Q * 4**Q cells
+before a vector is built, 4 per entry of each prefix tensor split into
+blocks, 4 per last tensor, and Q * 2**Q per candidate for its exact test.
+
 :func:`qfractal.analyze.lu_equivalent_by_local_clifford` imports this module
 on its first call, so the commands that search nothing do not compile it.
 """
@@ -32,7 +36,8 @@ from functools import lru_cache
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .states import Amplitude, SparseState
+from .errors import GuardExceededError
+from .states import WORK_LIMIT, Amplitude, SparseState
 
 if TYPE_CHECKING:
     from .analyze import Gate
@@ -103,7 +108,7 @@ def _purity(vec: list[complex], q: int, k: int) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _interleaving(q: int) -> tuple[int, ...]:
     """For each index of the mode tensor, whose bits run o_0 i_0 o_1 i_1 ...,
     the index (o << q) | i of the outer product of conj(b) and a."""
@@ -117,28 +122,37 @@ def _interleaving(q: int) -> tuple[int, ...]:
 
 
 def matches(
-    a: list[complex], b: list[complex], q: int, gates: tuple[Gate, ...], threshold: float
+    a: SparseState, b: SparseState, gates: tuple[Gate, ...], threshold: float
 ) -> Iterator[tuple[tuple[int, ...], float]]:
     """Each gate-index tuple, in lexicographic order over ``gates``, with
-    |<b|U a>| > ``threshold``, and that value.
+    |<b|U a>| > ``threshold``, and that value, for qubit states ``a`` and
+    ``b`` of one size; :class:`GuardExceededError` past WORK_LIMIT."""
+    q = a.num_qudits
+    left = [WORK_LIMIT]
 
-    ``a`` and ``b`` are dense vectors of ``q`` qubits, qubit 0 the most
-    significant.
-    """
+    def spend(cells: int) -> None:
+        left[0] -= cells
+        if left[0] < 0:
+            raise GuardExceededError(f"search work exceeds {WORK_LIMIT}")
+
+    spend(q * 4**q)
+    a_vec, b_vec = a._dense(), b._dense()
     entries, terms, weights = _gate_tables(gates)
-    outer = [y * x for y in map(complex.conjugate, b) for x in a]
+    outer = [y * x for y in map(complex.conjugate, b_vec) for x in a_vec]
     modes = list(map(outer.__getitem__, _interleaving(q)))
     # A prefix of k gates survives while 2 |C|**2 >= p_a(k) + p_b(k) - bound;
     # the 1e-12 leaves room for rounding in the purities and |C|**2.
     bound = 4 * (1 - threshold**2) + 1e-12
-    floors = {k: (_purity(a, q, k) + _purity(b, q, k) - bound) / 2 for k in range(1, q)}
+    floors = {k: (_purity(a_vec, q, k) + _purity(b_vec, q, k) - bound) / 2 for k in range(1, q)}
 
     def search(depth: int, tensor: list[complex]) -> Iterator[tuple[tuple[int, ...], float]]:
+        spend(4 * len(tensor) if depth < q - 1 else 4)
         if depth == q - 1:
             t0, t1, t2, t3 = tensor
             for index, (z0, z1, z2, z3) in enumerate(entries):
                 fidelity = abs(z0 * t0 + z1 * t1 + z2 * t2 + z3 * t3)
                 if fidelity > threshold:
+                    spend(q << q)
                     yield (index,), fidelity
             return
         floor = floors[depth + 1]

@@ -20,6 +20,18 @@ from .states import DEFAULT_PHASE_ORDER, Amplitude, Provenance, SparseState, _Ch
 from .states import digit_bits, superpose
 
 
+def params_defect(c: int, s: int, n: int = 0) -> tuple[str, str] | None:
+    """The first of c, s and n out of range, as (field name, message); None
+    when c > 1, s >= 1 and n >= 0."""
+    if c <= 1:
+        return "c", f"c must exceed 1, got {c}"
+    if s < 1:
+        return "s", f"s must be >= 1, got {s}"
+    if n < 0:
+        return "n", f"n must be >= 0, got {n}"
+    return None
+
+
 class _FractalParamsFields(NamedTuple):
     c: int
     s: int
@@ -33,12 +45,9 @@ class FractalParams(_Checked, _FractalParamsFields):
     __slots__ = ()
 
     def __new__(cls, c: int, s: int, n: int = 0) -> FractalParams:
-        if c <= 1:
-            raise ValueError(f"c must exceed 1, got {c}")
-        if s < 1:
-            raise ValueError(f"s must be >= 1, got {s}")
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        defect = params_defect(c, s, n)
+        if defect is not None:
+            raise ValueError(defect[1])
         return tuple.__new__(cls, (c, s, n))
 
     @property

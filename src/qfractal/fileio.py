@@ -33,6 +33,7 @@ from .construct import (
     Predecessor,
     ScaleRule,
     SlotVector,
+    params_defect,
 )
 from .errors import FormatError, GuardExceededError, ScaleRuleError
 from .states import (
@@ -349,8 +350,9 @@ def parse_rule(text: str, base_dir: str | Path = ".") -> ScaleRule:
 def _rule_from_lines(lines: Iterator[str], base: Path) -> ScaleRule:
     header, blank = _read_header(lines, RULE_TAG, ("c", "s", "phase_order"), ())
     c, s, phase_order = (_header_int(header, key) for key in ("c", "s", "phase_order"))
-    if c <= 1:
-        _fail(header["c"][1], f"c must exceed 1, got {c}")
+    defect = params_defect(c, s)
+    if defect is not None:
+        _fail(header[defect[0]][1], defect[1])
     if phase_order < 1:
         _fail(header["phase_order"][1], f"phase_order must be >= 1, got {phase_order}")
     tables: list[dict[int, SlotVector]] = [{} for _ in range(c)]

@@ -25,11 +25,11 @@ before a lane could overflow; a pivot keeps the inverse of its lead instead
 of being normalized.  This is the simultaneous reduction of Dumas, Fousse
 and Salvy (J. Symbolic Comput. 46, 2011) on Python ints.
 
-One budget bounds the time a sweep may take: it is charged for the Gauss
+The budget :data:`qfractal.states.WORK_LIMIT`, which the local-Clifford
+search shares, bounds the time a sweep may take: it is charged for the Gauss
 sums, the cells sliced, the cells each elimination step reads (packed rows
 per lane, at a measured rate) and each zero lane built, and the sweep stops
-at the cut where it runs out; when packed rows with zero lanes run out, dict
-rows take the sweep again.
+at the cut where it runs out.
 
 A squared overlap |<u|v>|**2 maps through the same homomorphism.  The library
 imports this module only for a rank or an overlap, so the commands that need
@@ -44,11 +44,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import DimensionMismatchError, GuardExceededError
-from .states import Amplitude, SparseState, _is_prime, _prime_factors, capped_power, digit_bits
+from .states import WORK_LIMIT, Amplitude, SparseState, _is_prime, _prime_factors, capped_power, digit_bits
 
-# The sweep's budget in cells; one is about 0.25 us of pure Python, so a
-# refused sweep stops after about a second.
-SCHMIDT_WORK_LIMIT = 2**22
 # The largest root order M; it keeps p below 3.3 * 10**24, where _is_prime is exact.
 ROOT_ORDER_LIMIT = 2**64
 # A packed row holds one field element per LANE bits.  A packed step is
@@ -80,21 +77,14 @@ def sweep_ranks(state: SparseState, cuts: Iterable[int]) -> tuple[tuple[int, int
     ranks = [0] * (steps + 1)
     if state._packed:
         left, p, images = _field_images(state.phase_order, set(state._packed.values()))
-        strings, entries = capped_power(state.local_dim, q), len(state._packed)
-        packed = entries >= PACKED_MIN_SHARE * strings and lane_folds(p)
-        try:
-            ranks = (packed_sweep if packed else _dict_sweep)(state, images, p, right, steps, left)
-        except GuardExceededError:
-            # Lanes cost more than dict cells where rows stay sparse.
-            if not packed or entries == strings:
-                raise
-            ranks = _dict_sweep(state, images, p, right, steps, left)
+        packed = len(state._packed) >= PACKED_MIN_SHARE * capped_power(state.local_dim, q) and lane_folds(p)
+        ranks = (packed_sweep if packed else _dict_sweep)(state, images, p, right, steps, left)
     return tuple((cut, ranks[q - cut if right else cut]) for cut in cuts)
 
 
 def _refused(state: SparseState, right: bool, step: int) -> GuardExceededError:
     cut = state.num_qudits - step if right else step
-    return GuardExceededError(f"cut {cut}: sweep work exceeds {SCHMIDT_WORK_LIMIT}")
+    return GuardExceededError(f"cut {cut}: sweep work exceeds {WORK_LIMIT}")
 
 
 def _dict_sweep(
@@ -280,8 +270,8 @@ def _field_images(phase_order: int, amps: set[Amplitude]) -> tuple[int, int, dic
     if order > ROOT_ORDER_LIMIT:
         raise GuardExceededError(f"root order {order} exceeds {ROOT_ORDER_LIMIT}")
     gauss_work = sum(base for base in bases if base > 2)
-    if gauss_work > SCHMIDT_WORK_LIMIT:
-        raise GuardExceededError(f"Gauss sum work {gauss_work} exceeds {SCHMIDT_WORK_LIMIT}")
+    if gauss_work > WORK_LIMIT:
+        raise GuardExceededError(f"Gauss sum work {gauss_work} exceeds {WORK_LIMIT}")
     p, w = _prime_field(order)
     roots: dict[int, int] = {}
     for q in bases:
@@ -300,7 +290,7 @@ def _field_images(phase_order: int, amps: set[Amplitude]) -> tuple[int, int, dic
         # i**-1 is w**(3M/4).
         roots[q] = gauss * pow(w, 3 * order // 4, p) if q % 4 == 3 else gauss
     zeta_r = pow(w, order // roots_order, p)
-    return SCHMIDT_WORK_LIMIT - gauss_work, p, {
+    return WORK_LIMIT - gauss_work, p, {
         amp: pow(zeta_r, amp.phase_index // stride, p)
         * math.prod(pow(roots[b], -e, p) for b, e in amp.mag_exponents)
         % p

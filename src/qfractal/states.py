@@ -77,6 +77,8 @@ def digit_bits(local_dim: int) -> int:
 MAX_ENTRIES = 10**6
 MAX_QUDITS = 10**4
 MAX_KEY_BITS = 2**33
+# The work budget of a Schmidt sweep and of the Clifford search, in 0.1-0.3 us cells.
+WORK_LIMIT = 2**22
 
 
 def check_size(subject: str, entries: int, qudits: int, local_dim: int) -> None:

@@ -5,6 +5,7 @@ import cmath
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,7 @@ from qfractal import (
 from qfractal import clifford_search
 from qfractal.analyze import FIDELITY_TOL
 from qfractal.ranks import _field_images
+from qfractal.states import WORK_LIMIT
 
 SEARCH_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -350,9 +352,14 @@ class TestLocalCliffordSearch:
         assert first == second
         assert first is not None
 
-    def test_guards_and_validation(self):
-        wide = SparseState.basis_state(2, (0,) * 6)
-        with pytest.raises(GuardExceededError):
+    def test_guards_and_validation(self, monkeypatch):
+        # Ten qubits are charged 10 * 4**10 cells before a vector is built.
+        def dense(state):
+            raise AssertionError("a dense vector was built")
+
+        monkeypatch.setattr(SparseState, "_dense", dense)
+        wide = SparseState.basis_state(2, (0,) * 10)
+        with pytest.raises(GuardExceededError, match=r"^search work exceeds 4194304$"):
             lu_equivalent_by_local_clifford(wide, wide)
         with pytest.raises(ValueError):
             lu_equivalent_by_local_clifford(build_cantor(1), build_cantor(1))
@@ -408,6 +415,36 @@ def pauli_flipped(state, x_positions, z_positions):
     return state
 
 
+def test_a_seeded_pauli_image_of_cluster_8_is_found():
+    rng = random.Random(8)
+    x_positions, z_positions = rng.sample(range(8), 3), rng.sample(range(8), 3)
+    match = lu_equivalent_by_local_clifford(build_cluster(8), pauli_flipped(build_cluster(8), x_positions, z_positions))
+    assert match is not None
+    assert match.fidelity > 1 - FIDELITY_TOL
+
+
+def test_the_search_is_charged_its_size_each_prefix_tensor_and_each_candidate(monkeypatch):
+    # Q * 4**Q cells up front, 4 * 4**(Q - k) for each of at most 24**k
+    # prefixes of k < Q - 1 gates, 4 for each of the 24**(Q - 1) last
+    # tensors; at five qubits that leaves room for 11257 candidates.
+    def worst(q):
+        return q * 4**q + sum(24**k * 4 ** (q - k + 1) for k in range(q - 1)) + 24 ** (q - 1) * 4
+
+    assert worst(5) == 2_393_088
+    assert (WORK_LIMIT - worst(5)) // (5 << 5) == 11257
+    # At threshold 0 no prefix is dropped, so a search spends worst(q) and
+    # Q * 2**Q for each candidate.
+    a, b = build_cluster(3), SparseState.basis_state(2, (0, 0, 0))
+    _, gates = single_qubit_cliffords()
+    monkeypatch.setattr(clifford_search, "WORK_LIMIT", 10**9)
+    spent = worst(3) + len(list(clifford_search.matches(a, b, gates, 0.0))) * (3 << 3)
+    monkeypatch.setattr(clifford_search, "WORK_LIMIT", spent)
+    list(clifford_search.matches(a, b, gates, 0.0))
+    monkeypatch.setattr(clifford_search, "WORK_LIMIT", spent - 1)
+    with pytest.raises(GuardExceededError, match=rf"^search work exceeds {spent - 1}$"):
+        list(clifford_search.matches(a, b, gates, 0.0))
+
+
 class TestLocalCliffordAgainstKronecker:
     CASES = {
         "flipped-cluster-1": lambda: (build_cluster(1), pauli_flipped(build_cluster(1), [0], [0])),
@@ -460,6 +497,7 @@ def test_t_phased_ghz_is_no_local_clifford_image_of_ghz():
     # A T gate on one qubit does map GHZ onto it, so every prefix survives
     # the reduced-state bound and the miss is decided at the last qubit.
     assert lu_equivalent_by_local_clifford(ghz(5), ghz(5, 1)) is None
+    assert lu_equivalent_by_local_clifford(ghz(7), ghz(7, 1)) is None
     assert lu_equivalent_by_local_clifford(ghz(5), ghz(5, 2)).words == ("I", "I", "I", "I", "S")
 
 
@@ -545,9 +583,27 @@ class TestExactDecision:
         if qubits == 2:
             a, b = a.tensor(a), a.tensor(b)
         _, gates = single_qubit_cliffords()
-        candidate = next(clifford_search.matches(a._dense(), b._dense(), qubits, gates, 1 - FIDELITY_TOL))
+        candidate = next(clifford_search.matches(a, b, gates, 1 - FIDELITY_TOL))
         assert candidate[0] == (0,) * qubits
         assert lu_equivalent_by_local_clifford(a, b) is None
+
+    def test_exact_tests_are_charged_to_the_search(self, monkeypatch):
+        # Each of the 4 Cliffords that fix |+> as a ray, on each of 8 qubits,
+        # is a candidate for the turn on the last one: 4**8 of them fail in
+        # F_p, and the budget stops the exact tests after WORK_LIMIT / (8 * 2**8).
+        a = functools.reduce(SparseState.tensor, [turned_plus(self.R, 0)] * 8)
+        b = functools.reduce(SparseState.tensor, [turned_plus(self.R, 0)] * 7 + [turned_plus(self.R, 1)])
+        tests = []
+        exact_test = clifford_search.exact_test
+
+        def counted(*args):
+            test = exact_test(*args)
+            return lambda indices: tests.append(indices) or test(indices)
+
+        monkeypatch.setattr(clifford_search, "exact_test", counted)
+        with pytest.raises(GuardExceededError, match=r"^search work exceeds 4194304$"):
+            lu_equivalent_by_local_clifford(a, b)
+        assert 0 < len(tests) < WORK_LIMIT // (8 << 8)
 
     def test_a_quarter_turn_at_the_finer_order_still_matches(self):
         match = lu_equivalent_by_local_clifford(turned_plus(self.R, 0), turned_plus(self.R, self.R // 4))

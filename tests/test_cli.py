@@ -335,11 +335,11 @@ class TestLucheck:
 
     def test_guard_exit(self, capsys, tmp_path):
         a = tmp_path / "wide.qfs"
-        run(capsys, "gen", "--family", "bitflip", "--n", "2", "-o", str(a))
+        run(capsys, "gen", "--family", "bitflip", "--n", "3", "-o", str(a))
         assert run(capsys, "lucheck", "--a", str(a), "--b", str(a)) == (
             3,
             "",
-            "error: 9 qubits exceeds the search limit 5\n",
+            "error: search work exceeds 4194304\n",
         )
 
 
@@ -483,6 +483,15 @@ class TestSizeGuard:
         stderr = f"error: encoded state would exceed {limit}\n"
         assert (result.returncode, result.stderr, result.stdout) == (3, stderr, "")
         assert not (tmp_path / "out.qfs").exists()
+
+    @pytest.mark.parametrize("levels", [3, 8])
+    def test_lucheck_is_refused_before_a_vector_is_built(self, tmp_path, levels):
+        # 27 and 6561 qubits: the search's first charge passes the budget.
+        state = tmp_path / "wide.qfs"
+        assert main(["gen", "--family", "bitflip", "--n", str(levels), "-o", str(state)]) == 0
+        result, seconds = self.run_capped(["lucheck", "--a", str(state), "--b", str(state)])
+        assert seconds < 1
+        assert (result.returncode, result.stderr, result.stdout) == (3, "error: search work exceeds 4194304\n", "")
 
     def test_the_sizes_below_are_built(self, tmp_path):
         source = tmp_path / "one.qfs"

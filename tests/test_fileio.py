@@ -716,6 +716,7 @@ class TestHeaderLineNumbers:
             ("phase_order 8\ns x\nc 2\n", "line 3: s is not an integer: 'x'"),
             ("s 1\nphase_order 8\nc 1\n", "line 4: c must exceed 1, got 1"),
             ("s 1\nc 2\nphase_order q\n", "line 4: phase_order is not an integer: 'q'"),
+            ("phase_order 8\nc 2\ns 0\n", "line 4: s must be >= 1, got 0"),
         ],
     )
     def test_reordered_rule_header(self, header, message, tmp_path):

@@ -615,9 +615,8 @@ class TestSchmidtRank:
     def test_row_form_follows_the_density(self, monkeypatch):
         # Sweeps to cut 1, where building the first row is most of the work:
         # below 3/4 of the N**Q strings dict rows take them (at 1/8 of 2**18
-        # strings they ran 5x faster than packed rows), from 3/4 up packed
-        # rows do, and a packed refusal with strings missing leaves the sweep
-        # to dict rows.  A full support has no second try.
+        # strings they ran 5x faster than packed rows), and from 3/4 up
+        # packed rows do.  A packed refusal is final, strings missing or not.
         used = []
 
         def spy(name, sweep):
@@ -643,15 +642,45 @@ class TestSchmidtRank:
             raise GuardExceededError("cut 1: sweep work exceeds 4194304")
 
         monkeypatch.setattr(ranks, "packed_sweep", spy("packed", refuse))
-        used.clear()
-        assert kept(768).schmidt_rank(1) == 2
-        assert used == ["packed", "dict"]
-        with pytest.raises(GuardExceededError):
-            kept(1024).schmidt_rank(1)
+        for count in (768, 1024):
+            used.clear()
+            with pytest.raises(GuardExceededError):
+                kept(count).schmidt_rank(1)
+            assert used == ["packed"]
+
+    @pytest.mark.parametrize("n, q", [(2, 8), (3, 6)])
+    @pytest.mark.parametrize("share", [1 / 8, 1 / 4])
+    def test_dict_rows_need_at_least_the_packed_budget(self, n, q, share):
+        # Dense supports with a share of their strings missing: dict rows
+        # never finish a sweep, to cut 1 or over every cut, on less work than
+        # packed rows, so a refused packed sweep is not tried again on dicts.
+        rng = random.Random(n * q)
+        strings = list(itertools.product(range(n), repeat=q))
+        kept = rng.sample(strings, len(strings) - int(share * len(strings)))
+        state = SparseState(n, q, 8, {x: Amplitude(rng.randrange(8)) for x in kept})
+        budget, p, images = _field_images(state.phase_order, set(state._packed.values()))
+
+        def least(sweep, steps):
+            """The least work on which ``sweep`` finishes, and its ranks."""
+            low, high = 0, budget
+            ranks = sweep(state, images, p, False, steps, high)
+            while high - low > 1:
+                middle = (low + high) // 2
+                try:
+                    sweep(state, images, p, False, steps, middle)
+                    high = middle
+                except GuardExceededError:
+                    low = middle
+            return high, ranks
+
+        for steps in (1, q - 1):
+            (packed, packed_ranks), (dicts, dict_ranks) = (least(f, steps) for f in (packed_sweep, _dict_sweep))
+            assert packed_ranks == dict_ranks
+            assert dicts >= packed
 
     def test_zero_lanes_are_charged_before_a_packed_row_is_built(self, monkeypatch):
         # 254 of the 256 strings, so packed rows; the two zero lanes alone
-        # pass a budget of 1, and dict rows are refused in turn.
+        # pass a budget of 1.
         used = []
 
         def spy(*args):
@@ -663,7 +692,7 @@ class TestSchmidtRank:
 
         monkeypatch.setattr(ranks, "packed_sweep", spy)
         monkeypatch.setattr(ranks, "_first_row", first_row)
-        monkeypatch.setattr(ranks, "SCHMIDT_WORK_LIMIT", 1)
+        monkeypatch.setattr(ranks, "WORK_LIMIT", 1)
         with pytest.raises(GuardExceededError, match=r"^cut 1: sweep work exceeds 1$"):
             fourier(16, ((5, 7), (6, 8))).schmidt_rank(1)
         assert used == ["packed"]

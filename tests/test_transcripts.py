@@ -17,15 +17,19 @@ pinned.
   it does; a 20000-qudit state is refused at its header (exit 3).  A state
   that is not uniform (``uniform_probability none``).
 - ``lucheck``: cluster-5 against itself, two of its X/Z images and |00000>;
-  GHZ-5 against its S- and T-phased copies; |+> against its 2 pi/2**40
-  turn and its quarter turn; |+>|0> against |0>|+>; and a pair whose field
-  would need a root of order 2**65.
+  cluster-6 against an X/Z image; GHZ-5 against its S- and T-phased copies,
+  and GHZ-6 against its T-phased copy; the 9-qubit bitflip-2 register
+  against itself; |+> against its 2 pi/2**40 turn and its quarter turn;
+  |+>|0> against |0>|+>; a pair whose field would need a root of order
+  2**65; and |0...0> on 10 qubits, whose search work is refused (exit 3).
 - ``viz`` and ``scaling`` of cantor 0-4, ``viz`` also of cantor 5-8 as svg
   and of two representative states with N = 5 and N = 11.
 - ``verify-step`` of README's cantor rule on cantor 1 -> 2, and of two rules
   whose ``file:`` slot state is refused, each error naming the rule line
-  and the slot file (exit 2 and 3).
-- ``code``: a level below 1 (exit 2); the README's bitflip chain, and a
+  and the slot file (exit 2 and 3), and of a rule whose ``s 0`` is
+  refused on its line (exit 2).
+- ``code``: a level below 1 (exit 2); an ``--errors`` list with an empty
+  position (exit 2); the README's bitflip chain, and a
   decode with nothing to correct (``corrections: none``); the
   bitflip:2 chain on cluster-6; a failed roundtrip and a decode whose
   components flip different blocks (exit 1 each); bellpair:1 and 2 of four
@@ -96,7 +100,11 @@ CASES = [
     ["analyze", "--state", "r70.qfs", *cut_args((1, 2, 3))],
     *(["analyze", "--state", "cl14.qfs", "--cut", cut] for cut in ("0", "14")),
     *(["lucheck", "--a", "cl5.qfs", "--b", b] for b in ("cl5.qfs", "cl5x1z3.qfs", "cl5x0z2.qfs", "zero5.qfs")),
+    ["lucheck", "--a", "cl6.qfs", "--b", "cl6x1z5.qfs"],
     *(["lucheck", "--a", "ghz5.qfs", "--b", b] for b in ("ghz5s.qfs", "ghz5t.qfs")),
+    ["lucheck", "--a", "ghz6.qfs", "--b", "ghz6t.qfs"],
+    ["lucheck", "--a", "bf2.qfs", "--b", "bf2.qfs"],
+    ["lucheck", "--a", "zero10.qfs", "--b", "zero10.qfs"],
     *(["lucheck", "--a", "plus40.qfs", "--b", b] for b in ("turned40.qfs", "quarter40.qfs")),
     ["lucheck", "--a", "root65.qfs", "--b", "root65.qfs"],
     *(["viz", *states, mode] for states in (CANTORS, REPRESENTATIVES) for mode in ("--ascii", "--svg=out.svg")),
@@ -115,11 +123,13 @@ CASES = [
         ["verify-step", "--prev", "c2.qfs", "--next", "c3.qfs", "--rule", f"{name}slot.rule"]
         for name in ("unordered", "wide")
     ),
+    ["verify-step", "--prev", "c1.qfs", "--next", "c2.qfs", "--rule", "s0.rule"],
     # The README's codes example, one command at a time.
     code("encode", "bitflip:1", "one.qfs", "-o", "out.qfs"),
     code("inject", "bitflip:1", "enc1.qfs", "--errors", "1", "-o", "out.qfs"),
     code("decode", "bitflip:1", "err1.qfs"),
     code("decode", "bitflip:1", "enc1.qfs"),
+    code("inject", "bitflip:1", "enc1.qfs", "--errors", "1,,2", "-o", "out.qfs"),
     code("roundtrip", "bitflip:2", "one.qfs", "--errors", "0,1"),
     code("roundtrip", "bitflip:1", "one.qfs", "--errors", "0,1"),
     code("decode", "bitflip:1", "mixed3.qfs"),
@@ -178,6 +188,7 @@ def write_inputs(directory):
         ("enc1", code("encode", "bitflip:1", "one.qfs")),
         ("err1", code("inject", "bitflip:1", "enc1.qfs", "--errors", "1")),
         ("cl6", ["gen", "--family", "cluster", "--qubits", "6"]),
+        ("bf2", ["gen", "--family", "bitflip", "--n", "2"]),
         ("cl6enc2", code("encode", "bitflip:2", "cl6.qfs")),
         ("cl6err2", code("inject", "bitflip:2", "cl6enc2.qfs", "--errors", "0,13,53")),
     ]:
@@ -197,6 +208,7 @@ def write_inputs(directory):
     (directory / "unordered.qfs").write_text("".join(swapped))
     (directory / "duplicate.qfs").write_text("".join([*lines[: first + 1], *lines[first:]]))
     (directory / "cantor.rule").write_text(CANTOR_RULE)
+    (directory / "s0.rule").write_text(CANTOR_RULE.replace("s 3\n", "s 0\n"))
     # Rules whose line 8 reads a state refused at its line 12 and at its header.
     for name in ("unordered", "wide"):
         (directory / f"{name}slot.rule").write_text(slot_rule(f"{name}.qfs"))
@@ -213,13 +225,16 @@ def write_inputs(directory):
     cluster = build_cluster(5)
     save_state(cluster.apply_bit_flip(1).apply_sigma_z(3), directory / "cl5x1z3.qfs")
     save_state(cluster.apply_bit_flip(0).apply_sigma_z(2), directory / "cl5x0z2.qfs")
-    save_state(SparseState.basis_state(2, (0,) * 5), directory / "zero5.qfs")
+    save_state(build_cluster(6).apply_bit_flip(1).apply_sigma_z(5), directory / "cl6x1z5.qfs")
+    for q in (5, 10):
+        save_state(SparseState.basis_state(2, (0,) * q), directory / f"zero{q}.qfs")
     save_state(SparseState.basis_state(2, (0, 1, 1)), directory / "ket011.qfs")
-    # GHZ-5, and its copies with |11111> turned by i and by e^(i pi/4).
+    # GHZ-5, and its copies with |11111> turned by i and by e^(i pi/4);
+    # GHZ-6, and its copy turned by e^(i pi/4).
     half = Amplitude.inv_sqrt(2)
-    for name, phase in (("ghz5", 0), ("ghz5s", 2), ("ghz5t", 1)):
-        ghz = {(0,) * 5: half, (1,) * 5: half.shifted(phase, 8)}
-        save_state(SparseState(2, 5, 8, ghz), directory / f"{name}.qfs")
+    for name, q, phase in (("ghz5", 5, 0), ("ghz5s", 5, 2), ("ghz5t", 5, 1), ("ghz6", 6, 0), ("ghz6t", 6, 1)):
+        ghz = {(0,) * q: half, (1,) * q: half.shifted(phase, 8)}
+        save_state(SparseState(2, q, 8, ghz), directory / f"{name}.qfs")
     # |+> and its turns by 2 pi/2**40 and by a quarter, at R = 2**40; and
     # a turn by 2 pi/2**65.
     for name, order, phase in (
