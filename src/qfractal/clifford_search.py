@@ -22,8 +22,9 @@ A child's |C|**2 is read from the Gram matrix of its parent's four
 leading-mode blocks, so only the children that survive are built.
 
 The search spends WORK_LIMIT, the Schmidt sweep's budget: Q * 4**Q cells
-before a vector is built, 4 per entry of each prefix tensor split into
-blocks, 4 per last tensor, and Q * 2**Q per candidate for its exact test.
+before a vector is built, for the Q levels of 4**Q entries that build the
+mode tensor, 4 per entry of each prefix tensor split into blocks, 4 per last
+tensor, and Q * 2**Q per candidate for its exact test.
 
 :func:`qfractal.analyze.lu_equivalent_by_local_clifford` imports this module
 on its first call, so the commands that search nothing do not compile it.
@@ -108,17 +109,15 @@ def _purity(vec: list[complex], q: int, k: int) -> float:
     return total
 
 
-@lru_cache(maxsize=1)
-def _interleaving(q: int) -> tuple[int, ...]:
-    """For each index of the mode tensor, whose bits run o_0 i_0 o_1 i_1 ...,
-    the index (o << q) | i of the outer product of conj(b) and a."""
-    order = []
-    for index in range(1 << 2 * q):
-        o = i = 0
-        for shift in range(2 * q - 2, -1, -2):
-            o, i = o << 1 | index >> shift + 1 & 1, i << 1 | index >> shift & 1
-        order.append(o << q | i)
-    return tuple(order)
+def _modes(bra: list[complex], ket: list[complex]) -> list[complex]:
+    """The outer product of ``bra`` and ``ket`` in mode order: its index bits
+    run o_0 i_0 o_1 i_1 ..., for the bits o of ``bra`` and i of ``ket``."""
+    if len(ket) == 2:
+        (y0, y1), (x0, x1) = bra, ket
+        return [y0 * x0, y0 * x1, y1 * x0, y1 * x1]
+    n = len(ket) >> 1
+    b0, b1, a0, a1 = bra[:n], bra[n:], ket[:n], ket[n:]
+    return _modes(b0, a0) + _modes(b0, a1) + _modes(b1, a0) + _modes(b1, a1)
 
 
 def matches(
@@ -138,8 +137,6 @@ def matches(
     spend(q * 4**q)
     a_vec, b_vec = a._dense(), b._dense()
     entries, terms, weights = _gate_tables(gates)
-    outer = [y * x for y in map(complex.conjugate, b_vec) for x in a_vec]
-    modes = list(map(outer.__getitem__, _interleaving(q)))
     # A prefix of k gates survives while 2 |C|**2 >= p_a(k) + p_b(k) - bound;
     # the 1e-12 leaves room for rounding in the purities and |C|**2.
     bound = 4 * (1 - threshold**2) + 1e-12
@@ -170,7 +167,7 @@ def matches(
                 for rest, fidelity in search(depth + 1, _contract(blocks, terms[index])):
                     yield (index,) + rest, fidelity
 
-    return search(0, modes)
+    return search(0, _modes(list(map(complex.conjugate, b_vec)), a_vec))
 
 
 def exact_test(a: SparseState, b: SparseState, words: tuple[str, ...]) -> Callable[[tuple[int, ...]], bool]:

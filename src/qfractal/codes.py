@@ -72,7 +72,8 @@ def _encode_bell(state: SparseState) -> SparseState:
         signs = (plus, plus.shifted(order // 2, order))
         entries = {string: signs[(c & key).bit_count() & 1] for c, string in enumerate(spread)}
         terms.append((0, SparseState._trusted(2, 2 * q, order, entries)))
-    return superpose(terms)
+    # The code map is linear: an empty register encodes to an empty register.
+    return superpose(terms) if terms else SparseState._trusted(2, 2 * q, order, {})
 
 
 def encode(state: SparseState, spec: CodeSpec) -> SparseState:

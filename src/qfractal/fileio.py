@@ -289,7 +289,8 @@ def _slot_to_text(entry: SlotVector) -> str:
         return "predecessor"
     if isinstance(entry, BasisSlot):
         if any(d > 9 for d in entry.digits):
-            return "basis:" + ",".join(str(d) for d in entry.digits)
+            # One digit takes a trailing comma: basis:10 reads as (1, 0).
+            return "basis:" + ",".join(str(d) for d in entry.digits) + "," * (len(entry.digits) == 1)
         return "basis:" + "".join(str(d) for d in entry.digits)
     if entry.path is None:
         raise ValueError("named slot states need a file path to serialize")
@@ -320,7 +321,8 @@ def _slot_from_text(text: str, base_dir: Path, lineno: int) -> SlotVector:
         if not body.isascii():
             _fail(lineno, f"malformed basis string {body!r}")
         if "," in body:
-            digits = tuple(_int(part, lineno, "basis digit") for part in body.split(","))
+            # The comma form may end in one comma, as a one-digit string does.
+            digits = tuple(_int(part, lineno, "basis digit") for part in body.removesuffix(",").split(","))
             negative = next((d for d in digits if d < 0), None)
             if negative is not None:
                 _fail(lineno, f"basis digit {negative} is negative")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import Counter
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
@@ -113,6 +114,17 @@ def digit_text(key: int, local_dim: int, num_qudits: int) -> str:
     if code is not None:
         return format(key, f"0{num_qudits}{code}")
     return _key_bytes(key, bits, num_qudits).translate(_TO_TEXT).decode("ascii")
+
+
+def _int_in_base(text: str, base: int) -> int:
+    """``int(text, base)``, read as hi * base**h + lo from two halves while
+    ``text`` has more digits than int() converts (a limit of 0: no limit)."""
+    # Pythons before 3.10.7 have no limit, and no function that reads it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or len(text) <= limit:
+        return int(text, base)
+    h = len(text) >> 1
+    return _int_in_base(text[:-h], base) * base**h + _int_in_base(text[-h:], base)
 
 
 def _key_bytes(key: int, bits: int, num_qudits: int) -> bytes:
@@ -605,10 +617,7 @@ class SparseState(_Frozen):
         if not n & (n - 1):
             return key
         if n <= 16:
-            try:
-                return int(digit_text(key, n, self.num_qudits), n)
-            except ValueError:  # more digits than int() converts
-                pass
+            return _int_in_base(digit_text(key, n, self.num_qudits), n)
         return self.basis_value(self.entries._digits(key))
 
     def to_dense(self) -> np.ndarray:

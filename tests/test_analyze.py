@@ -682,6 +682,18 @@ def test_purities_equal_the_reduced_density_matrices(data):
         assert abs(clifford_search._purity(state._dense(), num_qubits, k) - np.trace(rho @ rho).real) < 1e-12
 
 
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_modes_reindex_the_outer_product(num_qubits):
+    # Mode index bits o_0 i_0 o_1 i_1 ... name the outer-product index (o << Q) | i.
+    rng = random.Random(num_qubits)
+    bra, ket = ([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << num_qubits)] for _ in range(2))
+    expected = []
+    for index in range(1 << 2 * num_qubits):
+        bits = format(index, f"0{2 * num_qubits}b")
+        expected.append(bra[int(bits[0::2], 2)] * ket[int(bits[1::2], 2)])
+    assert clifford_search._modes(bra, ket) == expected
+
+
 def test_cluster_against_zero_is_decided_at_the_one_gate_prefixes(monkeypatch):
     # Every qubit of cluster-5 is maximally mixed and |00000> is a product,
     # so no first gate survives and no prefix of two gates is built.

@@ -105,6 +105,13 @@ class TestBellEncode:
         assert out.norm_squared() == 1
 
 
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_empty_register_encodes_to_the_empty_register(self, levels):
+        # The code map is linear, so the zero vector maps to the zero vector.
+        out = encode(SparseState(2, 2, 8, {}), CodeSpec(CodeKind.BELL_PAIR, levels))
+        assert out == SparseState(2, 2 << levels, 8, {})
+
+
 class TestInjectErrors:
     def test_flips_listed_positions(self):
         assert inject_errors(qubit(0, 0, 0), [1]) == qubit(0, 1, 0)

@@ -162,12 +162,26 @@ class TestRuleFormat:
         assert loaded.coefficients == rule.coefficients
         assert serialize_rule(loaded) == serialize_rule(rule)
 
-    def test_basis_digits_above_nine_round_trip_with_commas(self):
-        tables = ({0: Predecessor()}, {0: BasisSlot((1, 10))})
+    @pytest.mark.parametrize("digits, body", [((1, 10), "1,10"), ((10,), "10,")])
+    def test_basis_digits_above_nine_round_trip_with_commas(self, digits, body):
+        # basis:10 reads as the two digits (1, 0), so the one digit 10 takes a trailing comma.
+        tables = ({0: Predecessor()}, {0: BasisSlot(digits)})
         rule = ScaleRule(FractalParams(2, 1), tables, (Coefficient((0, 0)),))
         text = serialize_rule(rule)
-        assert "slot 2 0 basis:1,10\n" in text
+        assert f"slot 2 0 basis:{body}\n" in text
         assert parse_rule(text) == rule
+        assert parse_rule(text.replace(f"basis:{body}\n", "basis:10\n")).slot_tables[1][0] == BasisSlot((1, 0))
+
+    def test_library_rule_with_a_one_digit_string_above_nine_reads_back(self):
+        rule = representative_rule(2, 11, 0, 11)
+        assert parse_rule(serialize_rule(rule)) == rule
+
+    @pytest.mark.parametrize("body", [",", "1,,2", "10,,", ",1"])
+    def test_comma_form_ends_in_at_most_one_comma(self, body):
+        text = f"qfs-rule/1\nc 2\ns 1\nphase_order 8\n\nslot 1 0 predecessor\nslot 2 0 basis:{body}\ncoeff 0,0 0\n"
+        with pytest.raises(FormatError) as info:
+            parse_rule(text)
+        assert str(info.value) == "line 7: basis digit is not an integer: ''"
 
     def test_named_slot_without_path_cannot_serialize(self):
         rule = gem_rule(build_bell_pair(+1), +1)
@@ -529,9 +543,13 @@ class TestRenderSupport:
         with pytest.raises(ValueError, match=r"^at least one state is required$"):
             render_support([])
 
-    @pytest.mark.parametrize("local_dim, num_qudits", [(n, 3) for n in (3, 5, 6, 7, 9, 10, 11, 15)] + [(3, 5000)])
-    def test_renders_and_dense_equal_the_per_digit_reference(self, local_dim, num_qudits, monkeypatch):
-        # 5000 digits are more than int() reads in base 3, so they are walked.
+    @pytest.mark.parametrize(
+        "local_dim, num_qudits, limit",
+        [(n, 3, 4300) for n in (3, 5, 6, 7, 9, 10, 11, 15)] + [(3, 5000, 4300), (3, 1500, 640)],
+    )
+    def test_renders_and_dense_equal_the_per_digit_reference(self, local_dim, num_qudits, limit, monkeypatch):
+        # Texts longer than int()'s digit limit are read in pieces: 5000 digits
+        # at the default limit, and 1500 at the least limit int() takes.
         rng = random.Random(local_dim)
         keys = {tuple(rng.randrange(local_dim) for _ in range(num_qudits)) for _ in range(20)}
         state = SparseState(local_dim, num_qudits, 8, {key: Amplitude(rng.randrange(8)) for key in keys})
@@ -540,9 +558,14 @@ class TestRenderSupport:
             dense = state._dense() if num_qudits == 3 else None
             return render_support(state, "ascii"), render_support(state, "svg"), dense
 
-        fast = views()
-        monkeypatch.setattr(SparseState, "_basis_value_of", lambda self, key: self.basis_value(self.entries._digits(key)))
-        assert fast == views()
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            fast = views()
+            monkeypatch.setattr(SparseState, "_basis_value_of", lambda self, key: self.basis_value(self.entries._digits(key)))
+            assert fast == views()
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestNonAsciiDigits:

@@ -17,9 +17,9 @@ pinned.
   it does; a 20000-qudit state is refused at its header (exit 3).  A state
   that is not uniform (``uniform_probability none``).
 - ``lucheck``: cluster-5 against itself, two of its X/Z images and |00000>;
-  cluster-6 against an X/Z image; GHZ-5 against its S- and T-phased copies,
-  and GHZ-6 against its T-phased copy; the 9-qubit bitflip-2 register
-  against itself; |+> against its 2 pi/2**40 turn and its quarter turn;
+  cluster-6 and cluster-8 against an X/Z image; GHZ-5 against its S- and
+  T-phased copies, and GHZ-6 against its T-phased copy; the 9-qubit
+  bitflip-2 register against itself; |+> against its 2 pi/2**40 turn and its quarter turn;
   |+>|0> against |0>|+>; a pair whose field would need a root of order
   2**65; and |0...0> on 10 qubits, whose search work is refused (exit 3).
 - ``viz`` and ``scaling`` of cantor 0-4, ``viz`` also of cantor 5-8 as svg
@@ -27,13 +27,15 @@ pinned.
 - ``verify-step`` of README's cantor rule on cantor 1 -> 2, and of two rules
   whose ``file:`` slot state is refused, each error naming the rule line
   and the slot file (exit 2 and 3), and of a rule whose ``s 0`` is
-  refused on its line (exit 2).
+  refused on its line (exit 2), and of the library's s = 11 rule, whose
+  one-digit slot string |10> is written ``basis:10,``.
 - ``code``: a level below 1 (exit 2); an ``--errors`` list with an empty
   position (exit 2); the README's bitflip chain, and a
   decode with nothing to correct (``corrections: none``); the
   bitflip:2 chain on cluster-6; a failed roundtrip and a decode whose
-  components flip different blocks (exit 1 each); bellpair:1 and 2 of four
-  inputs, the last of which does not sum into the exact ring (exit 1).
+  components flip different blocks (exit 1 each); bellpair:1 and 2 of five
+  inputs, the fourth of which does not sum into the exact ring (exit 1),
+  and the fifth an empty register.
 - ``dim``.
 
 Each case reads only what ``write_inputs`` makes and writes only ``out.*``.
@@ -53,7 +55,16 @@ from pathlib import Path
 
 import pytest
 
-from qfractal import Amplitude, SparseState, build_cluster, save_state
+from qfractal import (
+    Amplitude,
+    SparseState,
+    apply_scale_rule,
+    build_cluster,
+    build_initial,
+    representative_rule,
+    save_rule,
+    save_state,
+)
 from qfractal.cli import main
 from sample_states import fourier
 
@@ -101,6 +112,7 @@ CASES = [
     *(["analyze", "--state", "cl14.qfs", "--cut", cut] for cut in ("0", "14")),
     *(["lucheck", "--a", "cl5.qfs", "--b", b] for b in ("cl5.qfs", "cl5x1z3.qfs", "cl5x0z2.qfs", "zero5.qfs")),
     ["lucheck", "--a", "cl6.qfs", "--b", "cl6x1z5.qfs"],
+    ["lucheck", "--a", "cl8.qfs", "--b", "cl8x0z7.qfs"],
     *(["lucheck", "--a", "ghz5.qfs", "--b", b] for b in ("ghz5s.qfs", "ghz5t.qfs")),
     ["lucheck", "--a", "ghz6.qfs", "--b", "ghz6t.qfs"],
     ["lucheck", "--a", "bf2.qfs", "--b", "bf2.qfs"],
@@ -124,6 +136,7 @@ CASES = [
         for name in ("unordered", "wide")
     ),
     ["verify-step", "--prev", "c1.qfs", "--next", "c2.qfs", "--rule", "s0.rule"],
+    ["verify-step", "--prev", "init11.qfs", "--next", "step11.qfs", "--rule", "rep11.rule"],
     # The README's codes example, one command at a time.
     code("encode", "bitflip:1", "one.qfs", "-o", "out.qfs"),
     code("inject", "bitflip:1", "enc1.qfs", "--errors", "1", "-o", "out.qfs"),
@@ -138,7 +151,7 @@ CASES = [
     code("decode", "bitflip:2", "cl6err2.qfs", "-o", "out.qfs"),
     *(
         code("encode", f"bellpair:{levels}", name, "-o", "out.qfs")
-        for name in ("ket011.qfs", "cl3.qfs", "gem2.qfs", "uneven.qfs")
+        for name in ("ket011.qfs", "cl3.qfs", "gem2.qfs", "uneven.qfs", "empty2.qfs")
         for levels in (1, 2)
     ),
     ["dim", "--c", "2", "--s", "3"],
@@ -209,6 +222,11 @@ def write_inputs(directory):
     (directory / "duplicate.qfs").write_text("".join([*lines[: first + 1], *lines[first:]]))
     (directory / "cantor.rule").write_text(CANTOR_RULE)
     (directory / "s0.rule").write_text(CANTOR_RULE.replace("s 3\n", "s 0\n"))
+    # The library's s = 11 rule, whose one-digit slot string |10> is written basis:10,.
+    rule = representative_rule(2, 11, 0, 11)
+    save_rule(rule, directory / "rep11.rule")
+    save_state(build_initial(11), directory / "init11.qfs")
+    save_state(apply_scale_rule(build_initial(11), rule), directory / "step11.qfs")
     # Rules whose line 8 reads a state refused at its line 12 and at its header.
     for name in ("unordered", "wide"):
         (directory / f"{name}slot.rule").write_text(slot_rule(f"{name}.qfs"))
@@ -226,6 +244,8 @@ def write_inputs(directory):
     save_state(cluster.apply_bit_flip(1).apply_sigma_z(3), directory / "cl5x1z3.qfs")
     save_state(cluster.apply_bit_flip(0).apply_sigma_z(2), directory / "cl5x0z2.qfs")
     save_state(build_cluster(6).apply_bit_flip(1).apply_sigma_z(5), directory / "cl6x1z5.qfs")
+    save_state(build_cluster(8), directory / "cl8.qfs")
+    save_state(build_cluster(8).apply_bit_flip(0).apply_sigma_z(7), directory / "cl8x0z7.qfs")
     for q in (5, 10):
         save_state(SparseState.basis_state(2, (0,) * q), directory / f"zero{q}.qfs")
     save_state(SparseState.basis_state(2, (0, 1, 1)), directory / "ket011.qfs")
@@ -253,6 +273,7 @@ def write_inputs(directory):
         # Magnitudes 1/sqrt(3) and sqrt(2/3), whose Bell pieces do not sum
         # into the exact ring.
         ("uneven", qubit_text(1, "0 0 3:1", "1 0 2:-1,3:1")),
+        ("empty2", qubit_text(2)),
     ]:
         (directory / f"{name}.qfs").write_text(text)
 
